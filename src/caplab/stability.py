@@ -5,10 +5,15 @@ The quadratic form is the integrated-by-parts second variation
               int_{Gamma_i} sigma(nu, nu) f^2,
 realized as f^T A f with A = K - M_sigma - sum_i q_i B_i, and stability means
 nonnegativity of the smallest eigenvalue of A relative to the mass M over the
-mean-zero subspace c^T f = 0, c = M 1. The constraint is handled by
-projection (for the iterative path, through the solver's constraint argument
-in the M-inner product; for the dense path, through an explicit orthonormal
-basis of the complement), never by a saddle system.
+mean-zero subspace c^T f = 0, c = M 1.
+
+The constrained spectrum has one solver: shift-invert Lanczos (ARPACK) on a
+single sparse factorization of A + sM, with the shift s doubled until that
+factorization is positive definite, so the pairs nearest -s are the lowest.
+The constraint enters the inverse as a rank-one Schur correction, never as a
+saddle system. Each answer is certified by the projected residual of every
+pair and by an inertia count (Sylvester, Haynsworth) of the constrained
+eigenvalues below a cut past the last one reported.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
-from scipy.sparse.linalg import LinearOperator, lobpcg, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .discops import (
     NDIM,
@@ -33,6 +38,7 @@ from .discops import (
 )
 from .errors import (
     ConstraintViolationError,
+    FitFailureError,
     InvalidAngleError,
     NoCommonOriginError,
     SolverFailureError,
@@ -41,6 +47,7 @@ from .meshkit import LabeledTriMesh, WallSet
 
 __all__ = [
     "IndexFormSystem",
+    "Spectrum",
     "StabilityVerdict",
     "TestFunctionReport",
     "assemble_index_form",
@@ -53,8 +60,10 @@ __all__ = [
     "mass_correlation",
 ]
 
-DENSE_CUTOFF = 1600
-SOLVER_SEED = 0x5EED
+RESIDUAL_BOUND = 1e-8
+MAX_SHIFT_DOUBLINGS = 60
+# extra pairs requested beyond k, the second try after a failed certificate
+CERTIFICATE_BUFFERS = (2, 8)
 
 
 @dataclass
@@ -69,6 +78,14 @@ class IndexFormSystem:
     @property
     def n(self):
         return self.A.shape[0]
+
+
+class Spectrum(NamedTuple):
+    """Constrained eigenpairs, ascending, with the solver's deterministic facts."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    solver: dict
 
 
 @dataclass
@@ -145,12 +162,20 @@ def assemble_index_form(
     ops = operators or assemble_operators(mesh)
     A = ops.K - weighted_mass(mesh, fields.sigma_sq)
     sigma_nn_full = fields.full("sigma_nn")
+    conormal_full = fields.full("conormal")
     for i, theta in enumerate(walls.angles):
         if i not in ops.B_wall:
             continue
         cot = _cot(theta)
         if cot == 0.0:
             continue
+        on_wall = ops.B_wall[i].diagonal() != 0.0
+        bad = ~np.isfinite(sigma_nn_full[on_wall]) | ~np.isfinite(conormal_full[on_wall]).all(axis=1)
+        if bad.any():
+            raise FitFailureError(
+                f"{int(bad.sum())} vertices on wall {i} have a non-finite sigma(nu, nu) "
+                "or conormal; the boundary term of the index form is undefined"
+            )
         q = cot * sigma_nn_full
         A = A - ops.B_wall[i].multiply(q[None, :])
     A = (0.5 * (A + A.T)).tocsr()
@@ -164,77 +189,141 @@ def assemble_index_form(
     return IndexFormSystem(A=A, M=M, c=c, meta=meta)
 
 
-def _dense_spectrum(system, k):
-    n = system.n
-    u = system.c / np.linalg.norm(system.c)
-    v = u.copy()
-    v[0] += math.copysign(1.0, u[0] if u[0] != 0 else 1.0)
-    v /= np.linalg.norm(v)
-    H = np.eye(n) - 2.0 * np.outer(v, v)
-    Q = H[:, 1:]  # orthonormal basis of the complement of c
-    A = system.A.toarray()
-    M = system.M.toarray()
-    Ar = Q.T @ A @ Q
-    Mr = Q.T @ M @ Q
-    vals, vecs = eigh(Ar, Mr, subset_by_index=[0, k - 1])
-    return vals, Q @ vecs
+def _factor(K):
+    """Symmetric-mode LU of K and its number of nonpositive pivots.
 
-
-def _iterative_spectrum(system, k, maxiter, seed):
-    n = system.n
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, k))
-    # constraint in the M-inner product: Y = 1 gives Y^T M x = c^T x = 0
-    Y = np.ones((n, 1))
-    shift = system.meta.get("max_sigma_sq", 1.0) + 1.0 / max(system.meta.get("area", 1.0), 1e-300)
-    P = (system.A + shift * system.M).tocsc()
+    With no off-diagonal pivoting P K P^T = L D L^T and U = D L^T, so by
+    Sylvester's law the signs of diag(U) are the inertia of K.
+    """
     try:
-        lu = splu(P)
-        prec = LinearOperator(P.shape, matvec=lu.solve, matmat=lu.solve)
-    except RuntimeError:
-        prec = None
-    scale = float(np.abs(system.A).sum(axis=1).max())
-    tol = 1e-9 * max(scale, 1.0)
-    vals, vecs = lobpcg(
-        system.A, X, B=system.M, M=prec, Y=Y, largest=False, tol=tol, maxiter=maxiter
-    )
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
-    R = system.A @ vecs - system.M @ vecs * vals[None, :]
-    resid = float(np.linalg.norm(R[:, 0]) / max(scale, 1e-300))
-    if not np.all(np.isfinite(vals)) or resid > 1e-6:
-        raise SolverFailureError(
-            f"eigensolver did not converge (relative residual {resid:.3e})", residual=resid
+        lu = splu(
+            K.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
         )
-    return vals, vecs
+    except RuntimeError as exc:  # exactly singular
+        raise SolverFailureError(f"factorization failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverFailureError("factorization pivoted off the diagonal; no inertia")
+    return lu, int(np.count_nonzero(~(lu.U.diagonal() > 0.0)))
 
 
-def solve_spectrum(system: IndexFormSystem, k=10, maxiter=500, seed=SOLVER_SEED):
-    """Lowest k eigenpairs of f^T A f over {c^T f = 0, f^T M f = 1}.
+def _positive_shift(system, s):
+    """Smallest s * 2^j making A + sM positive definite, with its factor.
 
-    Dense solve through an explicit constraint-complement basis for small
-    systems, shift-preconditioned LOBPCG with the mean-zero constraint
-    beyond; deterministic for fixed inputs.
+    Every constrained eigenvalue then lies above -s (Sylvester's law and
+    interlacing), so the pairs nearest -s are the lowest ones.
+    """
+    for _ in range(MAX_SHIFT_DOUBLINGS):
+        lu, nonpositive = _factor(system.A + s * system.M)
+        if nonpositive == 0:
+            return s, lu
+        s *= 2.0
+    raise SolverFailureError(f"no shift up to {s:.3e} makes A + sM positive definite")
+
+
+def _lanczos(system, m, s, lu):
+    """m pairs of the constrained pencil nearest -s by shift-invert Lanczos.
+
+    The inverse is restricted to c^T x = 0 by a rank-one Schur correction
+    (Golub, SIAM Rev. 15, 1973): x -> K^{-1} x - w (c^T K^{-1} x) / (c^T w)
+    with K = A + sM and w = K^{-1} c.
+    """
+    n, c = system.n, system.c
+    w = lu.solve(c)
+    cw = float(c @ w)
+
+    def apply(x):
+        y = lu.solve(np.asarray(x, float))
+        return y - w * (float(c @ y) / cw)
+
+    op = LinearOperator((n, n), matvec=apply, dtype=float)
+    v0 = np.cos(np.arange(n, dtype=float))
+    v0 -= c * (float(c @ v0) / float(c @ c))
+    try:
+        vals, vecs = eigsh(system.A, k=m, M=system.M, sigma=-s, OPinv=op, v0=v0)
+    except ArpackError as exc:
+        raise SolverFailureError(f"shift-invert Lanczos failed: {exc}") from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def _certify(system, vals, k, s):
+    """A cut mu past the k-th value, the inertia count below it, and the pairs found.
+
+    mu lies halfway to the next distinct value found, so a missed copy of a
+    multiple eigenvalue at the top of the window makes count and pairs
+    disagree. The count is Haynsworth's: the bordered matrix
+    [[A - mu M, c], [c^T, 0]] has one more negative eigenvalue than the
+    constrained pencil, and its Schur complement -c^T (A - mu M)^{-1} c
+    carries the rest.
+    """
+    gap = 1e-6 * (vals[k - 1] + s)
+    above = vals[k:][vals[k:] > vals[k - 1] + gap]
+    mu = 0.5 * (vals[k - 1] + above[0]) if len(above) else vals[k - 1] + gap
+    lu, nonpositive = _factor(system.A - mu * system.M)
+    count = nonpositive + int(float(system.c @ lu.solve(system.c)) > 0.0) - 1
+    return float(mu), count, int(np.count_nonzero(vals < mu))
+
+
+def solve_spectrum(system: IndexFormSystem, k=10) -> Spectrum:
+    """Lowest k eigenpairs of f^T A f over {c^T f = 0, f^T M f = 1}, certified.
+
+    One shift-invert Lanczos solve on a single factorization of A + sM, with
+    s doubled until that factorization is positive definite. Every answer is
+    certified twice: each pair by its residual projected onto c^T f = 0, and
+    the set by an inertia count showing that no constrained eigenvalue below
+    the k-th was missed. Raises SolverFailureError when either fails.
+    Deterministic for fixed inputs.
     """
     n = system.n
     k = max(1, min(k, n - 2))
-    if n <= DENSE_CUTOFF:
-        vals, vecs = _dense_spectrum(system, k)
+    A, M, c = system.A, system.M, system.c
+    scale = float(abs(A).sum(axis=1).max())
+    # the constant's Rayleigh quotient (cot term included) sits just above
+    # the lowest unconstrained eigenvalue on every family
+    area = float(c.sum())
+    s, lu = _positive_shift(system, max(-2.0 * float(A.sum()) / area, 1.0 / area))
+    for buffer in CERTIFICATE_BUFFERS:
+        m = min(k + buffer, n - 2)
+        vals, vecs = _lanczos(system, m, s, lu)
+        mu, count, found = _certify(system, vals, k, s)
+        if count == found:
+            break
     else:
-        vals, vecs = _iterative_spectrum(system, k, maxiter, seed)
-    # normalize: f^T M f = 1, c^T f = 0 up to solver tolerance
-    for j in range(vecs.shape[1]):
-        nj = math.sqrt(float(vecs[:, j] @ (system.M @ vecs[:, j])))
-        vecs[:, j] /= nj
-        if vecs[np.argmax(np.abs(vecs[:, j])), j] < 0:
-            vecs[:, j] = -vecs[:, j]
-    return np.asarray(vals, float), vecs
+        raise SolverFailureError(
+            f"spectrum not certified: {count} constrained eigenvalues below {mu:.6g}, "
+            f"solver found {found}"
+        )
+    vals, vecs = vals[:k], vecs[:, :k]
+    # normalize: f^T M f = 1 and a fixed sign
+    vecs = vecs / np.sqrt(np.einsum("ij,ij->j", vecs, M @ vecs))
+    vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)])
+    cn = c / np.linalg.norm(c)
+    R = A @ vecs - (M @ vecs) * vals
+    R -= np.outer(cn, cn @ R)
+    resid = np.linalg.norm(R, axis=0) / max(scale, 1e-300)
+    worst = float(resid.max())
+    if not np.all(np.isfinite(vals)) or not worst <= RESIDUAL_BOUND or vals[0] <= -s:
+        raise SolverFailureError(
+            f"eigensolver did not converge (projected relative residual {worst:.3e})",
+            residual=worst,
+        )
+    solver = {
+        "method": "shift-invert Lanczos, rank-one constraint correction",
+        "shift": s,
+        "requested": m,
+        "residuals": [float(r) for r in resid],
+        "constraint_defects": [float(d) for d in np.abs(c @ vecs)],
+        "certificate": {"mu": mu, "count_below": count},
+    }
+    return Spectrum(vals, vecs, solver)
 
 
-def min_constrained_eigenpair(system: IndexFormSystem, maxiter=500, seed=SOLVER_SEED):
+def min_constrained_eigenpair(system: IndexFormSystem):
     """Smallest constrained eigenvalue and its mass-normalized eigenfunction."""
-    vals, vecs = solve_spectrum(system, k=1, maxiter=maxiter, seed=seed)
+    vals, vecs, _ = solve_spectrum(system, k=1)
     return float(vals[0]), vecs[:, 0]
 
 
@@ -246,7 +335,7 @@ def stability_verdict(system: IndexFormSystem, tol=None, k=10) -> StabilityVerdi
     """
     if tol is None:
         tol = 0.05 * system.meta.get("max_sigma_sq", 1.0)
-    vals, vecs = solve_spectrum(system, k=k)
+    vals, vecs, solver = solve_spectrum(system, k=k)
     lam = float(vals[0])
     return StabilityVerdict(
         lambda_min=lam,
@@ -255,7 +344,7 @@ def stability_verdict(system: IndexFormSystem, tol=None, k=10) -> StabilityVerdi
         tol_used=float(tol),
         eigenvalues=vals,
         eigenfunctions=vecs,
-        info={"k": len(vals), "meta": dict(system.meta)},
+        info={"k": len(vals), "meta": dict(system.meta), "solver": solver},
     )
 
 

@@ -118,6 +118,32 @@ class TestStability:
         doc = read_json(tmp_path / "verdict.json")
         assert doc["stable"] is False
 
+    def test_cap_axisymmetric_mode(self, tmp_path):
+        # 1729 vertices; the dense constrained value of slot 4 is 10.2497057
+        rc = main(
+            ["stability", "--family", "cap", "--angle-deg", "60", "--res", "96", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        lines = (tmp_path / "eigenvalues.csv").read_text().splitlines()
+        assert lines[0] == "index,lambda"
+        assert float(lines[1 + 4].split(",")[1]) == pytest.approx(10.2497057, rel=1e-7)
+
+    def test_verdict_carries_solver_record(self, tmp_path):
+        rc = main(
+            ["stability", "--family", "cap", "--angle-deg", "60", "--res", "24", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        doc = read_json(tmp_path / "verdict.json")
+        solver = doc["info"]["solver"]
+        assert solver["method"].startswith("shift-invert Lanczos")
+        assert solver["shift"] > -doc["lambda_min"]
+        assert len(solver["residuals"]) == len(doc["eigenvalues"])
+        assert len(solver["constraint_defects"]) == len(doc["eigenvalues"])
+        assert max(solver["residuals"]) <= 1e-8
+        assert max(solver["constraint_defects"]) <= 1e-10
+        assert solver["certificate"]["mu"] > doc["eigenvalues"][-1]
+        assert solver["certificate"]["count_below"] >= len(doc["eigenvalues"])
+
 
 class TestTestFn:
     def test_cap_identity_follows(self, tmp_path):

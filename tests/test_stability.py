@@ -1,13 +1,18 @@
 """Index form, constrained spectrum and test function against analytic oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.linalg import eigh as dense_eigh
+from scipy.linalg import null_space
 
 from caplab import discops, families, meshkit, stability, wedge
 from caplab.errors import (
     ConstraintViolationError,
+    FitFailureError,
     NoCommonOriginError,
     SolverFailureError,
 )
@@ -23,8 +28,6 @@ def slab_mode_oracle(r, L, nz=2000, modes=6):
     natural boundary second-order accurate). Returns the sorted eigenvalues
     over (k, m) != (0, 0).
     """
-    from scipy.linalg import eigh as dense_eigh
-
     h = L / nz
     main = np.full(nz + 1, 2.0)
     main[0] = main[-1] = 1.0
@@ -42,6 +45,26 @@ def slab_mode_oracle(r, L, nz=2000, modes=6):
             if m > 0:
                 vals.append(mu[k] + (m * m - 1.0) / r**2)  # sin and cos branch
     return np.sort(np.array(vals))
+
+
+def dense_constrained_spectrum(system, k):
+    """Dense oracle: generalized eigh on an orthonormal basis of c's complement."""
+    Q = null_space(np.asarray(system.c, float)[None, :])
+    A = Q.T @ (system.A @ Q)
+    M = Q.T @ (system.M @ Q)
+    return dense_eigh(
+        0.5 * (A + A.T), 0.5 * (M + M.T), eigvals_only=True, subset_by_index=[0, k - 1]
+    )
+
+
+def cap_system(theta, res):
+    spec = families.Cap(R=1.0, theta=theta, resolution=res)
+    mesh, fields = families.generate_mesh(spec)
+    return stability.assemble_index_form(mesh, spec.walls(), fields)
+
+
+def max_relative_error(vals, reference):
+    return np.abs(vals - reference).max() / np.abs(reference).max()
 
 
 class TestOracle:
@@ -136,13 +159,12 @@ class TestSpectrum:
         # the first axial mode appears next
         assert verdict.eigenvalues[2] == pytest.approx(oracle[2], rel=0.05)
 
-    def test_dense_and_iterative_paths_agree(self):
+    def test_cylinder_matches_dense_oracle(self):
         spec = families.Cylinder(r=1.0, L=4.0, resolution=40)
         mesh, fields = families.generate_mesh(spec)
         system = stability.assemble_index_form(mesh, spec.walls(), fields)
-        dense, _ = stability._dense_spectrum(system, 4)
-        iterative, _ = stability._iterative_spectrum(system, 4, 500, stability.SOLVER_SEED)
-        assert np.abs(dense - iterative).max() <= 1e-8
+        vals = stability.solve_spectrum(system, k=4)[0]
+        assert np.abs(dense_constrained_spectrum(system, 4) - vals).max() <= 1e-8
 
     def test_eigenfunction_satisfies_constraints(self, cap_pi3):
         spec, mesh, fields = cap_pi3[32]
@@ -167,6 +189,83 @@ class TestSpectrum:
         system2 = stability.assemble_index_form(mesh2, spec.walls(), fields.scaled(2.0))
         lam2, _ = stability.min_constrained_eigenpair(system2)
         assert 4.0 * lam2 == pytest.approx(lam, rel=0.01, abs=1e-12)
+
+
+class TestSolverAgainstDense:
+    """The production solver against a dense solve on the constraint complement."""
+
+    @pytest.mark.parametrize("res", [64, 96, 128])  # nv 769, 1729, 3201
+    def test_cap_matches_dense_oracle(self, res):
+        # at res 96 an earlier iterative path stalled at slot 4 (10.3377)
+        system = cap_system(math.pi / 3, res)
+        vals = stability.solve_spectrum(system, k=10)[0]
+        assert max_relative_error(vals, dense_constrained_spectrum(system, 10)) <= 1e-8
+
+    def test_double_eigenvalue_at_window_top(self):
+        # slots 8 and 9 are one double eigenvalue of the axisymmetric cap
+        system = cap_system(math.radians(160), 36)
+        dense = dense_constrained_spectrum(system, 10)
+        assert dense[9] - dense[8] <= 1e-9 * dense[9]
+        spectrum = stability.solve_spectrum(system, k=10)
+        assert max_relative_error(spectrum.values, dense) <= 1e-8
+        assert spectrum.solver["certificate"]["count_below"] == 10
+
+    def test_certificate_recovers_missed_copy(self, monkeypatch):
+        # single-vector Lanczos can return one copy of a double eigenvalue;
+        # simulate that miss on the first solve: only the inertia count
+        # notices, and the retry with a larger buffer restores the answer
+        system = cap_system(math.radians(160), 36)
+        lanczos = stability._lanczos
+        calls = []
+
+        def miss_first(system, m, s, lu):
+            vals, vecs = lanczos(system, m, s, lu)
+            calls.append(m)
+            if len(calls) == 1:
+                vals, vecs = np.delete(vals, 9), np.delete(vecs, 9, axis=1)
+            return vals, vecs
+
+        monkeypatch.setattr(stability, "_lanczos", miss_first)
+        vals = stability.solve_spectrum(system, k=10)[0]
+        assert len(calls) == 2 and calls[1] > calls[0]
+        assert max_relative_error(vals, dense_constrained_spectrum(system, 10)) <= 1e-8
+
+    def test_certificate_failure_raises(self, monkeypatch):
+        system = cap_system(math.radians(160), 36)
+        lanczos = stability._lanczos
+
+        def always_miss(system, m, s, lu):
+            vals, vecs = lanczos(system, m, s, lu)
+            return np.delete(vals, 9), np.delete(vecs, 9, axis=1)
+
+        monkeypatch.setattr(stability, "_lanczos", always_miss)
+        with pytest.raises(SolverFailureError, match="not certified"):
+            stability.solve_spectrum(system, k=10)
+
+    def test_uniform_shift_moves_spectrum(self):
+        system = cap_system(math.pi / 3, 32)
+        t = 1.0e3
+        shifted = stability.IndexFormSystem(
+            A=(system.A - t * system.M).tocsr(), M=system.M, c=system.c, meta=system.meta
+        )
+        vals = stability.solve_spectrum(shifted, k=10)[0]
+        reference = dense_constrained_spectrum(system, 10) - t
+        assert max_relative_error(vals, reference) <= 1e-8
+
+    def test_local_well_forces_shift_doubling(self):
+        # a deep well at one vertex barely moves the constant's Rayleigh
+        # quotient, so the first shift is far too small and must be doubled
+        system = cap_system(math.pi / 3, 32)
+        area = float(system.c.sum())
+        start = -2.0 * float(system.A.sum()) / area
+        well = np.zeros(system.n)
+        well[system.n // 2] = 1.0e4 * system.M[system.n // 2, system.n // 2]
+        deep = stability.IndexFormSystem(
+            A=(system.A - sparse.diags(well)).tocsr(), M=system.M, c=system.c, meta=system.meta
+        )
+        spectrum = stability.solve_spectrum(deep, k=10)
+        assert spectrum.solver["shift"] >= 64.0 * start
+        assert max_relative_error(spectrum.values, dense_constrained_spectrum(deep, 10)) <= 1e-8
 
 
 class TestVerdicts:
@@ -201,6 +300,33 @@ class TestVerdicts:
         )
         lam2, _ = stability.min_constrained_eigenpair(system2)
         assert abs(lam - lam2) <= 1e-10
+
+
+class TestNonFiniteFields:
+    def test_nan_sigma_nn_on_contact_wall_is_a_fit_failure(self, cap_pi3):
+        spec, mesh, fields = cap_pi3[16]
+        sigma_nn = fields.sigma_nn.copy()
+        sigma_nn[3] = np.nan
+        broken = dataclasses.replace(fields, sigma_nn=sigma_nn)
+        with pytest.raises(FitFailureError, match="1 vertices on wall 0"):
+            stability.assemble_index_form(mesh, spec.walls(), broken)
+
+    def test_nan_conormal_on_contact_wall_is_a_fit_failure(self, cap_pi3):
+        spec, mesh, fields = cap_pi3[16]
+        conormal = fields.conormal.copy()
+        conormal[[0, 5]] = np.nan
+        broken = dataclasses.replace(fields, conormal=conormal)
+        with pytest.raises(FitFailureError, match="2 vertices on wall 0"):
+            stability.assemble_index_form(mesh, spec.walls(), broken)
+
+    def test_nan_on_free_boundary_wall_is_harmless(self, hemisphere):
+        # cot(pi/2) = 0: sigma(nu, nu) never enters the form
+        spec, mesh, fields = hemisphere[16]
+        sigma_nn = fields.sigma_nn.copy()
+        sigma_nn[3] = np.nan
+        broken = dataclasses.replace(fields, sigma_nn=sigma_nn)
+        system = stability.assemble_index_form(mesh, spec.walls(), broken)
+        assert np.all(np.isfinite(system.A.data))
 
 
 class TestTestFunction:
