@@ -14,6 +14,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -296,86 +297,168 @@ def _two_rings(mesh):
     return ring2
 
 
-def _tangent_frame(n):
-    axis = np.zeros(3)
-    axis[np.argmin(np.abs(n))] = 1.0
-    t1 = np.cross(n, axis)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(n, t1)
-    return t1, t2
+# vertices per batched fit: bounds the (block, stencil, 6) design arrays, so a
+# large bucket of regular vertices costs no more memory than the cap apex
+FIT_BLOCK = 1024
+
+# past this ratio of |R_ii| the triangle may hide a singular value that a
+# truncated-SVD least-squares solve drops; such stencils are solved that way
+_COND_LIMIT = 1.0 / math.sqrt(np.finfo(float).eps)
 
 
-def _fit_shape(points, center, normal, scale):
-    """Weighted quadric height fit over a stencil.
+class _Fits(NamedTuple):
+    """Quadric fits at a list of vertices, one row each.
 
-    Returns (M1, M2, t1, t2, n_fit): first and second fundamental forms at the
-    center in the regressed tangent frame, the frame itself, and the fitted
-    surface normal; sigma(X, X) = x^T M2 x / x^T M1 x for a tangent direction
-    with frame coordinates x.
+    ``m1`` and ``m2`` are the first and second fundamental forms as symmetric
+    2x2 entries (xx, xy, yy) in the tangent frame ``(t1, t2)``; sigma(X, X) =
+    x^T M2 x / x^T M1 x for a tangent direction with frame coordinates x.
+    ``normal`` is the fitted surface normal, ``size`` the number of stencil
+    points and ``cond`` the ratio of the largest to the smallest |R_ii| of
+    the least-squares triangle.
     """
-    if len(points) < 5:
+
+    m1: np.ndarray
+    m2: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray
+    normal: np.ndarray
+    size: np.ndarray
+    cond: np.ndarray
+
+
+def _dot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _form(m, q):
+    """q^T M q for rows of symmetric 2x2 entries (xx, xy, yy)."""
+    return (q[:, 0] * m[:, 0] + q[:, 1] * m[:, 1]) * q[:, 0] + (
+        q[:, 0] * m[:, 1] + q[:, 1] * m[:, 2]
+    ) * q[:, 1]
+
+
+def _tangent_frames(n):
+    axis = np.zeros_like(n)
+    axis[np.arange(len(n)), np.argmin(np.abs(n), axis=1)] = 1.0
+    t1 = np.cross(n, axis)
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    return t1, np.cross(n, t1)
+
+
+def _quadric_pass(d, w, n):
+    """Weighted least-squares height fits over a block of equal-size stencils.
+
+    ``d`` holds (b, c, 3) offsets from the centers, ``w`` their weights and
+    ``n`` the normals fixing each tangent frame. Fits z = p1 x + p2 y +
+    (fxx x^2 + 2 fxy x y + fyy y^2) / 2 and returns (t1, t2, coef, cond) with
+    coef = (p1, p2, fxx, fxy, fyy).
+    """
+    t1, t2 = _tangent_frames(n)
+    x = np.einsum("bcj,bj->bc", d, t1)
+    y = np.einsum("bcj,bj->bc", d, t2)
+    z = np.einsum("bcj,bj->bc", d, n)
+    A = np.stack([x, y, 0.5 * x * x, x * y, 0.5 * y * y, z], axis=2) * w[:, :, None]
+    # A = QR: the leading 5x5 triangle against the sixth column of R is the
+    # least-squares system, so Q is never formed
+    R = np.linalg.qr(A, mode="r")
+    U, rhs = R[:, :5, :5], R[:, :5, 5:]
+    diag = np.abs(np.diagonal(U, axis1=1, axis2=2))
+    dmax, dmin = diag.max(axis=1), diag.min(axis=1)
+    cond = np.divide(dmax, dmin, out=np.full(len(d), np.inf), where=dmin > 0)
+    coef = np.empty((len(d), 5))
+    good = cond < _COND_LIMIT
+    coef[good] = np.linalg.solve(U[good], rhs[good])[:, :, 0]
+    if not good.all():
+        bad = ~good
+        cutoff = np.finfo(float).eps * A.shape[1]
+        coef[bad] = (np.linalg.pinv(A[bad, :, :5], rcond=cutoff) @ A[bad, :, 5:])[:, :, 0]
+    return t1, t2, coef, cond
+
+
+def _fit_quadrics(mesh, verts, normals, passes):
+    """Quadric fits over the 2-ring stencils of ``verts``.
+
+    The first pass works in the tangent plane of ``normals``; each further
+    pass uses the plane regressed by the one before, which removes the
+    one-sided bias of averaged normals at the boundary. Stencils are grouped
+    by size and fitted FIT_BLOCK vertices at a time, so nothing is padded.
+    """
+    # stencil of v: its 2-ring without v, as cols[starts[v] : starts[v] + counts[v]]
+    rings = _two_rings(mesh)
+    rows = np.repeat(np.arange(mesh.nv), np.diff(rings.indptr))
+    keep = rings.indices != rows
+    cols = rings.indices[keep]
+    counts = np.bincount(rows[keep], minlength=mesh.nv)
+    starts = np.cumsum(counts) - counts
+    size = counts[verts]
+    small = np.flatnonzero(size < 5)
+    if len(small):
+        v = int(verts[small[0]])
         raise FitFailureError(
-            f"stencil of {len(points)} points too small for a quadric fit (valence too low)"
+            f"vertex {v} has a stencil of {int(counts[v])} points, too small for a "
+            "quadric fit (valence too low)"
         )
-    t1, t2 = _tangent_frame(normal)
-    d = points - center
-    x = d @ t1
-    y = d @ t2
-    z = d @ normal
-    dist = np.linalg.norm(d, axis=1)
-    w = 1.0 / (dist + 1e-8 * scale)
-    A = np.column_stack([x, y, 0.5 * x * x, x * y, 0.5 * y * y]) * w[:, None]
-    coef, *_ = np.linalg.lstsq(A, z * w, rcond=None)
-    p1, p2, fxx, fxy, fyy = coef
-    W = math.sqrt(1.0 + p1 * p1 + p2 * p2)
-    M1 = np.array([[1.0 + p1 * p1, p1 * p2], [p1 * p2, 1.0 + p2 * p2]])
-    M2 = np.array([[fxx, fxy], [fxy, fyy]]) / W
-    n_fit = (normal - p1 * t1 - p2 * t2) / W
-    return M1, M2, t1, t2, n_fit
+    p = mesh.positions
+    scale = mesh.bbox_diameter()
+    k = len(verts)
+    m1, m2 = np.empty((k, 3)), np.empty((k, 3))
+    t1, t2, normal = np.empty((k, 3)), np.empty((k, 3)), np.empty((k, 3))
+    cond = np.empty(k)
+    for c in np.unique(size):
+        group = np.flatnonzero(size == c)
+        for lo in range(0, len(group), FIT_BLOCK):
+            sel = group[lo : lo + FIT_BLOCK]
+            v = verts[sel]
+            d = p[cols[starts[v][:, None] + np.arange(c)]] - p[v][:, None, :]
+            w = 1.0 / (np.linalg.norm(d, axis=2) + 1e-8 * scale)
+            n = normals[sel]
+            for _ in range(passes):
+                f1, f2, coef, kappa = _quadric_pass(d, w, n)
+                p1, p2 = coef[:, 0], coef[:, 1]
+                W = np.sqrt(1.0 + p1 * p1 + p2 * p2)
+                n = (n - p1[:, None] * f1 - p2[:, None] * f2) / W[:, None]
+            m1[sel] = np.column_stack([1.0 + p1 * p1, p1 * p2, 1.0 + p2 * p2])
+            m2[sel] = coef[:, 2:] / W[:, None]
+            t1[sel], t2[sel], normal[sel], cond[sel] = f1, f2, n, kappa
+    return _Fits(m1, m2, t1, t2, normal, size, cond)
 
 
-def _pencil_curvatures(M1, M2):
-    """Roots of det(M2 - k M1) = 0 for symmetric 2x2 pencils (M1 positive)."""
-    a2 = M1[0, 0] * M1[1, 1] - M1[0, 1] ** 2
-    a1 = -(M2[0, 0] * M1[1, 1] + M2[1, 1] * M1[0, 0] - 2.0 * M2[0, 1] * M1[0, 1])
-    a0 = M2[0, 0] * M2[1, 1] - M2[0, 1] ** 2
-    disc = max(a1 * a1 - 4.0 * a2 * a0, 0.0)
-    r = math.sqrt(disc)
-    return ((-a1 - r) / (2 * a2), (-a1 + r) / (2 * a2))
+def _pencil_curvatures(m1, m2):
+    """Roots k1 <= k2 of det(M2 - k M1) = 0 per row (M1 positive)."""
+    a2 = m1[:, 0] * m1[:, 2] - m1[:, 1] ** 2
+    a1 = -(m2[:, 0] * m1[:, 2] + m2[:, 2] * m1[:, 0] - 2.0 * m2[:, 1] * m1[:, 1])
+    a0 = m2[:, 0] * m2[:, 2] - m2[:, 1] ** 2
+    r = np.sqrt(np.maximum(a1 * a1 - 4.0 * a2 * a0, 0.0))
+    return (-a1 - r) / (2 * a2), (-a1 + r) / (2 * a2)
 
 
 def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> GeometryFields:
     """Estimate all geometry fields from the raw mesh.
 
-    Normals by angle-weighted triangle-normal averaging, flipped globally if
-    the mean discrete H is negative; the shape operator by a weighted
-    least-squares quadric fit in the tangent frame over the 2-ring (one-sided
-    at the boundary); boundary quantities from the boundary polyline and the
-    wall data.
+    Normals start as angle-weighted averages of triangle normals. The shape
+    operator comes from a weighted least-squares quadric fit over the 2-ring
+    of each vertex (one-sided at the boundary), done twice: the second fit
+    works in the tangent plane regressed by the first, and its normal is the
+    vertex normal. The fits are batched: stencils of equal size are solved
+    together, at most ``FIT_BLOCK`` at a time, by a QR of the weighted design
+    matrix. Normals are flipped globally if the mean H comes out negative.
+    Boundary quantities come from each boundary loop and the wall data.
+
+    ``info`` records ``flipped`` and ``mean_H``, and where estimation
+    struggled: ``min_stencil`` (fewest fit points), ``max_fit_cond`` (worst
+    max/min |R_ii| of the second fits) and ``nonfinite_boundary`` (boundary
+    vertices whose conormal or sigma(nu, nu) is undefined).
     """
     if mesh.nv == 0 or mesh.nf == 0:
         raise InvalidMeshError("cannot estimate fields on an empty mesh")
     p = mesh.positions
     nv = mesh.nv
     scale = mesh.bbox_diameter()
-    normals = _vertex_normals(mesh)
-
-    rings = _two_rings(mesh)
-    H = np.zeros(nv)
-    sigma_sq = np.zeros(nv)
-    fits = {}
-    for v in range(nv):
-        idx = rings.indices[rings.indptr[v] : rings.indptr[v + 1]]
-        idx = idx[idx != v]
-        # two passes: the second fit uses the tangent plane regressed by the
-        # first, removing the one-sided bias of averaged normals at boundaries
-        _, _, _, _, n_fit = _fit_shape(p[idx], p[v], normals[v], scale)
-        M1, M2, t1, t2, n_fit = _fit_shape(p[idx], p[v], n_fit, scale)
-        normals[v] = n_fit
-        k1, k2 = _pencil_curvatures(M1, M2)
-        H[v] = 0.5 * (k1 + k2)
-        sigma_sq[v] = k1 * k1 + k2 * k2
-        fits[v] = (M1, M2, t1, t2)
+    fits = _fit_quadrics(mesh, np.arange(nv), _vertex_normals(mesh), passes=2)
+    normals = fits.normal
+    k1, k2 = _pencil_curvatures(fits.m1, fits.m2)
+    H = 0.5 * (k1 + k2)
+    sigma_sq = k1 * k1 + k2 * k2
 
     areas_lumped = np.zeros(nv)
     np.add.at(areas_lumped, mesh.triangles.ravel(), np.repeat(mesh.triangle_areas() / 3.0, 3))
@@ -397,65 +480,69 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
     sigma_nn = np.full(nb, np.nan)
     bdry_curv = np.full(nb, np.nan)
     angle = np.full(nb, np.nan)
-    pos_in_b = {int(v): i for i, v in enumerate(bverts)}
 
-    adj = mesh.adj_sym
-    labels = mesh.boundary_labels
-    for loop in loops:
-        m = len(loop)
-        for li, v in enumerate(loop):
-            prev = loop[li - 1]
-            nxt = loop[(li + 1) % m]
-            i = pos_in_b[v]
-            T = p[nxt] - p[prev]
-            tn = np.linalg.norm(T)
-            if tn == 0:
-                continue
-            T = T / tn
-            N = normals[v]
-            nu = np.cross(T, N)
-            nu -= N * (nu @ N)
-            nrm = np.linalg.norm(nu)
-            if nrm == 0:
-                continue
-            nu /= nrm
-            ring1 = adj.indices[adj.indptr[v] : adj.indptr[v + 1]]
-            interior_dir = p[ring1].mean(axis=0) - p[v]
-            if nu @ interior_dir > 0:
-                nu = -nu
-            conormal[i] = nu
+    if loops:
+        v = np.concatenate(loops)
+        prev = np.concatenate([np.roll(loop, 1) for loop in loops])
+        nxt = np.concatenate([np.roll(loop, -1) for loop in loops])
+        # a zero tangent or a tangent along the normal leaves the entry NaN
+        T = p[nxt] - p[prev]
+        tn = np.linalg.norm(T, axis=1)
+        keep = tn != 0
+        v, prev, nxt, T = v[keep], prev[keep], nxt[keep], T[keep] / tn[keep, None]
+        N = normals[v]
+        nu = np.cross(T, N)
+        nu -= N * _dot(nu, N)[:, None]
+        nrm = np.linalg.norm(nu, axis=1)
+        keep = nrm != 0
+        v, prev, nxt, T, N = v[keep], prev[keep], nxt[keep], T[keep], N[keep]
+        nu = nu[keep] / nrm[keep, None]
+        adj = mesh.adj_sym
+        ring1 = sparse.csr_matrix((np.ones(adj.nnz), adj.indices, adj.indptr), shape=adj.shape)[v]
+        interior_dir = ring1 @ p / np.diff(adj.indptr)[v][:, None] - p[v]
+        nu[_dot(nu, interior_dir) > 0] *= -1.0
+        i = np.searchsorted(bverts, v)
+        conormal[i] = nu
 
-            M1, M2, t1, t2 = fits[v]
-            if flipped:
-                M2 = -M2
-            q = np.array([nu @ t1, nu @ t2])
-            denom = q @ M1 @ q
-            if denom > 0:
-                sigma_nn[i] = float(q @ M2 @ q) / float(denom)
+        q = np.column_stack([_dot(nu, fits.t1[v]), _dot(nu, fits.t2[v])])
+        denom = _form(fits.m1[v], q)
+        pos = denom > 0
+        m2 = -fits.m2[v[pos]] if flipped else fits.m2[v[pos]]
+        sigma_nn[i[pos]] = _form(m2, q[pos]) / denom[pos]
 
-            w = labels.get(v)
-            if walls is not None and w is not None and 0 <= w < len(walls):
-                n_i = walls.walls[w].normal
-                nb_raw = np.cross(n_i, T)
-                nrm = np.linalg.norm(nb_raw)
-                if nrm > 0:
-                    nb_vec = nb_raw / nrm
-                    s_surface = np.cross(N, nu) @ T
-                    s_wall = np.cross(n_i, nb_vec) @ T
-                    if s_surface * s_wall < 0:
-                        nb_vec = -nb_vec
-                    wall_conormal[i] = nb_vec
-                    # circumscribed-circle curvature of the boundary polyline
-                    a = p[prev] - p[v]
-                    b = p[nxt] - p[v]
-                    chord = p[nxt] - p[prev]
-                    area2 = np.linalg.norm(np.cross(a, b))
-                    denom = np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(chord)
-                    kappa = 2.0 * area2 / denom if denom > 0 else 0.0
-                    bend = a + b
-                    bdry_curv[i] = math.copysign(kappa, bend @ nb_vec) if kappa > 0 else 0.0
-                angle[i] = math.acos(float(np.clip(N @ n_i, -1.0, 1.0)))
+        if walls is not None:
+            labels = mesh.boundary_labels
+            label = np.full(nv, -1)
+            label[list(labels)] = list(labels.values())
+            w = label[v]
+            on = (w >= 0) & (w < len(walls))
+            v, prev, nxt, T, N, nu, i = (a[on] for a in (v, prev, nxt, T, N, nu, i))
+            n_i = walls.normals[w[on]]
+            angle[i] = np.arccos(np.clip(_dot(N, n_i), -1.0, 1.0))
+            nb_raw = np.cross(n_i, T)
+            nrm = np.linalg.norm(nb_raw, axis=1)
+            keep = nrm > 0
+            v, prev, nxt, T, N, nu, i, n_i = (
+                a[keep] for a in (v, prev, nxt, T, N, nu, i, n_i)
+            )
+            nb_vec = nb_raw[keep] / nrm[keep, None]
+            s_surface = _dot(np.cross(N, nu), T)
+            s_wall = _dot(np.cross(n_i, nb_vec), T)
+            nb_vec[s_surface * s_wall < 0] *= -1.0
+            wall_conormal[i] = nb_vec
+            # circumscribed-circle curvature of the boundary polyline
+            a = p[prev] - p[v]
+            b = p[nxt] - p[v]
+            area2 = np.linalg.norm(np.cross(a, b), axis=1)
+            denom = (
+                np.linalg.norm(a, axis=1)
+                * np.linalg.norm(b, axis=1)
+                * np.linalg.norm(p[nxt] - p[prev], axis=1)
+            )
+            kappa = np.divide(2.0 * area2, denom, out=np.zeros(len(v)), where=denom > 0)
+            bdry_curv[i] = np.where(kappa > 0, np.copysign(kappa, _dot(a + b, nb_vec)), 0.0)
 
+    nonfinite = ~np.isfinite(conormal).all(axis=1) | ~np.isfinite(sigma_nn)
     return GeometryFields(
         normal=normals,
         mean_curv=H,
@@ -466,7 +553,13 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
         sigma_nn=sigma_nn,
         bdry_curv=bdry_curv,
         angle=angle,
-        info={"flipped": flipped, "mean_H": mean_H},
+        info={
+            "flipped": flipped,
+            "mean_H": mean_H,
+            "min_stencil": int(fits.size.min()),
+            "max_fit_cond": float(fits.cond.max()),
+            "nonfinite_boundary": int(nonfinite.sum()),
+        },
     )
 
 
@@ -474,34 +567,33 @@ def principal_direction_residual(mesh: LabeledTriMesh, walls: WallSet | None = N
     """Check that the conormal is a principal direction at the boundary.
 
     Returns per-boundary-vertex ||S nu - (nu^T S nu) nu|| / ||S|| measured in
-    the fitted tangent frame; small values confirm the boundary principal
-    direction property of capillary immersions.
+    the frame of a quadric fitted about the estimated normal; small values
+    confirm the boundary principal direction property of capillary
+    immersions.
     """
     fields = estimate_fields(mesh, walls)
-    p = mesh.positions
-    scale = mesh.bbox_diameter()
-    rings = _two_rings(mesh)
     out = np.full(len(fields.boundary_vertices), np.nan)
-    for i, v in enumerate(fields.boundary_vertices):
-        nu = fields.conormal[i]
-        if not np.all(np.isfinite(nu)):
-            continue
-        idx = rings.indices[rings.indptr[v] : rings.indptr[v + 1]]
-        idx = idx[idx != v]
-        M1, M2, t1, t2, _ = _fit_shape(p[idx], p[v], fields.normal[v], scale)
-        if fields.info.get("flipped"):
-            M2 = -M2
-        # shape operator in the frame: S = M1^{-1} M2
-        S = np.linalg.solve(M1, M2)
-        q = np.array([nu @ t1, nu @ t2])
-        qn = np.linalg.norm(q)
-        if qn == 0:
-            continue
-        q /= qn
-        Sq = S @ q
-        resid = Sq - (q @ Sq) * q
-        norm_S = np.linalg.norm(S, 2)
-        out[i] = np.linalg.norm(resid) / norm_S if norm_S > 0 else 0.0
+    live = np.flatnonzero(np.isfinite(fields.conormal).all(axis=1))
+    if not len(live):
+        return fields.boundary_vertices, out
+    v = fields.boundary_vertices[live]
+    fits = _fit_quadrics(mesh, v, fields.normal[v], passes=1)
+    m2 = -fits.m2 if fields.info["flipped"] else fits.m2
+
+    def square(m):
+        return np.stack([m[:, :2], m[:, 1:]], axis=1)
+
+    # shape operator in the frame: S = M1^{-1} M2
+    S = np.linalg.solve(square(fits.m1), square(m2))
+    nu = fields.conormal[live]
+    q = np.column_stack([_dot(nu, fits.t1), _dot(nu, fits.t2)])
+    qn = np.linalg.norm(q, axis=1)
+    keep = qn != 0
+    S, q = S[keep], q[keep] / qn[keep, None]
+    Sq = np.einsum("bij,bj->bi", S, q)
+    resid = np.linalg.norm(Sq - _dot(q, Sq)[:, None] * q, axis=1)
+    norm_S = np.linalg.norm(S, 2, axis=(1, 2))
+    out[live[keep]] = np.divide(resid, norm_S, out=np.zeros(len(S)), where=norm_S > 0)
     return fields.boundary_vertices, out
 
 

@@ -185,6 +185,7 @@ def assemble_index_form(
         "area": ops.area,
         "max_sigma_sq": float(np.max(fields.sigma_sq)),
         "boundary_lengths": ops.boundary_lengths(),
+        "fields": dict(fields.info),
     }
     return IndexFormSystem(A=A, M=M, c=c, meta=meta)
 

@@ -144,6 +144,23 @@ class TestStability:
         assert solver["certificate"]["mu"] > doc["eigenvalues"][-1]
         assert solver["certificate"]["count_below"] >= len(doc["eigenvalues"])
 
+    def test_mesh_verdict_records_field_estimation(self, tmp_path):
+        assert main(["gen", "cap", "--angle-deg", "60", "--res", "24", "--out", str(tmp_path)]) == 0
+        args = ["stability", "--mesh", str(tmp_path / "cap_r1_a60_res24.capmesh")]
+        assert main(args + ["--out", str(tmp_path / "a")]) == 0
+        assert main(args + ["--out", str(tmp_path / "b")]) == 0
+        verdict = tmp_path / "a" / "verdict.json"
+        assert verdict.read_bytes() == (tmp_path / "b" / "verdict.json").read_bytes()
+        record = read_json(verdict)["info"]["meta"]["fields"]
+        assert set(record) == {
+            "flipped", "mean_H", "min_stencil", "max_fit_cond", "nonfinite_boundary"
+        }
+        assert record["flipped"] is False
+        assert record["mean_H"] == pytest.approx(1.0, abs=0.05)
+        assert record["min_stencil"] == 11  # boundary vertices of the polar grid
+        assert 1.0 < record["max_fit_cond"] < 1e3
+        assert record["nonfinite_boundary"] == 0
+
 
 class TestTestFn:
     def test_cap_identity_follows(self, tmp_path):

@@ -223,6 +223,20 @@ class TestEstimateFields:
         with pytest.raises(FitFailureError):
             discops.estimate_fields(mesh)
 
+    def test_fit_failure_names_the_vertex(self, cap_pi3):
+        spec, mesh, _ = cap_pi3[16]
+        # one triangle on three new vertices: each has a 2-point stencil
+        far = mesh.positions[:3] + [5.0, 0.0, 0.0]
+        nv = mesh.nv
+        dangling = meshkit.LabeledTriMesh(
+            np.vstack([mesh.positions, far]),
+            np.vstack([mesh.triangles, [[nv, nv + 1, nv + 2]]]),
+            mesh.boundary_labels,
+        )
+        with pytest.raises(FitFailureError) as err:
+            discops.estimate_fields(dangling, spec.walls())
+        assert f"vertex {nv} has a stencil of 2 points" in str(err.value)
+
     def test_empty_mesh_rejected(self):
         mesh = meshkit.LabeledTriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
         with pytest.raises(InvalidMeshError):
