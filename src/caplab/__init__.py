@@ -5,7 +5,7 @@ verification of the integral identities behind the rigidity proofs, the
 volume-constrained index-form spectrum, and the wedge angle-window criterion.
 """
 
-from . import discops, errors, families, identities, meshkit, stability, wedge
+from . import discops, errors, families, identities, meshkit, reports, stability, wedge
 from .discops import GeometryFields, OperatorSet, assemble_operators, estimate_fields
 from .families import (
     Cap,

@@ -24,6 +24,7 @@ from . import stability as st
 from . import wedge as wg
 from .discops import assemble_operators, estimate_fields, export_fields_csv
 from .errors import CapLabError, SolverFailureError
+from .reports import document, write_report
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -40,50 +41,43 @@ def _outdir(args):
     return path
 
 
-def _write_json(path, payload):
-    doc = {"format": "caplab-report", "version": 1}
-    doc.update(payload)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+# --family name -> (spec class, {spec field: flag destination}); the flags
+# themselves are defined once, in _add_family_flags
+FAMILIES = {
+    "cap": (fam.Cap, {"R": "radius", "theta": "theta"}),
+    "cylinder": (fam.Cylinder, {"r": "r", "L": "length"}),
+    "disk": (fam.FlatDisk, {"R": "radius"}),
+    "sphere": (fam.ClosedSphere, {"R": "radius"}),
+    "monge": (fam.MongePatch, {"amplitude": "amplitude", "R": "radius"}),
+}
 
 
 def _family_from_args(args, res=None):
-    res = res if res is not None else args.res
-    kind = args.family
-    if kind == "cap":
-        return fam.Cap(R=args.radius, theta=math.radians(args.angle_deg), resolution=res)
-    if kind == "cylinder":
-        return fam.Cylinder(r=args.r, L=args.length, resolution=res)
-    if kind == "disk":
-        return fam.FlatDisk(R=args.radius, resolution=res)
-    if kind == "sphere":
-        return fam.ClosedSphere(R=args.radius, resolution=res)
-    if kind == "monge":
-        return fam.MongePatch(amplitude=args.amplitude, R=args.radius, resolution=res)
-    raise CapLabError(f"unknown family {kind!r}")
+    if not args.family:
+        raise CapLabError("either --mesh or --family is required")
+    cls, flags = FAMILIES[args.family]
+    values = {name: getattr(args, dest) for name, dest in flags.items()}
+    return cls(**values, resolution=args.res if res is None else res)
 
 
-def _family_name(spec):
-    if isinstance(spec, fam.Cap):
-        return f"cap_r{spec.R:g}_a{math.degrees(spec.theta):g}_res{spec.resolution}"
-    if isinstance(spec, fam.Cylinder):
-        return f"cylinder_r{spec.r:g}_l{spec.L:g}_res{spec.resolution}"
-    if isinstance(spec, fam.FlatDisk):
-        return f"disk_r{spec.R:g}_res{spec.resolution}"
-    if isinstance(spec, fam.ClosedSphere):
-        return f"sphere_r{spec.R:g}_res{spec.resolution}"
-    return f"monge_a{spec.amplitude:g}_r{spec.R:g}_res{spec.resolution}"
+def _degrees(text):
+    """Angle flag in degrees, stored in radians."""
+    return math.radians(float(text))
 
 
-def _add_family_flags(p, include_res=True):
-    p.add_argument("--family", choices=["cap", "cylinder", "disk", "sphere", "monge"])
+def _add_family_flags(p, choose=True):
+    """Flags of every family; ``choose`` adds --family (gen takes it as a sub-command)."""
+    if choose:
+        p.add_argument("--family", choices=list(FAMILIES))
     p.add_argument("--radius", type=float, default=1.0, help="radius (cap/disk/sphere/monge)")
-    p.add_argument("--angle-deg", type=float, default=90.0, help="contact angle in degrees (cap)")
+    p.add_argument(
+        "--angle-deg", dest="theta", metavar="ANGLE_DEG", type=_degrees, default="90",
+        help="contact angle in degrees (cap)",
+    )
     p.add_argument("--r", type=float, default=1.0, help="tube radius (cylinder)")
     p.add_argument("--length", type=float, default=2.0, help="slab height (cylinder)")
     p.add_argument("--amplitude", type=float, default=0.1, help="height amplitude (monge)")
-    if include_res:
-        p.add_argument("--res", type=int, default=32, help="vertices around the azimuth")
+    p.add_argument("--res", type=int, default=32, help="vertices around the azimuth")
 
 
 def _load_inputs(args):
@@ -92,8 +86,6 @@ def _load_inputs(args):
         mesh, walls = mk.load(args.mesh, getattr(args, "walls", None))
         fields = estimate_fields(mesh, walls)
         return mesh, walls, fields, None
-    if not args.family:
-        raise CapLabError("either --mesh or --family is required")
     spec = _family_from_args(args)
     mesh, fields = fam.generate_mesh(spec)
     return mesh, spec.walls(), fields, spec
@@ -106,7 +98,7 @@ def _cmd_gen(args):
     spec = _family_from_args(args)
     mesh, _fields = fam.generate_mesh(spec)
     out = _outdir(args)
-    name = args.name or _family_name(spec)
+    name = args.name or spec.slug
     mesh_path = out / f"{name}.capmesh"
     walls = spec.walls()
     mk.save(mesh, walls, mesh_path)
@@ -121,40 +113,31 @@ def _cmd_gen(args):
 
 def _cmd_identities(args):
     out = _outdir(args)
-    rows = []
-    final_reports = []
+    # one (mesh, walls, fields, resolution tag, capillary vector) per level
     if args.mesh:
         mesh, walls, fields, _ = _load_inputs(args)
-        meshes = [(mesh, walls, fields, f"nv={mesh.nv}")]
-        for level in range(1, args.levels):
+        levels = [(mesh, walls, fields, f"nv={mesh.nv}", None)]
+        for _ in range(1, args.levels):
             mesh = mk.refine(mesh, walls=walls)
-            fields = estimate_fields(mesh, walls)
-            meshes.append((mesh, walls, fields, f"nv={mesh.nv}"))
+            levels.append((mesh, walls, estimate_fields(mesh, walls), f"nv={mesh.nv}", None))
     else:
-        if not args.family:
-            raise CapLabError("either --mesh or --family is required")
-        meshes = []
+        levels = []
         for level in range(args.levels):
             spec = _family_from_args(args, res=args.res * (2**level))
             mesh, fields = fam.generate_mesh(spec)
-            a = None
-            if isinstance(spec, fam.Cap):
-                a = [0.0, 0.0, math.cos(spec.theta)]
-            meshes.append((mesh, spec.walls(), fields, str(spec.resolution), a))
+            levels.append(
+                (mesh, spec.walls(), fields, str(spec.resolution), spec.capillary_vector())
+            )
 
-    for entry in meshes:
-        mesh, walls, fields, tag = entry[:4]
-        a = entry[4] if len(entry) > 4 else None
-        reports = idn.run_suite(mesh, walls, fields, resolution=tag, capillary_vector=a)
-        rows.extend(reports)
-        final_reports = reports
+    rows = []
+    for mesh, walls, fields, tag, a in levels:
+        final_reports = idn.run_suite(mesh, walls, fields, resolution=tag, capillary_vector=a)
+        rows.extend(final_reports)
 
     header = {"tol": args.tol, "levels": args.levels}
     csv_path = out / "identities.csv"
     idn.suite_to_csv(rows, csv_path, header)
-    idn.save_document(
-        idn.suite_to_document(rows, {"tolerance": args.tol}), out / "identities.json"
-    )
+    write_report(out / "identities.json", idn.suite_to_document(rows, {"tolerance": args.tol}))
     print(csv_path)
 
     failing = [
@@ -181,7 +164,7 @@ def _cmd_stability(args):
     ops = assemble_operators(mesh)
     system = st.assemble_index_form(mesh, walls, fields, ops)
     verdict = st.stability_verdict(system, tol=args.tol)
-    st.save_verdict(verdict, out / "verdict.json")
+    write_report(out / "verdict.json", verdict.to_document())
     lines = ["index,lambda"] + [
         f"{i},{v:.17g}" for i, v in enumerate(verdict.eigenvalues)
     ]
@@ -205,7 +188,7 @@ def _cmd_testfn(args):
     if not args.identity_mode:
         a = wg.solve_a(walls.normals, walls.angles).a
     report = st.build_test_function(mesh, walls, fields, a=a)
-    _write_json(out / "testfn.json", {"kind": "test-function", **report.to_document()})
+    write_report(out / "testfn.json", report.to_document())
     st.export_eigenfunction_csv(report.phi, out / "phi.csv")
     print(out / "testfn.json")
     print(
@@ -223,8 +206,7 @@ def _cmd_wedge(args):
     walls = mk.load_walls(args.walls)
     sol = wg.solve_a(walls.normals, walls.angles)
     delta = wg.delta_max(walls.normals)
-    payload = {
-        "kind": "wedge",
+    body = {
         "a": [float(x) for x in sol.a],
         "coefficients": [float(x) for x in sol.coefficients],
         "norm_a": sol.norm_a,
@@ -238,8 +220,8 @@ def _cmd_wedge(args):
         system = st.assemble_index_form(mesh, walls, fields)
         verdict = st.stability_verdict(system, tol=args.tol)
         report = wg.classify(mesh, walls, fields, verdict)
-        payload["classification"] = report.to_document()
-    _write_json(out / "wedge.json", payload)
+        body["classification"] = report.to_document()
+    write_report(out / "wedge.json", document("wedge", body))
     print(out / "wedge.json")
     print(
         f"|a| = {sol.norm_a:.6g} umbilical: {sol.umbilical_conclusion} "
@@ -252,8 +234,6 @@ def _cmd_wedge(args):
 
 
 def _cmd_sweep(args):
-    if args.family != "cylinder":
-        raise CapLabError("only the cylinder family supports sweeps")
     if args.step <= 0:
         raise CapLabError("sweep step must be positive")
     if args.lmax < args.lmin:
@@ -283,19 +263,16 @@ def _cmd_sweep(args):
     lines += [f"{L:.17g},{lam:.17g}" for L, lam in results]
     csv_path = out / "sweep.csv"
     csv_path.write_text("\n".join(lines) + "\n")
-    _write_json(
-        out / "sweep.json",
-        {
-            "kind": "sweep",
-            "family": "cylinder",
-            "r": args.r,
-            "resolution": args.res,
-            "onset_tol": args.onset_tol,
-            "parameters": [L for L, _ in results],
-            "lambda_min": [lam for _, lam in results],
-            "bracket": bracket,
-        },
-    )
+    body = {
+        "family": "cylinder",
+        "r": args.r,
+        "resolution": args.res,
+        "onset_tol": args.onset_tol,
+        "parameters": [L for L, _ in results],
+        "lambda_min": [lam for _, lam in results],
+        "bracket": bracket,
+    }
+    write_report(out / "sweep.json", document("sweep", body))
     print(csv_path)
     if bracket:
         print(f"instability onset bracket: [{bracket[0]:g}, {bracket[1]:g}]")
@@ -317,14 +294,9 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate a family mesh and wall-set file")
     gen_sub = p.add_subparsers(dest="family", required=True)
-    for kind in ("cap", "cylinder", "disk", "sphere", "monge"):
+    for kind in FAMILIES:
         q = gen_sub.add_parser(kind)
-        q.add_argument("--radius", type=float, default=1.0)
-        q.add_argument("--angle-deg", type=float, default=90.0)
-        q.add_argument("--r", type=float, default=1.0)
-        q.add_argument("--length", type=float, default=2.0)
-        q.add_argument("--amplitude", type=float, default=0.1)
-        q.add_argument("--res", type=int, default=32)
+        _add_family_flags(q, choose=False)
         q.add_argument("--name")
         q.add_argument("--out")
         q.set_defaults(func=_cmd_gen)

@@ -4,12 +4,12 @@ Sign conventions are pinned to make a sphere with inward normal have positive
 curvatures: the second fundamental form is sigma(X, Y) = <-D_X N, Y>, the mean
 curvature is the average H = (k1 + k2) / 2, and the orientation of the vertex
 normal field is flipped globally whenever the mean discrete H comes out
-negative, so that H >= 0 on constant-mean-curvature input.
+negative, so that H >= 0 on constant-mean-curvature input; a mean H at
+rounding level leaves the orientation of the mesh winding.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -441,7 +441,9 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
     works in the tangent plane regressed by the first, and its normal is the
     vertex normal. The fits are batched: stencils of equal size are solved
     together, at most ``FIT_BLOCK`` at a time, by a QR of the weighted design
-    matrix. Normals are flipped globally if the mean H comes out negative.
+    matrix. Normals are flipped globally if the mean H comes out negative,
+    unless |mean H| * diameter < 1e-8: that sign is rounding, so the normals
+    keep the mesh winding and ``info`` gains ``orientation: "winding"``.
     Boundary quantities come from each boundary loop and the wall data.
 
     ``info`` records ``flipped`` and ``mean_H``, and where estimation
@@ -463,13 +465,14 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
     areas_lumped = np.zeros(nv)
     np.add.at(areas_lumped, mesh.triangles.ravel(), np.repeat(mesh.triangle_areas() / 3.0, 3))
     mean_H = float(H @ areas_lumped / areas_lumped.sum())
-    flipped = False
-    if mean_H < 0:
+    # a mean H at rounding level has no sign to follow: keep the winding
+    winding = abs(mean_H) * scale < 1e-8
+    flipped = mean_H < 0 and not winding
+    if flipped:
         normals = -normals
         H = -H
-        flipped = True
-    if abs(mean_H) * scale < 1e-8:
-        logger.warning("mean curvature is numerically zero; normal orientation is arbitrary")
+    if winding:
+        logger.warning("mean curvature is numerically zero; normals follow the mesh winding")
 
     # boundary structure
     loops = mesh.boundary_loops()
@@ -559,6 +562,7 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
             "min_stencil": int(fits.size.min()),
             "max_fit_cond": float(fits.cond.max()),
             "nonfinite_boundary": int(nonfinite.sum()),
+            **({"orientation": "winding"} if winding else {}),
         },
     )
 
@@ -598,34 +602,30 @@ def principal_direction_residual(mesh: LabeledTriMesh, walls: WallSet | None = N
 
 
 def export_fields_csv(mesh: LabeledTriMesh, fields: GeometryFields, path):
-    """Per-vertex CSV of every field (boundary columns empty off-boundary)."""
+    """Per-vertex CSV of every field (boundary columns empty off-boundary).
+
+    Numbers are written with ``%.17g`` and lines end in CRLF, the csv
+    module's default dialect.
+    """
     path = Path(path)
-    bset = {int(v): i for i, v in enumerate(fields.boundary_vertices)}
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "vertex", "x", "y", "z",
-                "normal_x", "normal_y", "normal_z", "mean_curv", "sigma_sq",
-                "conormal_x", "conormal_y", "conormal_z",
-                "wall_conormal_x", "wall_conormal_y", "wall_conormal_z",
-                "sigma_nn", "bdry_curv", "angle",
-            ]
-        )
-        for v in range(mesh.nv):
-            row = [v, *(f"{c:.17g}" for c in mesh.positions[v])]
-            row += [f"{c:.17g}" for c in fields.normal[v]]
-            row += [f"{fields.mean_curv[v]:.17g}", f"{fields.sigma_sq[v]:.17g}"]
-            if v in bset:
-                i = bset[v]
-                row += [f"{c:.17g}" for c in fields.conormal[i]]
-                row += [f"{c:.17g}" for c in fields.wall_conormal[i]]
-                row += [
-                    f"{fields.sigma_nn[i]:.17g}",
-                    f"{fields.bdry_curv[i]:.17g}",
-                    f"{fields.angle[i]:.17g}",
-                ]
-            else:
-                row += [""] * 9
-            w.writerow(row)
+    table = np.full((mesh.nv, 17), np.nan)
+    table[:, :8] = np.column_stack(
+        [mesh.positions, fields.normal, fields.mean_curv, fields.sigma_sq]
+    )
+    b = fields.boundary_vertices
+    table[b, 8:] = np.column_stack(
+        [fields.conormal, fields.wall_conormal, fields.sigma_nn, fields.bdry_curv, fields.angle]
+    )
+    on_boundary = np.zeros(mesh.nv, dtype=bool)
+    on_boundary[b] = True
+    boundary_row = "%d" + ",%.17g" * 17
+    interior_row = "%d" + ",%.17g" * 8 + "," * 9
+    lines = [
+        "vertex,x,y,z,normal_x,normal_y,normal_z,mean_curv,sigma_sq,"
+        "conormal_x,conormal_y,conormal_z,wall_conormal_x,wall_conormal_y,wall_conormal_z,"
+        "sigma_nn,bdry_curv,angle"
+    ]
+    for v, (row, full) in enumerate(zip(table.tolist(), on_boundary.tolist())):
+        lines.append(boundary_row % (v, *row) if full else interior_row % (v, *row[:8]))
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
     return path

@@ -17,7 +17,6 @@ identity itself.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +30,7 @@ from .discops import (
     integrate_vector,
 )
 from .errors import InvalidMeshError
+from .reports import document, to_jsonable
 
 __all__ = [
     "IdentityReport",
@@ -463,10 +463,7 @@ def suite_to_csv(reports, path, header_info=None):
 
 
 def suite_to_document(reports, extra=None):
-    doc = {
-        "format": "caplab-report",
-        "version": 1,
-        "kind": "identity-suite",
+    body = {
         "reports": [
             {
                 "name": r.name,
@@ -475,24 +472,10 @@ def suite_to_document(reports, extra=None):
                 "abs_residual": r.abs_residual,
                 "rel_residual": r.rel_residual,
                 "resolution": r.resolution,
-                "info": {k: _jsonable(v) for k, v in r.info.items()},
+                "info": {k: to_jsonable(v) for k, v in r.info.items()},
             }
             for r in reports
         ],
+        **(extra or {}),
     }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    return v
-
-
-def save_document(doc, path):
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return Path(path)
+    return document("identity-suite", body)

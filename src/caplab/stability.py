@@ -18,7 +18,6 @@ eigenvalues below a cut past the last one reported.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +43,7 @@ from .errors import (
     SolverFailureError,
 )
 from .meshkit import LabeledTriMesh, WallSet
+from .reports import document, to_jsonable
 
 __all__ = [
     "IndexFormSystem",
@@ -99,16 +99,16 @@ class StabilityVerdict:
     info: dict = field(default_factory=dict)
 
     def to_document(self):
-        return {
-            "format": "caplab-report",
-            "version": 1,
-            "kind": "stability-verdict",
-            "lambda_min": float(self.lambda_min),
-            "stable": bool(self.stable),
-            "tol_used": float(self.tol_used),
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "info": {k: _jsonable(v) for k, v in self.info.items()},
-        }
+        return document(
+            "stability-verdict",
+            {
+                "lambda_min": float(self.lambda_min),
+                "stable": bool(self.stable),
+                "tol_used": float(self.tol_used),
+                "eigenvalues": [float(v) for v in self.eigenvalues],
+                "info": {k: to_jsonable(v) for k, v in self.info.items()},
+            },
+        )
 
 
 @dataclass
@@ -122,26 +122,19 @@ class TestFunctionReport:
     info: dict = field(default_factory=dict)
 
     def to_document(self):
-        return {
-            "format": "caplab-report",
-            "version": 1,
-            "kind": "test-function",
-            "mean_residual": float(self.mean_residual),
-            "max_robin_residual": float(np.max(self.robin_residual)) if len(self.robin_residual) else 0.0,
-            "index_quadratic": float(self.index_quadratic),
-            "index_closed": float(self.index_closed),
-            "match_residual": float(self.match_residual),
-            "max_abs_phi": float(np.abs(self.phi).max()),
-            "info": {k: _jsonable(v) for k, v in self.info.items()},
-        }
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    return v
+        robin = self.robin_residual
+        return document(
+            "test-function",
+            {
+                "mean_residual": float(self.mean_residual),
+                "max_robin_residual": float(np.max(robin)) if len(robin) else 0.0,
+                "index_quadratic": float(self.index_quadratic),
+                "index_closed": float(self.index_closed),
+                "match_residual": float(self.match_residual),
+                "max_abs_phi": float(np.abs(self.phi).max()),
+                "info": {k: to_jsonable(v) for k, v in self.info.items()},
+            },
+        )
 
 
 def _cot(theta):
@@ -518,11 +511,6 @@ def first_variation_energy(mesh, walls, f, h, fields=None, operators=None):
 
 
 # -- serialization helpers -----------------------------------------------------------
-
-
-def save_verdict(verdict: StabilityVerdict, path):
-    Path(path).write_text(json.dumps(verdict.to_document(), indent=2, sort_keys=True) + "\n")
-    return Path(path)
 
 
 def export_eigenfunction_csv(values, path):

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DependentNormalsError
 from .meshkit import LabeledTriMesh, WallSet, validate
+from .reports import document
 
 __all__ = [
     "WedgeSolution",
@@ -133,22 +134,23 @@ class ClassificationReport:
     info: dict = field(default_factory=dict)
 
     def to_document(self):
-        return {
-            "format": "caplab-report",
-            "version": 1,
-            "kind": "classification",
-            "checks": {k: bool(v) for k, v in self.checks.items()},
-            "hypotheses_met": bool(self.hypotheses_met),
-            "delta": self.delta,
-            "norm_a": self.norm_a,
-            "sphericity_residual": self.sphericity_residual,
-            "planar_excluded": bool(self.planar_excluded),
-            "sphere_center": None if self.sphere_center is None else [float(x) for x in self.sphere_center],
-            "sphere_radius": self.sphere_radius,
-            "lambda_min": float(self.lambda_min),
-            "stable": bool(self.stable),
-            "info": self.info,
-        }
+        center = self.sphere_center
+        return document(
+            "classification",
+            {
+                "checks": {k: bool(v) for k, v in self.checks.items()},
+                "hypotheses_met": bool(self.hypotheses_met),
+                "delta": self.delta,
+                "norm_a": self.norm_a,
+                "sphericity_residual": self.sphericity_residual,
+                "planar_excluded": bool(self.planar_excluded),
+                "sphere_center": None if center is None else [float(x) for x in center],
+                "sphere_radius": self.sphere_radius,
+                "lambda_min": float(self.lambda_min),
+                "stable": bool(self.stable),
+                "info": self.info,
+            },
+        )
 
 
 def classify(mesh: LabeledTriMesh, walls: WallSet, fields, verdict) -> ClassificationReport:

@@ -36,6 +36,23 @@ class TestGen:
         assert walls.walls[1].offset == 4.0
         assert walls.angles == (math.pi / 2, math.pi / 2)
 
+    @pytest.mark.parametrize(
+        "argv, stem, has_walls",
+        [
+            (["cap", "--angle-deg", "60"], "cap_r1_a60_res12", True),
+            (["cylinder", "--length", "4"], "cylinder_r1_l4_res12", True),
+            (["disk"], "disk_r1_res12", True),
+            (["sphere"], "sphere_r1_res12", False),
+            (["monge"], "monge_a0.1_r1_res12", False),
+        ],
+    )
+    def test_file_names(self, tmp_path, argv, stem, has_walls):
+        assert main(["gen", *argv, "--res", "12", "--out", str(tmp_path)]) == 0
+        names = [f"{stem}.capmesh"] + ([f"{stem}.walls.json"] if has_walls else [])
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        mesh, walls = meshkit.load(tmp_path / names[0])
+        assert meshkit.validate(mesh, walls).ok
+
     def test_invalid_angle_exits_2(self, tmp_path):
         rc = main(["gen", "cap", "--angle-deg", "0", "--out", str(tmp_path)])
         assert rc == 2
@@ -232,6 +249,30 @@ class TestSweep:
         assert doc["bracket"] is not None
         lo, hi = doc["bracket"]
         assert lo <= math.pi <= hi + 0.2  # coarse grid, coarse mesh
+
+
+class TestReports:
+    def test_every_json_report_opens_with_the_header(self, tmp_path):
+        gen = tmp_path / "gen"
+        assert main(["gen", "cap", "--angle-deg", "60", "--res", "16", "--out", str(gen)]) == 0
+        mesh, walls = gen / "cap_r1_a60_res16.capmesh", gen / "cap_r1_a60_res16.walls.json"
+        runs = [
+            ("verdict.json", "stability-verdict", ["stability", "--family", "cap", "--res", "16"]),
+            ("identities.json", "identity-suite", ["identities", "--family", "disk", "--levels", "1"]),
+            ("testfn.json", "test-function", ["testfn", "--family", "cap", "--res", "16"]),
+            ("wedge.json", "wedge", ["wedge", "--walls", str(walls), "--mesh", str(mesh)]),
+            ("sweep.json", "sweep", ["sweep", "cylinder", "--lmax", "2.2", "--res", "12"]),
+        ]
+        for name, kind, argv in runs:
+            out = tmp_path / kind
+            assert main([*argv, "--out", str(out)]) == 0
+            doc = read_json(out / name)
+            assert (doc["format"], doc["version"], doc["kind"]) == ("caplab-report", 1, kind)
+            if name == "wedge.json":
+                inner = doc["classification"]
+                assert (inner["format"], inner["version"], inner["kind"]) == (
+                    "caplab-report", 1, "classification"
+                )
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Operators and estimated fields against closed forms and quadrature."""
 
+import csv
 import math
 
 import numpy as np
@@ -140,6 +141,17 @@ class TestEstimateFields:
         align = np.einsum("ij,ij->i", est.normal, exact.normal)
         assert align.min() > 0.99
 
+    def test_rounding_level_mean_curvature_keeps_winding(self, monge_patch):
+        # the fitted mean H here is -1.5e-18: its sign is summation order
+        _, mesh, _ = monge_patch[64]
+        est = discops.estimate_fields(mesh)
+        assert abs(est.info["mean_H"]) * mesh.bbox_diameter() < 1e-8
+        assert est.info["flipped"] is False
+        assert est.info["orientation"] == "winding"
+        n, t = est.normal, mesh.triangles
+        corner_sum = n[t[:, 0]] + n[t[:, 1]] + n[t[:, 2]]
+        assert np.einsum("ij,ij->i", mesh.triangle_normals(), corner_sum).min() > 0
+
     def test_convergence_to_exact_fields(self, cap_pi3):
         errs_H, errs_ang = [], []
         for res in (16, 32, 64):
@@ -243,7 +255,77 @@ class TestEstimateFields:
             discops.estimate_fields(mesh)
 
 
+def reference_fields_csv(mesh, fields, path):
+    """The per-vertex csv.writer loop export_fields_csv replaced."""
+    bset = {int(v): i for i, v in enumerate(fields.boundary_vertices)}
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(
+            [
+                "vertex", "x", "y", "z",
+                "normal_x", "normal_y", "normal_z", "mean_curv", "sigma_sq",
+                "conormal_x", "conormal_y", "conormal_z",
+                "wall_conormal_x", "wall_conormal_y", "wall_conormal_z",
+                "sigma_nn", "bdry_curv", "angle",
+            ]
+        )
+        for v in range(mesh.nv):
+            row = [v, *(f"{c:.17g}" for c in mesh.positions[v])]
+            row += [f"{c:.17g}" for c in fields.normal[v]]
+            row += [f"{fields.mean_curv[v]:.17g}", f"{fields.sigma_sq[v]:.17g}"]
+            if v in bset:
+                i = bset[v]
+                row += [f"{c:.17g}" for c in fields.conormal[i]]
+                row += [f"{c:.17g}" for c in fields.wall_conormal[i]]
+                row += [
+                    f"{fields.sigma_nn[i]:.17g}",
+                    f"{fields.bdry_curv[i]:.17g}",
+                    f"{fields.angle[i]:.17g}",
+                ]
+            else:
+                row += [""] * 9
+            w.writerow(row)
+
+
 class TestExport:
+    @pytest.mark.parametrize(
+        "spec, fields_of, boundary_nan",
+        [
+            pytest.param(
+                families.Cap(R=1.0, theta=math.pi / 3, resolution=32),
+                lambda spec, mesh, exact: discops.estimate_fields(mesh, spec.walls()),
+                False,
+                id="estimated-cap",
+            ),
+            pytest.param(
+                families.Cylinder(r=1.0, L=2.0, resolution=24),
+                lambda spec, mesh, exact: exact,
+                False,
+                id="exact-cylinder",
+            ),
+            pytest.param(
+                families.Cylinder(r=1.0, L=2.0, resolution=24),
+                lambda spec, mesh, exact: discops.estimate_fields(mesh),
+                True,
+                id="estimated-cylinder-without-walls",
+            ),
+            pytest.param(
+                families.MongePatch(amplitude=0.1, R=1.0, resolution=16),
+                lambda spec, mesh, exact: exact,
+                True,
+                id="exact-monge",
+            ),
+        ],
+    )
+    def test_fields_csv_matches_reference_writer(self, tmp_path, spec, fields_of, boundary_nan):
+        mesh, exact = families.generate_mesh(spec)
+        fields = fields_of(spec, mesh, exact)
+        want = tmp_path / "reference.csv"
+        reference_fields_csv(mesh, fields, want)
+        got = discops.export_fields_csv(mesh, fields, tmp_path / "fields.csv")
+        assert got.read_bytes() == want.read_bytes()
+        assert (b",nan," in want.read_bytes()) == boundary_nan
+
     def test_fields_csv(self, cap_pi3, tmp_path):
         spec, mesh, fields = cap_pi3[16]
         path = discops.export_fields_csv(mesh, fields, tmp_path / "fields.csv")

@@ -150,7 +150,7 @@ class TestMongeExactFields:
         spec = families.MongePatch(amplitude=0.3, R=1.0, resolution=16)
 
         def normal_at(x, y):
-            return families._monge_normal(spec, np.array([x]), np.array([y]))[0]
+            return spec.normal(np.array([x]), np.array([y]))[0]
 
         rng = np.random.default_rng(7)
         eps = 1e-6
@@ -175,9 +175,7 @@ class TestMongeExactFields:
             k = np.linalg.eigvals(shape)
             H_fd = 0.5 * k.sum().real
             sig_fd = float((k**2).sum().real)
-            H_exact, sig_exact = families._monge_curvatures(
-                spec, np.array([x]), np.array([y])
-            )
+            H_exact, sig_exact = spec.curvatures(np.array([x]), np.array([y]))
             assert H_exact[0] == pytest.approx(H_fd, abs=5e-5)
             assert sig_exact[0] == pytest.approx(sig_fd, abs=5e-5)
 
@@ -206,6 +204,12 @@ class TestAnalyticTestFunction:
         phi = families.analytic_test_function(spec, [0.0, 0.0, 0.0], mesh)
         assert np.allclose(phi, 0.5, atol=1e-14)
 
+    def test_flat_disk_is_one_plus_a_z(self, flat_disk):
+        # H = 0 and N = e3 everywhere, so phi = 1 + a_z exactly
+        spec, mesh, _ = flat_disk
+        phi = families.analytic_test_function(spec, [0.3, -0.2, 0.5], mesh)
+        assert np.all(phi == 1.5)
+
     def test_unsupported_family(self):
         with pytest.raises(UnsupportedFamilyError):
             families.analytic_test_function(
@@ -225,3 +229,43 @@ class TestProjectorRefinement:
         assert np.abs(fine.positions[rim, 2]).max() <= 1e-15
         fields = families.exact_fields(spec, fine)
         assert np.allclose(fields.mean_curv, 1.0)
+
+    @pytest.mark.parametrize(
+        "spec, distance",
+        [
+            pytest.param(
+                families.Cap(R=1.0, theta=math.pi / 3, resolution=12),
+                lambda s, x: np.linalg.norm(x - s.center, axis=1) - s.R,
+                id="cap",
+            ),
+            pytest.param(
+                families.Cylinder(r=1.0, L=2.0, resolution=12),
+                lambda s, x: np.linalg.norm(x[:, :2], axis=1) - s.r,
+                id="cylinder",
+            ),
+            pytest.param(
+                families.FlatDisk(R=1.0, resolution=12),
+                lambda s, x: x[:, 2],
+                id="disk",
+            ),
+            pytest.param(
+                families.ClosedSphere(R=1.0, resolution=12),
+                lambda s, x: np.linalg.norm(x, axis=1) - s.R,
+                id="sphere",
+            ),
+            pytest.param(
+                families.MongePatch(amplitude=0.1, R=1.0, resolution=12),
+                lambda s, x: x[:, 2] - s.height(x[:, 0], x[:, 1]),
+                id="monge",
+            ),
+        ],
+    )
+    def test_every_family_refines_onto_surface_and_walls(self, spec, distance):
+        mesh, _ = families.generate_mesh(spec)
+        walls = spec.walls()
+        fine = meshkit.refine(mesh, projector=families.surface_projector(spec), walls=walls)
+        assert fine.nv > mesh.nv
+        assert np.abs(distance(spec, fine.positions)).max() <= 1e-12
+        assert bool(fine.boundary_labels) == (walls is not None)
+        for v, wall in fine.boundary_labels.items():
+            assert abs(walls.walls[wall].signed_distance(fine.positions[v])) <= 1e-12

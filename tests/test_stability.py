@@ -9,7 +9,7 @@ from scipy import sparse
 from scipy.linalg import eigh as dense_eigh
 from scipy.linalg import null_space
 
-from caplab import discops, families, meshkit, stability, wedge
+from caplab import discops, families, meshkit, reports, stability, wedge
 from caplab.errors import (
     ConstraintViolationError,
     FitFailureError,
@@ -419,7 +419,7 @@ class TestSerialization:
         spec, mesh, fields = hemisphere[16]
         system = stability.assemble_index_form(mesh, spec.walls(), fields)
         verdict = stability.stability_verdict(system)
-        path = stability.save_verdict(verdict, tmp_path / "verdict.json")
+        path = reports.write_report(tmp_path / "verdict.json", verdict.to_document())
         text = path.read_text()
         assert '"kind": "stability-verdict"' in text
         stability.export_eigenfunction_csv(verdict.eigenfunction, tmp_path / "f.csv")
