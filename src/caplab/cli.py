@@ -218,7 +218,8 @@ def _cmd_wedge(args):
         mesh, _ = mk.load(args.mesh)
         fields = estimate_fields(mesh, walls)
         system = st.assemble_index_form(mesh, walls, fields)
-        verdict = st.stability_verdict(system, tol=args.tol)
+        # the classification reads only lambda_min and the stable flag
+        verdict = st.stability_verdict(system, tol=args.tol, k=1)
         report = wg.classify(mesh, walls, fields, verdict)
         body["classification"] = report.to_document()
     write_report(out / "wedge.json", document("wedge", body))

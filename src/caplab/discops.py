@@ -275,15 +275,19 @@ def _vertex_normals(mesh):
     p = mesh.positions
     t = mesh.triangles
     fn = mesh.triangle_normals()
-    acc = np.zeros((mesh.nv, 3))
+    ang = np.empty((3, mesh.nf))
     for corner in range(3):
         a = p[t[:, (corner + 1) % 3]] - p[t[:, corner]]
         b = p[t[:, (corner + 2) % 3]] - p[t[:, corner]]
         na = np.linalg.norm(a, axis=1)
         nb = np.linalg.norm(b, axis=1)
         cosang = np.clip(np.einsum("ij,ij->i", a, b) / np.maximum(na * nb, 1e-300), -1, 1)
-        ang = np.arccos(cosang)
-        np.add.at(acc, t[:, corner], ang[:, None] * fn)
+        ang[corner] = np.arccos(cosang)
+    # each vertex sums its corners in a fixed order: corner 0 of every triangle, then 1, then 2
+    corners = t.T.ravel()
+    acc = np.column_stack(
+        [np.bincount(corners, weights=(ang * fn[:, j]).ravel(), minlength=mesh.nv) for j in range(3)]
+    )
     nrm = np.linalg.norm(acc, axis=1)
     nrm[nrm == 0] = 1.0
     return acc / nrm[:, None]
@@ -462,8 +466,9 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
     H = 0.5 * (k1 + k2)
     sigma_sq = k1 * k1 + k2 * k2
 
-    areas_lumped = np.zeros(nv)
-    np.add.at(areas_lumped, mesh.triangles.ravel(), np.repeat(mesh.triangle_areas() / 3.0, 3))
+    areas_lumped = np.bincount(
+        mesh.triangles.ravel(), weights=np.repeat(mesh.triangle_areas() / 3.0, 3), minlength=nv
+    )
     mean_H = float(H @ areas_lumped / areas_lumped.sum())
     # a mean H at rounding level has no sign to follow: keep the winding
     winding = abs(mean_H) * scale < 1e-8

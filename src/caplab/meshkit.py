@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -467,18 +468,20 @@ def refine(mesh: LabeledTriMesh, projector=None, walls: WallSet | None = None) -
 #   line 2: <nv> <nf> <nb>
 #   nv lines: x y z           (decimal, 17 significant digits)
 #   nf lines: i j k           (0-based, counterclockwise around the mesh normal)
-#   nb lines: v w             (boundary vertex v supported by wall w)
+#   nb lines: v w             (boundary vertex v supported by wall w, one line per v)
 
 
 def save(mesh: LabeledTriMesh, walls: WallSet | None, path, walls_path=None):
     """Write mesh to ``path`` and, if given, walls to the sibling document."""
     path = Path(path)
-    nb = len(mesh.boundary_labels)
-    lines = [f"{CAPMESH_MAGIC} {CAPMESH_VERSION}", f"{mesh.nv} {mesh.nf} {nb}"]
-    lines.extend(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for p in mesh.positions)
-    lines.extend(f"{t[0]} {t[1]} {t[2]}" for t in mesh.triangles)
-    lines.extend(f"{v} {w}" for v, w in sorted(mesh.boundary_labels.items()))
-    path.write_text("\n".join(lines) + "\n")
+    labels = sorted(mesh.boundary_labels.items())
+    text = (
+        f"{CAPMESH_MAGIC} {CAPMESH_VERSION}\n{mesh.nv} {mesh.nf} {len(labels)}\n"
+        + "%.17g %.17g %.17g\n" * mesh.nv % tuple(mesh.positions.ravel().tolist())
+        + "%d %d %d\n" * mesh.nf % tuple(mesh.triangles.ravel().tolist())
+        + "%d %d\n" * len(labels) % tuple(x for row in labels for x in row)
+    )
+    path.write_text(text)
     if walls is not None:
         save_walls(walls, walls_path or default_walls_path(path))
     return path
@@ -488,34 +491,59 @@ def default_walls_path(mesh_path):
     return Path(mesh_path).with_suffix(".walls.json")
 
 
-def load(path, walls_path=None):
-    """Read a CAPMESH file; returns (mesh, walls), walls None if no document."""
-    path = Path(path)
-    lines = path.read_text().splitlines()
+def _tokens(lines, lineno, expect, what):
+    if lineno > len(lines):
+        raise ParseError(f"file truncated, expected {what}", lineno)
+    toks = lines[lineno - 1].split()
+    if len(toks) != expect:
+        raise ParseError(f"expected {expect} fields for {what}, got {len(toks)}", lineno)
+    return toks
 
-    def tokens(lineno, expect, what):
-        if lineno > len(lines):
-            raise ParseError(f"file truncated, expected {what}", lineno)
-        toks = lines[lineno - 1].split()
-        if len(toks) != expect:
-            raise ParseError(f"expected {expect} fields for {what}, got {len(toks)}", lineno)
-        return toks
 
-    head = tokens(1, 2, "header")
-    if head[0] != CAPMESH_MAGIC or head[1] != str(CAPMESH_VERSION):
-        raise ParseError(f"bad header {lines[0]!r}, expected '{CAPMESH_MAGIC} {CAPMESH_VERSION}'", 1)
-    counts = tokens(2, 3, "counts")
-    try:
-        nv, nf, nb = (int(c) for c in counts)
-    except ValueError as exc:
-        raise ParseError(f"counts must be integers: {exc}", 2) from None
-    if nv < 0 or nf < 0 or nb < 0:
-        raise ParseError("counts must be nonnegative", 2)
+def _read_blocks(lines, nv, nf, nb):
+    """The vertex, face and label blocks through numpy's C reader.
 
+    Returns None when numpy refuses a block or a range rule fails. numpy's
+    DeprecationWarning for an integer written as a float (``1.0``) is made
+    an error, so that line is refused rather than truncated.
+    """
+    if len(lines) < 2 + nv + nf + nb:
+        return None
+    spans = ((2, nv, 3, float), (2 + nv, nf, 3, np.int64), (2 + nv + nf, nb, 2, np.int64))
+    blocks = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        for first, count, width, dtype in spans:
+            if count == 0:
+                blocks.append(np.empty((0, width), dtype=dtype))
+                continue
+            try:
+                rows = np.loadtxt(lines[first : first + count], dtype=dtype, comments=None, ndmin=2)
+            except (ValueError, OverflowError):
+                return None
+            if rows.shape != (count, width):
+                return None
+            blocks.append(rows)
+    positions, faces, labels = blocks
+    v, w = labels.T
+    valid = (
+        np.all((faces >= 0) & (faces < nv))
+        and np.all((v >= 0) & (v < nv))
+        and np.all(w >= 0)
+        and len(np.unique(v)) == nb
+    )
+    return (positions, faces, dict(labels.tolist())) if valid else None
+
+
+def _read_lines(lines, nv, nf, nb):
+    """The blocks line by line: raises at the first bad line, in file order.
+
+    Also reads the literals only Python's ``int`` and ``float`` accept (``1_000``).
+    """
     positions = np.empty((nv, 3))
     for i in range(nv):
         lineno = 3 + i
-        toks = tokens(lineno, 3, "vertex coordinates")
+        toks = _tokens(lines, lineno, 3, "vertex coordinates")
         try:
             positions[i] = [float(x) for x in toks]
         except ValueError:
@@ -524,7 +552,7 @@ def load(path, walls_path=None):
     triangles = np.empty((nf, 3), dtype=np.int64)
     for i in range(nf):
         lineno = 3 + nv + i
-        toks = tokens(lineno, 3, "triangle indices")
+        toks = _tokens(lines, lineno, 3, "triangle indices")
         try:
             tri = [int(x) for x in toks]
         except ValueError:
@@ -535,10 +563,9 @@ def load(path, walls_path=None):
         triangles[i] = tri
 
     labels = {}
-    label_lines = {}
     for i in range(nb):
         lineno = 3 + nv + nf + i
-        toks = tokens(lineno, 2, "boundary label")
+        toks = _tokens(lines, lineno, 2, "boundary label")
         try:
             v, w = int(toks[0]), int(toks[1])
         except ValueError:
@@ -547,8 +574,30 @@ def load(path, walls_path=None):
             raise ParseError(f"label references vertex {v}, valid range is 0..{nv - 1}", lineno)
         if w < 0:
             raise ParseError(f"negative wall index {w}", lineno)
+        if v in labels:
+            raise ParseError(f"vertex {v} is labeled twice", lineno)
         labels[v] = w
-        label_lines[v] = lineno
+    return positions, triangles, labels
+
+
+def load(path, walls_path=None):
+    """Read a CAPMESH file; returns (mesh, walls), walls None if no document."""
+    path = Path(path)
+    lines = path.read_text().splitlines()
+
+    head = _tokens(lines, 1, 2, "header")
+    if head[0] != CAPMESH_MAGIC or head[1] != str(CAPMESH_VERSION):
+        raise ParseError(f"bad header {lines[0]!r}, expected '{CAPMESH_MAGIC} {CAPMESH_VERSION}'", 1)
+    counts = _tokens(lines, 2, 3, "counts")
+    try:
+        nv, nf, nb = (int(c) for c in counts)
+    except ValueError as exc:
+        raise ParseError(f"counts must be integers: {exc}", 2) from None
+    if nv < 0 or nf < 0 or nb < 0:
+        raise ParseError("counts must be nonnegative", 2)
+
+    # the per-line read names the bad line, or reads what numpy refused
+    positions, triangles, labels = _read_blocks(lines, nv, nf, nb) or _read_lines(lines, nv, nf, nb)
 
     extra = 2 + nv + nf + nb
     for lineno in range(extra + 1, len(lines) + 1):
@@ -557,9 +606,9 @@ def load(path, walls_path=None):
 
     mesh = LabeledTriMesh(positions, triangles, labels)
     boundary = mesh.boundary_vertex_set()
-    for v in labels:
+    for i, v in enumerate(labels):
         if v not in boundary:
-            raise ParseError(f"label on non-boundary vertex {v}", label_lines[v])
+            raise ParseError(f"label on non-boundary vertex {v}", 3 + nv + nf + i)
 
     wp = Path(walls_path) if walls_path else default_walls_path(path)
     walls = load_walls(wp) if wp.exists() else None

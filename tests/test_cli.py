@@ -160,6 +160,7 @@ class TestStability:
         assert max(solver["constraint_defects"]) <= 1e-10
         assert solver["certificate"]["mu"] > doc["eigenvalues"][-1]
         assert solver["certificate"]["count_below"] >= len(doc["eigenvalues"])
+        assert solver["arpack_tol"] == 1e-10
 
     def test_mesh_verdict_records_field_estimation(self, tmp_path):
         assert main(["gen", "cap", "--angle-deg", "60", "--res", "24", "--out", str(tmp_path)]) == 0
@@ -220,6 +221,22 @@ class TestWedge:
         doc = read_json(tmp_path / "wedge.json")
         assert doc["norm_a"] <= 1e-10
         assert doc["delta_max_rad"] == pytest.approx(math.pi / 4, abs=1e-10)
+
+    @pytest.mark.parametrize("angle", ["60", "120"])
+    def test_mesh_lambda_min_matches_stability(self, angle, tmp_path):
+        # wedge solves for one pair, stability for ten: the lowest must agree
+        assert main(["gen", "cap", "--angle-deg", angle, "--res", "64", "--out", str(tmp_path)]) == 0
+        stem = tmp_path / f"cap_r1_a{angle}_res64"
+        mesh = ["--mesh", str(stem.with_suffix(".capmesh"))]
+        assert main(["stability", *mesh, "--out", str(tmp_path / "s")]) == 0
+        walls = ["--walls", str(stem.with_suffix(".walls.json"))]
+        assert main(["wedge", *walls, *mesh, "--out", str(tmp_path / "w")]) == 0
+        rows = (tmp_path / "s" / "eigenvalues.csv").read_text().splitlines()
+        lam = float(rows[1].split(",")[1])
+        verdict = read_json(tmp_path / "s" / "verdict.json")
+        classification = read_json(tmp_path / "w" / "wedge.json")["classification"]
+        assert classification["lambda_min"] == pytest.approx(lam, rel=1e-10)
+        assert classification["stable"] == verdict["stable"]
 
     def test_dependent_normals_exit_2(self, tmp_path):
         walls_doc = [
