@@ -41,7 +41,7 @@ print("=== Slab cylinder, r = 1, L = 2 (free boundary) ===")
 spec = families.Cylinder(r=1.0, L=2.0, resolution=48)
 mesh, fields = families.generate_mesh(spec)
 print(f"exact H = {fields.mean_curv[0]} (= 1/2r), |sigma|^2 = {fields.sigma_sq[0]} (= 1/r^2)")
-print(f"boundary loops: {len(mesh.boundary_loops())} (one circle per wall)")
+print(f"boundary loops: {len(mesh.boundary_loops)} (one circle per wall)")
 ops = discops.assemble_operators(mesh)
 print(f"discrete area {ops.area:.6f} vs 4 pi = {4 * math.pi:.6f}")
 

@@ -9,6 +9,7 @@ Reports are deterministic: identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -112,17 +113,20 @@ def _cmd_gen(args):
 
 
 def _cmd_identities(args):
+    n_levels = args.levels or (1 if args.mesh else 3)
+    if args.mesh and n_levels > 1:
+        raise CapLabError(
+            f"--levels {n_levels} with --mesh: --mesh runs one level, since midpoint "
+            "refinement of a raw mesh leaves the surface"
+        )
     out = _outdir(args)
     # one (mesh, walls, fields, resolution tag, capillary vector) per level
     if args.mesh:
         mesh, walls, fields, _ = _load_inputs(args)
         levels = [(mesh, walls, fields, f"nv={mesh.nv}", None)]
-        for _ in range(1, args.levels):
-            mesh = mk.refine(mesh, walls=walls)
-            levels.append((mesh, walls, estimate_fields(mesh, walls), f"nv={mesh.nv}", None))
     else:
         levels = []
-        for level in range(args.levels):
+        for level in range(n_levels):
             spec = _family_from_args(args, res=args.res * (2**level))
             mesh, fields = fam.generate_mesh(spec)
             levels.append(
@@ -134,7 +138,7 @@ def _cmd_identities(args):
         final_reports = idn.run_suite(mesh, walls, fields, resolution=tag, capillary_vector=a)
         rows.extend(final_reports)
 
-    header = {"tol": args.tol, "levels": args.levels}
+    header = {"tol": args.tol, "levels": n_levels}
     csv_path = out / "identities.csv"
     idn.suite_to_csv(rows, csv_path, header)
     write_report(out / "identities.json", idn.suite_to_document(rows, {"tolerance": args.tol}))
@@ -306,7 +310,10 @@ def build_parser():
     p.add_argument("--mesh")
     p.add_argument("--walls")
     _add_family_flags(p)
-    p.add_argument("--levels", type=int, default=3, choices=range(1, 7))
+    p.add_argument(
+        "--levels", type=int, choices=range(1, 7),
+        help="refinement levels (default 3); --mesh runs one level only",
+    )
     p.add_argument("--tol", type=float, default=0.02, help="relative residual gate at the finest level")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_identities)
@@ -348,10 +355,12 @@ def build_parser():
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses status 2 for usage errors, matching the input-error code
         return int(exc.code or 0)

@@ -204,22 +204,18 @@ def assemble_operators(mesh: LabeledTriMesh) -> OperatorSet:
         (np.concatenate(vv), (np.concatenate(ii), np.concatenate(jj))), shape=(nv, nv)
     )
 
-    be = mesh.boundary_edges()
-    diag_all = np.zeros(nv)
-    diag_wall = {}
-    labels = mesh.boundary_labels
-    if len(be):
-        lengths = np.linalg.norm(p[be[:, 1]] - p[be[:, 0]], axis=1)
-        for (a, b), le in zip(be, lengths):
-            diag_all[a] += 0.5 * le
-            diag_all[b] += 0.5 * le
-            la, lb = labels.get(int(a)), labels.get(int(b))
-            if la is not None and la == lb:
-                d = diag_wall.setdefault(la, np.zeros(nv))
-                d[a] += 0.5 * le
-                d[b] += 0.5 * le
-    B_wall = {w: sparse.diags(d).tocsr() for w, d in sorted(diag_wall.items())}
-    return OperatorSet(M=M, K=K, B_wall=B_wall, B_all=sparse.diags(diag_all).tocsr())
+    # half of each boundary edge onto both ends, summed in edge order
+    be = mesh.boundary_edges
+    half = np.repeat(0.5 * np.linalg.norm(p[be[:, 1]] - p[be[:, 0]], axis=1), 2)
+    ends = mesh.vertex_wall[be]
+    edge_wall = np.repeat(np.where(ends[:, 0] == ends[:, 1], ends[:, 0], -1), 2)
+    B_wall = {}
+    for w in np.unique(edge_wall[edge_wall >= 0]).tolist():
+        on = edge_wall == w
+        B_wall[w] = sparse.diags(np.bincount(be.ravel()[on], half[on], minlength=nv)).tocsr()
+    # numpy counts an empty edge list in integers
+    B_all = sparse.diags(np.bincount(be.ravel(), half, minlength=nv).astype(float, copy=False)).tocsr()
+    return OperatorSet(M=M, K=K, B_wall=B_wall, B_all=B_all)
 
 
 def weighted_mass(mesh: LabeledTriMesh, weights) -> sparse.csr_matrix:
@@ -480,8 +476,8 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
         logger.warning("mean curvature is numerically zero; normals follow the mesh winding")
 
     # boundary structure
-    loops = mesh.boundary_loops()
-    bverts = np.array(sorted({v for loop in loops for v in loop}), dtype=np.int64)
+    loops = mesh.boundary_loops
+    bverts = mesh.boundary_vertices
     nb = len(bverts)
     conormal = np.full((nb, 3), np.nan)
     wall_conormal = np.full((nb, 3), np.nan)
@@ -519,10 +515,7 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
         sigma_nn[i[pos]] = _form(m2, q[pos]) / denom[pos]
 
         if walls is not None:
-            labels = mesh.boundary_labels
-            label = np.full(nv, -1)
-            label[list(labels)] = list(labels.values())
-            w = label[v]
+            w = mesh.vertex_wall[v]
             on = (w >= 0) & (w < len(walls))
             v, prev, nxt, T, N, nu, i = (a[on] for a in (v, prev, nxt, T, N, nu, i))
             n_i = walls.normals[w[on]]

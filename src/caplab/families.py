@@ -74,7 +74,10 @@ def _fan(apex, ring, reverse=False):
 
 
 def _disk_grid(R, n):
-    """Polar grid of the disk of radius R in z = 0: n azimuths, rings to match."""
+    """Polar grid of the disk of radius R in z = 0: n azimuths, rings to match.
+
+    Triangles wind counterclockwise around +e3.
+    """
     m = max(2, round(n / (2.0 * math.pi)) + 1)
     alphas = 2.0 * math.pi * np.arange(n) / n
     rows = []
@@ -86,7 +89,7 @@ def _disk_grid(R, n):
     tris = [_fan(0, rings[0], reverse=True)]
     for j in range(m - 1):
         tris.append(_strip(rings[j], rings[j + 1]))
-    return positions, np.vstack(tris), rings
+    return positions, np.vstack(tris)[:, [0, 2, 1]], rings
 
 
 def _radial(q):
@@ -110,9 +113,10 @@ def _onto_circle(q, rows, radius):
 class FamilySpec:
     """Base class of the analytic family specifications.
 
-    A family supplies ``build()`` (positions, triangles, boundary labels),
-    ``exact(p, b)`` (normal, H and |sigma|^2 at the points ``p``, and a dict
-    of the boundary arrays it knows at the boundary vertex ids ``b``),
+    A family supplies ``build()`` (positions, triangles wound around the
+    normal N, boundary labels), ``exact(p, b)`` (normal, H and |sigma|^2 at
+    the points ``p``, and a dict of the boundary arrays it knows at the
+    boundary vertex ids ``b``),
     ``project(points, labels)``, ``slug``, and, when it meets walls,
     ``walls()`` and ``capillary_vector()``.
     """
@@ -252,7 +256,8 @@ class Cylinder(FamilySpec):
         tris = np.vstack([_strip(rings[j], rings[j + 1]) for j in range(m)])
         labels = {int(v): 0 for v in rings[0]}
         labels.update({int(v): 1 for v in rings[-1]})
-        return positions, tris, labels
+        # the strips wind around the outward normal; the tube's is inward
+        return positions, tris[:, [0, 2, 1]], labels
 
     def exact(self, p, b):
         nv, nb = len(p), len(b)
@@ -510,7 +515,7 @@ def exact_fields(spec: FamilySpec, mesh: LabeledTriMesh) -> GeometryFields:
     ``generate_mesh`` or projector-based refinement). Boundary entries the
     family does not define stay NaN.
     """
-    bverts = np.array(sorted(mesh.boundary_vertex_set()), dtype=np.int64)
+    bverts = mesh.boundary_vertices
     nb = len(bverts)
     normal, H, sigma_sq, known = spec.exact(mesh.positions, bverts)
     boundary = {
@@ -535,19 +540,11 @@ def generate_mesh(spec: FamilySpec):
     """Structured mesh with vertices exactly on the analytic surface.
 
     Returns (mesh, fields) where the fields carry the exact analytic values;
-    triangle winding follows the mean-curvature-positive normal.
+    each family's ``build()`` winds its triangles around the
+    mean-curvature-positive normal.
     """
-    positions, tris, labels = spec.build()
-    fields = exact_fields(spec, LabeledTriMesh(positions, tris, labels))
-    # flip all windings if face normals disagree with the exact normals
-    cr = np.cross(
-        positions[tris[:, 1]] - positions[tris[:, 0]],
-        positions[tris[:, 2]] - positions[tris[:, 0]],
-    )
-    n = fields.normal
-    if float(np.einsum("ij,ij->i", cr, n[tris[:, 0]] + n[tris[:, 1]] + n[tris[:, 2]]).sum()) < 0:
-        tris = tris[:, [0, 2, 1]]
-    return LabeledTriMesh(positions, tris, labels), fields
+    mesh = LabeledTriMesh(*spec.build())
+    return mesh, exact_fields(spec, mesh)
 
 
 def surface_projector(spec: FamilySpec):

@@ -197,9 +197,7 @@ def check_special_function(mesh, fields, operators=None, resolution=""):
 def check_boundary_sigma_relation(mesh, fields, walls, wall, operators=None, resolution=""):
     """Pointwise boundary relation sigma(nu, nu) = n H + (n-1) sin(theta) H_bdry."""
     ops = operators or assemble_operators(mesh)
-    verts = np.array(
-        sorted(v for v, w in mesh.boundary_labels.items() if w == wall), dtype=np.int64
-    )
+    verts = np.flatnonzero(mesh.vertex_wall == wall)
     if len(verts) == 0:
         return IdentityReport(
             f"sigma_relation_wall{wall}", None, None, None, None, resolution, {"skipped": "no boundary on wall"}
@@ -350,9 +348,8 @@ def _claim_reports(mesh, fields, walls, ops, resolution):
 
 
 def _is_capillary(mesh, walls):
-    if walls is None or not mesh.boundary_labels:
-        return False
-    return mesh.boundary_vertex_set() == set(mesh.boundary_labels)
+    labeled = np.flatnonzero(mesh.vertex_wall >= 0)
+    return walls is not None and len(labeled) > 0 and np.array_equal(labeled, mesh.boundary_vertices)
 
 
 ANGLE_MATCH_TOL = 0.15  # rad; estimated contact angles at coarse resolution stay well inside
@@ -365,9 +362,7 @@ def _angles_genuine(mesh, walls, fields):
     measured angle; the angle-dependent identities do not apply to it.
     """
     for i in range(len(walls)):
-        verts = np.array(
-            sorted(v for v, w in mesh.boundary_labels.items() if w == i), dtype=np.int64
-        )
+        verts = np.flatnonzero(mesh.vertex_wall == i)
         if len(verts) == 0:
             continue
         measured = fields.angle[fields.boundary_index(verts)]

@@ -15,6 +15,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,11 @@ def load_walls(path) -> WallSet:
     return WallSet.from_document(doc)
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 class LabeledTriMesh:
     """Oriented triangle mesh; boundary vertices labeled by supporting wall.
 
@@ -145,7 +151,9 @@ class LabeledTriMesh:
     boundary_labels : dict vertex index -> wall index, optional
         Empty for bare immersions without supporting walls.
 
-    Instances are treated as immutable; operations return new meshes.
+    ``vertex_wall`` holds the same labels as one array (-1: no wall); the
+    boundary edges, loops and vertices are built once, on first use. All are
+    read-only: instances are immutable and operations return new meshes.
     """
 
     def __init__(self, positions, triangles, boundary_labels=None):
@@ -162,11 +170,15 @@ class LabeledTriMesh:
         self.positions = positions
         self.triangles = triangles
         self.boundary_labels = {int(k): int(v) for k, v in (boundary_labels or {}).items()}
-        for v in self.boundary_labels:
-            if not 0 <= v < len(positions):
-                raise InvalidMeshError(f"label references vertex {v} out of range")
-        self._adj_sym = None
-        self._adj_dir = None
+        vertices, wall = np.array(list(self.boundary_labels.items()), dtype=np.int64).reshape(-1, 2).T
+        out = vertices[(vertices < 0) | (vertices >= len(positions))]
+        if len(out):
+            raise InvalidMeshError(f"label references vertex {out[0]} out of range")
+        if np.any(wall < 0):
+            raise InvalidMeshError(f"vertex {vertices[wall < 0][0]} has negative wall label")
+        self.vertex_wall = np.full(len(positions), -1, dtype=np.int64)
+        self.vertex_wall[vertices] = wall
+        _read_only(self.vertex_wall)
 
     # -- basic counts ------------------------------------------------------
 
@@ -180,24 +192,19 @@ class LabeledTriMesh:
 
     # -- adjacency ---------------------------------------------------------
 
-    @property
+    @cached_property
     def adj_dir(self):
         """Directed edge adjacency; entry counts occurrences of edge (i, j)."""
-        if self._adj_dir is None:
-            t = self.triangles
-            i = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
-            j = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
-            dat = np.ones(i.shape, dtype=np.int64)
-            self._adj_dir = sparse.csr_matrix((dat, (i, j)), shape=(self.nv, self.nv))
-        return self._adj_dir
+        t = self.triangles
+        i = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
+        j = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
+        dat = np.ones(i.shape, dtype=np.int64)
+        return sparse.csr_matrix((dat, (i, j)), shape=(self.nv, self.nv))
 
-    @property
+    @cached_property
     def adj_sym(self):
         """Undirected edge adjacency; entry counts incident triangles."""
-        if self._adj_sym is None:
-            a = self.adj_dir
-            self._adj_sym = (a + a.T).tocsr()
-        return self._adj_sym
+        return (self.adj_dir + self.adj_dir.T).tocsr()
 
     def is_manifold(self):
         return self.adj_sym.nnz == 0 or self.adj_sym.data.max() <= 2
@@ -214,29 +221,27 @@ class LabeledTriMesh:
 
     # -- boundary structure --------------------------------------------------
 
+    @cached_property
     def boundary_edges(self):
         """Directed boundary edges (a, b), wound as in their unique triangle."""
         a = self.adj_dir.tocoo()
-        back = self.adj_dir.T.tocsr()
-        rows, cols = a.row, a.col
-        has_back = np.asarray(back[rows, cols]).ravel() if len(rows) else np.array([])
+        has_back = np.asarray(self.adj_dir[a.col, a.row]).ravel() if a.nnz else np.array([])
         mask = (a.data == 1) & (has_back == 0)
-        return np.column_stack([rows[mask], cols[mask]]).astype(np.int64)
+        return _read_only(np.column_stack([a.row[mask], a.col[mask]]).astype(np.int64))
 
-    def boundary_vertex_set(self):
-        be = self.boundary_edges()
-        return set(np.unique(be)) if len(be) else set()
+    @cached_property
+    def boundary_vertices(self):
+        """Sorted ids of the vertices on a boundary edge."""
+        return _read_only(np.unique(self.boundary_edges))
 
+    @cached_property
     def boundary_loops(self):
-        """Boundary loops as lists of vertex indices, following edge winding."""
-        be = self.boundary_edges()
-        if len(be) == 0:
-            return []
+        """Boundary loops as vertex index arrays, following edge winding."""
         succ = {}
-        for a, b in be:
+        for a, b in self.boundary_edges.tolist():
             if a in succ:
                 raise InvalidMeshError(f"boundary is not a union of simple loops at vertex {a}")
-            succ[int(a)] = int(b)
+            succ[a] = b
         loops = []
         remaining = set(succ)
         while remaining:
@@ -250,8 +255,8 @@ class LabeledTriMesh:
                 loop.append(v)
                 remaining.discard(v)
                 v = succ[v]
-            loops.append(loop)
-        return loops
+            loops.append(_read_only(np.array(loop, dtype=np.int64)))
+        return tuple(loops)
 
     # -- geometry helpers ----------------------------------------------------
 
@@ -280,14 +285,10 @@ class LabeledTriMesh:
         return float(self.triangle_areas().sum())
 
     def boundary_length(self, wall=None):
-        be = self.boundary_edges()
-        if len(be) == 0:
-            return 0.0
+        be = self.boundary_edges
         if wall is not None:
-            lab = self.boundary_labels
-            keep = [k for k, (a, b) in enumerate(be) if lab.get(int(a)) == wall and lab.get(int(b)) == wall]
-            be = be[keep] if keep else be[:0]
-        seg = self.positions[be[:, 1]] - self.positions[be[:, 0]] if len(be) else np.zeros((0, 3))
+            be = be[np.all(self.vertex_wall[be] == wall, axis=1)]
+        seg = self.positions[be[:, 1]] - self.positions[be[:, 0]]
         return float(np.linalg.norm(seg, axis=1).sum())
 
     # -- derived meshes --------------------------------------------------------
@@ -350,54 +351,49 @@ def validate(mesh: LabeledTriMesh, walls: WallSet | None = None, plane_tol=None)
             ValidationIssue("orientation", f"{len(bad)} directed edges repeated (inconsistent winding)", bad)
         )
 
-    boundary = mesh.boundary_vertex_set()
     if not issues:
         try:
-            mesh.boundary_loops()
+            mesh.boundary_loops  # the walk raises on a boundary that is not simple loops
         except InvalidMeshError as exc:
             issues.append(ValidationIssue("boundary-loops", str(exc)))
 
-    labels = mesh.boundary_labels
-    check_labels = bool(labels) or walls is not None
-    if check_labels:
-        missing = sorted(boundary - set(labels))
-        if missing:
+    wall = mesh.vertex_wall
+    labeled = np.flatnonzero(wall >= 0)
+    if len(labeled) or walls is not None:
+        missing = np.setdiff1d(mesh.boundary_vertices, labeled)
+        if len(missing):
             issues.append(
-                ValidationIssue("labels-missing", f"{len(missing)} boundary vertices without wall label", tuple(missing))
+                ValidationIssue("labels-missing", f"{len(missing)} boundary vertices without wall label", tuple(missing.tolist()))
             )
-        interior = sorted(set(labels) - boundary)
-        if interior:
+        interior = np.setdiff1d(labeled, mesh.boundary_vertices)
+        if len(interior):
             issues.append(
-                ValidationIssue("label-on-interior", f"{len(interior)} interior vertices carry a label", tuple(interior))
+                ValidationIssue("label-on-interior", f"{len(interior)} interior vertices carry a label", tuple(interior.tolist()))
             )
-        mixed = []
-        for a, b in mesh.boundary_edges():
-            la, lb = labels.get(int(a)), labels.get(int(b))
-            if la is not None and lb is not None and la != lb:
-                mixed.append((int(a), int(b)))
-        if mixed:
+        be = mesh.boundary_edges
+        ends = wall[be]
+        mixed = be[(ends >= 0).all(axis=1) & (ends[:, 0] != ends[:, 1])]
+        if len(mixed):
             issues.append(
                 ValidationIssue(
                     "mixed-boundary-edge",
                     f"{len(mixed)} boundary edges join differently labeled vertices (mesh touches a domain edge)",
-                    tuple(mixed),
+                    tuple(map(tuple, mixed.tolist())),
                 )
             )
 
-    if walls is not None and labels:
+    if walls is not None and len(labeled):
         k = len(walls)
-        out_of_range = sorted(v for v, w in labels.items() if not 0 <= w < k)
-        if out_of_range:
+        out_of_range = labeled[wall[labeled] >= k]
+        if len(out_of_range):
             issues.append(
-                ValidationIssue("label-wall-range", f"labels reference walls outside 0..{k - 1}", tuple(out_of_range))
+                ValidationIssue("label-wall-range", f"labels reference walls outside 0..{k - 1}", tuple(out_of_range.tolist()))
             )
         tol = plane_tol if plane_tol is not None else PLANE_TOL_FACTOR * mesh.bbox_diameter()
         off = []
-        for v, w in labels.items():
-            if 0 <= w < k:
-                d = abs(float(walls.walls[w].signed_distance(mesh.positions[v])))
-                if d > tol:
-                    off.append(v)
+        for w, plane in enumerate(walls.walls):
+            v = np.flatnonzero(wall == w)
+            off.extend(v[np.abs(plane.signed_distance(mesh.positions[v])) > tol].tolist())
         if off:
             issues.append(
                 ValidationIssue("plane-incidence", f"{len(off)} labeled vertices off their wall plane (tol {tol:.3g})", tuple(sorted(off)))
@@ -429,19 +425,13 @@ def refine(mesh: LabeledTriMesh, projector=None, walls: WallSet | None = None) -
 
     # wall labels for midpoints of boundary edges with matching endpoint labels
     face_counts = np.asarray(adjtriu[rows, cols]).ravel()
-    labels = mesh.boundary_labels
-    new_labels = {}
-    mid_label_arr = -np.ones(n_edges, dtype=np.int64)
-    for e, (a, b, c) in enumerate(zip(rows, cols, face_counts)):
-        if c == 1:
-            la, lb = labels.get(int(a)), labels.get(int(b))
-            if la is not None and la == lb:
-                new_labels[nv + e] = la
-                mid_label_arr[e] = la
+    la, lb = mesh.vertex_wall[rows], mesh.vertex_wall[cols]
+    mid_label_arr = np.where((face_counts == 1) & (la == lb), la, -1)
 
     if walls is not None:
-        for e in np.nonzero(mid_label_arr >= 0)[0]:
-            mid[e] = walls.walls[mid_label_arr[e]].project(mid[e])
+        for w, plane in enumerate(walls.walls):
+            on = mid_label_arr == w
+            mid[on] = plane.project(mid[on])
     if projector is not None:
         mid = projector(mid, mid_label_arr)
 
@@ -457,9 +447,9 @@ def refine(mesh: LabeledTriMesh, projector=None, walls: WallSet | None = None) -
     tris = np.vstack([t1, t2, t3, t4])
 
     positions = np.vstack([mesh.positions, mid])
-    all_labels = dict(mesh.boundary_labels)
-    all_labels.update(new_labels)
-    return LabeledTriMesh(positions, tris, all_labels)
+    new = np.flatnonzero(mid_label_arr >= 0)
+    labels = {**mesh.boundary_labels, **dict(zip((nv + new).tolist(), mid_label_arr[new].tolist()))}
+    return LabeledTriMesh(positions, tris, labels)
 
 
 # -- CAPMESH file format -------------------------------------------------------
@@ -605,10 +595,11 @@ def load(path, walls_path=None):
             raise ParseError("unexpected trailing content", lineno)
 
     mesh = LabeledTriMesh(positions, triangles, labels)
-    boundary = mesh.boundary_vertex_set()
-    for i, v in enumerate(labels):
-        if v not in boundary:
-            raise ParseError(f"label on non-boundary vertex {v}", 3 + nv + nf + i)
+    labeled = np.fromiter(labels, np.int64, len(labels))
+    interior = np.flatnonzero(~np.isin(labeled, mesh.boundary_vertices))
+    if len(interior):
+        i = int(interior[0])
+        raise ParseError(f"label on non-boundary vertex {labeled[i]}", 3 + nv + nf + i)
 
     wp = Path(walls_path) if walls_path else default_walls_path(path)
     walls = load_walls(wp) if wp.exists() else None

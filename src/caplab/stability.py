@@ -417,10 +417,8 @@ def build_test_function(
     q_full = np.zeros(mesh.nv)
     sigma_nn_full = fields.full("sigma_nn")
     for i, theta in enumerate(walls.angles):
-        cot = _cot(theta)
-        verts = [v for v, w in mesh.boundary_labels.items() if w == i]
-        if verts:
-            q_full[verts] = cot * sigma_nn_full[verts]
+        on = mesh.vertex_wall == i
+        q_full[on] = _cot(theta) * sigma_nn_full[on]
     b_diag = np.asarray(ops.B_all.diagonal())
     robin = np.zeros(len(bverts))
     if len(bverts):
@@ -475,15 +473,13 @@ def capillary_energy(mesh: LabeledTriMesh, walls: WallSet | None) -> float:
     e = mesh.area()
     if walls is None:
         return e
-    loops = mesh.boundary_loops()
-    labels = mesh.boundary_labels
     for i, (plane, theta) in enumerate(zip(walls.walls, walls.angles)):
         cos_t = math.cos(theta)
         if abs(cos_t) < 4 * np.finfo(float).eps:
             continue
         wetted = 0.0
-        for loop in loops:
-            if all(labels.get(v) == i for v in loop):
+        for loop in mesh.boundary_loops:
+            if np.all(mesh.vertex_wall[loop] == i):
                 wetted += _loop_plane_area(mesh.positions[loop], plane)
         e -= cos_t * wetted
     return e

@@ -89,11 +89,28 @@ class TestIdentities:
         skipped = [r for r in doc["reports"] if r["info"].get("skipped")]
         assert skipped
 
-    def test_corrupted_mesh_exits_2(self, tmp_path):
+    def test_corrupted_mesh_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.capmesh"
         bad.write_text("CAPMESH 1\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n0 1 9\n")
         rc = main(["identities", "--mesh", str(bad), "--out", str(tmp_path)])
         assert rc == 2
+        assert capsys.readouterr().err.startswith("error: line 6: ")
+
+    def test_mesh_with_levels_refused_before_any_work(self, tmp_path, capsys):
+        assert main(["gen", "cap", "--res", "12", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        rc = main(["identities", "--mesh", str(tmp_path / "cap_r1_a90_res12.capmesh"), "--levels", "2", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --levels 2 with --mesh")
+        assert not out.exists()
+
+    def test_mesh_runs_one_level_by_default(self, tmp_path):
+        assert main(["gen", "cap", "--res", "12", "--out", str(tmp_path)]) == 0
+        out = tmp_path / "run"
+        rc = main(["identities", "--mesh", str(tmp_path / "cap_r1_a90_res12.capmesh"), "--tol", "1", "--out", str(out)])
+        assert rc == 0
+        assert (out / "identities.csv").read_text().startswith("# levels=1 ")
 
     def test_tolerance_failure_exits_1(self, tmp_path):
         rc = main(

@@ -53,6 +53,25 @@ class TestOperators:
         for w, B in ops.B_wall.items():
             assert ones @ (B @ ones) == pytest.approx(mesh.boundary_length(w), rel=1e-12)
 
+    def test_boundary_measures_match_per_edge_loop(self, cylinder_l2, cap_pi3, monge_patch):
+        """The per-edge accumulation assemble_operators replaced, bit for bit."""
+        for mesh in (cylinder_l2[16][1], cap_pi3[32][1], monge_patch[16][1]):
+            p, be, labels = mesh.positions, mesh.boundary_edges, mesh.boundary_labels
+            diag_all, diag_wall = np.zeros(mesh.nv), {}
+            lengths = np.linalg.norm(p[be[:, 1]] - p[be[:, 0]], axis=1)
+            for (a, b), le in zip(be.tolist(), lengths):
+                diag_all[a] += 0.5 * le
+                diag_all[b] += 0.5 * le
+                if labels.get(a) is not None and labels.get(a) == labels.get(b):
+                    d = diag_wall.setdefault(labels[a], np.zeros(mesh.nv))
+                    d[a] += 0.5 * le
+                    d[b] += 0.5 * le
+            ops = discops.assemble_operators(mesh)
+            assert np.array_equal(ops.B_all.diagonal(), diag_all)
+            assert sorted(ops.B_wall) == sorted(diag_wall)
+            for w, d in diag_wall.items():
+                assert np.array_equal(ops.B_wall[w].diagonal(), d)
+
     def test_degenerate_triangle_named(self):
         positions = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, 0.0], [0.5, 0.5, 1e-20]]
         tris = [[0, 1, 2], [1, 3, 4]]

@@ -144,6 +144,29 @@ class TestGenerateMesh:
             assert meshkit.validate(mesh, spec.walls()).ok
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        families.Cap(R=1.0, theta=math.pi / 3, resolution=16),
+        families.Cap(R=2.0, theta=2.5, resolution=16),
+        families.Cylinder(r=1.0, L=2.0, resolution=16),
+        families.FlatDisk(R=1.0, resolution=16),
+        families.ClosedSphere(R=1.0, resolution=16),
+        families.MongePatch(amplitude=0.0, R=1.0, resolution=16),
+        families.MongePatch(amplitude=0.3, R=1.0, resolution=16),
+    ],
+    ids=lambda spec: spec.slug,
+)
+def test_winding_follows_exact_normal(spec):
+    """Every face of a family mesh winds counterclockwise around the exact normal N."""
+    mesh, fields = families.generate_mesh(spec)
+    t = mesh.triangles
+    p = mesh.positions
+    face = np.cross(p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]])
+    corner_normals = fields.normal[t].sum(axis=1)
+    assert np.all(np.einsum("ij,ij->i", face, corner_normals) > 0)
+
+
 class TestMongeExactFields:
     def test_normal_and_curvatures_against_finite_differences(self):
         """Independent oracle: differentiate the analytic unit normal field."""

@@ -96,7 +96,7 @@ def reference_fields(mesh, walls=None):
         normals = -normals
         H = -H
 
-    loops = mesh.boundary_loops()
+    loops = mesh.boundary_loops
     bverts = np.array(sorted({v for loop in loops for v in loop}), dtype=np.int64)
     nb = len(bverts)
     conormal = np.full((nb, 3), np.nan)

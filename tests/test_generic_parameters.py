@@ -74,7 +74,7 @@ class TestSmallPaths:
     def test_boundary_index_rejects_interior_vertex(self, cap_pi3):
         spec, mesh, fields = cap_pi3[16]
         interior = next(
-            v for v in range(mesh.nv) if v not in mesh.boundary_vertex_set()
+            v for v in range(mesh.nv) if v not in mesh.boundary_vertices
         )
         with pytest.raises(KeyError):
             fields.boundary_index(np.array([interior]))

@@ -92,7 +92,7 @@ def reference_load(path):
             raise ParseError("unexpected trailing content", lineno)
 
     mesh = meshkit.LabeledTriMesh(positions, triangles, labels)
-    boundary = mesh.boundary_vertex_set()
+    boundary = set(mesh.boundary_vertices.tolist())
     for v in labels:
         if v not in boundary:
             raise ParseError(f"label on non-boundary vertex {v}", label_lines[v])
@@ -184,6 +184,15 @@ class TestValidate:
         assert not mesh.boundary_labels
         assert meshkit.validate(mesh).ok
 
+    def test_label_beyond_wall_set_reported(self, hemisphere):
+        spec, mesh, _ = hemisphere[16]
+        v = min(mesh.boundary_labels)
+        labels = {**mesh.boundary_labels, v: 1}
+        report = meshkit.validate(meshkit.LabeledTriMesh(mesh.positions, mesh.triangles, labels), spec.walls())
+        assert "label-wall-range" in report.failed_checks()
+        issue = [i for i in report.issues if i.check == "label-wall-range"][0]
+        assert issue.indices == (v,)
+
 
 class TestRefine:
     def test_subdivision_combinatorics(self, hemisphere):
@@ -191,7 +200,7 @@ class TestRefine:
         fine = meshkit.refine(mesh, walls=spec.walls())
         assert fine.nf == 4 * mesh.nf
         assert fine.euler_characteristic() == mesh.euler_characteristic()
-        assert len(fine.boundary_loops()) == len(mesh.boundary_loops())
+        assert len(fine.boundary_loops) == len(mesh.boundary_loops)
         assert set(fine.boundary_labels.values()) == set(mesh.boundary_labels.values())
         assert meshkit.validate(fine, spec.walls()).ok
 
@@ -451,18 +460,41 @@ class TestCapmeshWriter:
 class TestBoundaryStructure:
     def test_single_triangle_all_boundary(self):
         mesh = single_triangle()
-        assert mesh.boundary_vertex_set() == {0, 1, 2}
-        assert len(mesh.boundary_loops()) == 1
+        assert mesh.boundary_vertices.tolist() == [0, 1, 2]
+        assert len(mesh.boundary_loops) == 1
 
     def test_cylinder_two_loops(self, cylinder_l2):
         _, mesh, _ = cylinder_l2[16]
-        loops = mesh.boundary_loops()
+        loops = mesh.boundary_loops
         assert len(loops) == 2
-        labels = {frozenset(mesh.boundary_labels[v] for v in loop) for loop in loops}
+        labels = {frozenset(mesh.vertex_wall[loop].tolist()) for loop in loops}
         assert labels == {frozenset({0}), frozenset({1})}
+
+    def test_negative_wall_label_rejected(self):
+        with pytest.raises(InvalidMeshError, match="negative wall label"):
+            meshkit.LabeledTriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]], {0: 0, 1: -1, 2: 0})
+
+    def test_vertex_wall_mirrors_labels(self, cylinder_l2):
+        _, mesh, _ = cylinder_l2[16]
+        expected = np.full(mesh.nv, -1)
+        for v, w in mesh.boundary_labels.items():
+            expected[v] = w
+        assert mesh.vertex_wall.dtype == np.int64
+        assert np.array_equal(mesh.vertex_wall, expected)
+
+    def test_boundary_arrays_cached_and_read_only(self, cylinder_l2):
+        _, mesh, _ = cylinder_l2[16]
+        arrays = [mesh.vertex_wall, mesh.boundary_edges, mesh.boundary_vertices, *mesh.boundary_loops]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert mesh.boundary_edges is mesh.boundary_edges
+        assert mesh.boundary_vertices is mesh.boundary_vertices
+        assert mesh.boundary_loops is mesh.boundary_loops
 
     def test_closed_sphere_no_boundary(self, unit_sphere):
         _, mesh, _ = unit_sphere
         assert mesh.is_closed()
-        assert mesh.boundary_loops() == []
+        assert mesh.boundary_loops == ()
         assert mesh.euler_characteristic() == 2
