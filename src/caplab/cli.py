@@ -34,6 +34,9 @@ EXIT_SOLVER = 3
 
 OUTDIR_ENV = "CAPLAB_OUTDIR"
 
+# the sweep's default onset threshold, in units of max |sigma|^2
+ONSET_TOL_SCALE = 0.02
+
 
 def _outdir(args):
     out = args.out or os.environ.get(OUTDIR_ENV) or "."
@@ -250,21 +253,25 @@ def _cmd_sweep(args):
         params.append(round(value, 12))
         value += args.step
     results = []
+    sigma_sq = 0.0
     for L in params:
         spec = fam.Cylinder(r=args.r, L=L, resolution=args.res)
         mesh, fields = fam.generate_mesh(spec)
         system = st.assemble_index_form(mesh, spec.walls(), fields)
         lam, _ = st.min_constrained_eigenpair(system)
         results.append((L, lam))
+        sigma_sq = max(sigma_sq, system.meta["max_sigma_sq"])
     results.sort(key=lambda t: t[0])
+    # lambda_min scales like |sigma|^2, so the default threshold does too
+    onset_tol = ONSET_TOL_SCALE * sigma_sq if args.onset_tol is None else args.onset_tol
 
     bracket = None
     for (l0, v0), (l1, v1) in zip(results, results[1:]):
-        if v0 >= -args.onset_tol and v1 < -args.onset_tol:
+        if v0 >= -onset_tol and v1 < -onset_tol:
             bracket = [l0, l1]
             break
 
-    lines = [f"# r={args.r:g} res={args.res} onset_tol={args.onset_tol:g}", "parameter,lambda_min"]
+    lines = [f"# r={args.r:g} res={args.res} onset_tol={onset_tol:g}", "parameter,lambda_min"]
     lines += [f"{L:.17g},{lam:.17g}" for L, lam in results]
     csv_path = out / "sweep.csv"
     csv_path.write_text("\n".join(lines) + "\n")
@@ -272,7 +279,7 @@ def _cmd_sweep(args):
         "family": "cylinder",
         "r": args.r,
         "resolution": args.res,
-        "onset_tol": args.onset_tol,
+        "onset_tol": onset_tol,
         "parameters": [L for L, _ in results],
         "lambda_min": [lam for _, lam in results],
         "bracket": bracket,
@@ -348,7 +355,10 @@ def build_parser():
     p.add_argument("--lmax", type=float, default=4.0)
     p.add_argument("--step", type=float, default=0.1)
     p.add_argument("--res", type=int, default=32)
-    p.add_argument("--onset-tol", type=float, default=0.02, help="onset threshold on lambda_min")
+    p.add_argument(
+        "--onset-tol", type=float, default=None,
+        help=f"onset threshold on lambda_min (default {ONSET_TOL_SCALE} max|sigma|^2)",
+    )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)
 

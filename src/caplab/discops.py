@@ -6,6 +6,11 @@ curvature is the average H = (k1 + k2) / 2, and the orientation of the vertex
 normal field is flipped globally whenever the mean discrete H comes out
 negative, so that H >= 0 on constant-mean-curvature input; a mean H at
 rounding level leaves the orientation of the mesh winding.
+
+The mass, stiffness and weighted-mass matrices are summed from 3x3 element
+matrices with ``np.bincount`` into the mesh's cached ``pair_pattern``: no
+per-matrix COO build or index sort, one shared set of index arrays, and
+exact symmetry.
 """
 
 from __future__ import annotations
@@ -164,45 +169,42 @@ def _triangle_geometry(mesh):
     return areas
 
 
+# _THIRD[a, b]: the corner of a triangle that is neither a nor b (a != b)
+_THIRD = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+_CORNER = np.arange(3)
+
+
 def assemble_operators(mesh: LabeledTriMesh) -> OperatorSet:
-    """Assemble mass, cotangent stiffness and boundary measures."""
+    """Assemble mass, cotangent stiffness and boundary measures.
+
+    ``M`` and ``K`` are summed from 3x3 element matrices on the mesh's
+    ``pair_pattern``, so they share its index arrays and are exactly
+    symmetric.
+    """
     if mesh.nv == 0 or mesh.nf == 0:
         raise InvalidMeshError("cannot assemble operators on an empty mesh")
     p = mesh.positions
     t = mesh.triangles
     areas = _triangle_geometry(mesh)
     nv = mesh.nv
+    pattern = mesh.pair_pattern
 
     # consistent mass: A/6 on the diagonal, A/12 off-diagonal per triangle
-    ii, jj, vv = [], [], []
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        ii.append(t[:, a])
-        jj.append(t[:, b])
-        vv.append(areas / 12.0)
-        ii.append(t[:, b])
-        jj.append(t[:, a])
-        vv.append(areas / 12.0)
-    for a in range(3):
-        ii.append(t[:, a])
-        jj.append(t[:, a])
-        vv.append(areas / 6.0)
-    M = sparse.csr_matrix(
-        (np.concatenate(vv), (np.concatenate(ii), np.concatenate(jj))), shape=(nv, nv)
-    )
+    local = np.repeat(areas / 12.0, 9).reshape(-1, 3, 3)
+    local[:, _CORNER, _CORNER] = (areas / 6.0)[:, None]
+    M = pattern.assemble(local)
 
-    # cotangent stiffness: for the corner opposite an edge, cot = <u, v>/(2A),
-    # and each triangle adds cot/2 to its opposite edge weight
-    ii, jj, vv = [], [], []
-    for corner, (a, b) in ((0, (1, 2)), (1, (2, 0)), (2, (0, 1))):
-        u = p[t[:, a]] - p[t[:, corner]]
-        w = p[t[:, b]] - p[t[:, corner]]
-        half_cot = np.einsum("ij,ij->i", u, w) / (4.0 * areas)
-        ii.extend([t[:, a], t[:, b], t[:, a], t[:, b]])
-        jj.extend([t[:, b], t[:, a], t[:, a], t[:, b]])
-        vv.extend([-half_cot, -half_cot, half_cot, half_cot])
-    K = sparse.csr_matrix(
-        (np.concatenate(vv), (np.concatenate(ii), np.concatenate(jj))), shape=(nv, nv)
-    )
+    # cotangent stiffness: for the corner opposite an edge, cot = <u, v>/(2A);
+    # a triangle puts -cot/2 of its third corner on each pair of corners and
+    # the cot/2 of the other two corners on each corner's diagonal
+    half_cot = np.empty((mesh.nf, 3))
+    for corner in range(3):
+        u = p[t[:, (corner + 1) % 3]] - p[t[:, corner]]
+        w = p[t[:, (corner + 2) % 3]] - p[t[:, corner]]
+        half_cot[:, corner] = np.einsum("ij,ij->i", u, w) / (4.0 * areas)
+    local = -half_cot[:, _THIRD]
+    local[:, _CORNER, _CORNER] = half_cot[:, [1, 2, 0]] + half_cot[:, [2, 0, 1]]
+    K = pattern.assemble(local)
 
     # half of each boundary edge onto both ends, summed in edge order
     be = mesh.boundary_edges
@@ -222,29 +224,16 @@ def weighted_mass(mesh: LabeledTriMesh, weights) -> sparse.csr_matrix:
     """Consistent mass matrix of the piecewise-linear weight function.
 
     Entries are exact integrals of w * phi_i * phi_j with w interpolating the
-    per-vertex ``weights``.
+    per-vertex ``weights``, on the same pattern as ``assemble_operators``.
     """
     w = np.asarray(weights, float)
     if w.shape != (mesh.nv,):
         raise ValueError("need one weight per vertex")
-    t = mesh.triangles
     areas = _triangle_geometry(mesh)
-    wt = w[t]
-    ii, jj, vv = [], [], []
-    for a in range(3):
-        others = wt.sum(axis=1) - wt[:, a]
-        ii.append(t[:, a])
-        jj.append(t[:, a])
-        vv.append(areas * (wt[:, a] / 10.0 + others / 30.0))
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        c = 3 - a - b
-        val = areas * ((wt[:, a] + wt[:, b]) / 30.0 + wt[:, c] / 60.0)
-        ii.extend([t[:, a], t[:, b]])
-        jj.extend([t[:, b], t[:, a]])
-        vv.extend([val, val])
-    return sparse.csr_matrix(
-        (np.concatenate(vv), (np.concatenate(ii), np.concatenate(jj))), shape=(mesh.nv, mesh.nv)
-    )
+    wt = w[mesh.triangles]
+    local = (wt[:, :, None] + wt[:, None, :]) / 30.0 + wt[:, _THIRD] / 60.0
+    local[:, _CORNER, _CORNER] = wt / 10.0 + (wt.sum(axis=1)[:, None] - wt) / 30.0
+    return mesh.pair_pattern.assemble(areas[:, None, None] * local)
 
 
 def integrate_scalar(matrix, values) -> float:

@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -38,6 +39,7 @@ __all__ = [
     "Hyperplane",
     "WallSet",
     "LabeledTriMesh",
+    "PairPattern",
     "ValidationIssue",
     "ValidationReport",
     "validate",
@@ -139,6 +141,34 @@ def _read_only(array):
     return array
 
 
+class PairPattern(NamedTuple):
+    """CSR pattern of the vertex pairs that share a triangle, diagonal included.
+
+    Row v lists v and its edge neighbours, sorted, in
+    ``indices[indptr[v]:indptr[v + 1]]``. ``slots[f, a, b]`` is the position
+    in ``indices`` of the pair (triangles[f, a], triangles[f, b]) and
+    ``diagonal[v]`` that of (v, v), -1 for a vertex on no triangle.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+    diagonal: np.ndarray
+
+    def csr(self, data):
+        """The matrix with ``data`` on this pattern; the index arrays are shared."""
+        n = len(self.indptr) - 1
+        return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def assemble(self, local):
+        """Sum per-triangle (nf, 3, 3) entries into their slots, triangle by triangle.
+
+        Entry (i, j) and entry (j, i) add the same terms in the same order, so
+        symmetric element matrices give an exactly symmetric result.
+        """
+        return self.csr(np.bincount(self.slots.ravel(), np.ravel(local), minlength=len(self.indices)))
+
+
 class LabeledTriMesh:
     """Oriented triangle mesh; boundary vertices labeled by supporting wall.
 
@@ -152,8 +182,10 @@ class LabeledTriMesh:
         Empty for bare immersions without supporting walls.
 
     ``vertex_wall`` holds the same labels as one array (-1: no wall); the
-    boundary edges, loops and vertices are built once, on first use. All are
-    read-only: instances are immutable and operations return new meshes.
+    adjacency, the pair pattern and the boundary edges, loops and vertices are
+    built once, on first use, and shared by every copy ``with_positions``
+    makes. All are read-only: instances are immutable and operations return
+    new meshes.
     """
 
     def __init__(self, positions, triangles, boundary_labels=None):
@@ -205,6 +237,26 @@ class LabeledTriMesh:
     def adj_sym(self):
         """Undirected edge adjacency; entry counts incident triangles."""
         return (self.adj_dir + self.adj_dir.T).tocsr()
+
+    @cached_property
+    def pair_pattern(self):
+        """Sparsity of every matrix assembled over the triangles (see PairPattern)."""
+        t, nv = self.triangles, self.nv
+        keys = (np.repeat(t, 3, axis=1) * nv + np.tile(t, 3)).ravel()
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        slots = np.empty(len(keys), dtype=np.int32)
+        slots[order] = np.cumsum(first) - 1
+        pairs = ordered[first]
+        indptr = np.searchsorted(pairs, np.arange(nv + 1) * nv).astype(np.int32)
+        slots = slots.reshape(-1, 3, 3)
+        diagonal = np.full(nv, -1, dtype=np.int32)
+        diagonal[t] = slots[:, [0, 1, 2], [0, 1, 2]]
+        return PairPattern(
+            *(_read_only(a) for a in (indptr, (pairs % nv).astype(np.int32), slots, diagonal))
+        )
 
     def is_manifold(self):
         return self.adj_sym.nnz == 0 or self.adj_sym.data.max() <= 2
@@ -294,7 +346,10 @@ class LabeledTriMesh:
     # -- derived meshes --------------------------------------------------------
 
     def with_positions(self, positions):
-        return LabeledTriMesh(positions, self.triangles, self.boundary_labels)
+        """The mesh on new positions; the topology built so far carries over."""
+        mesh = LabeledTriMesh(positions, self.triangles, self.boundary_labels)
+        mesh.__dict__.update({k: v for k, v in self.__dict__.items() if k in _TOPOLOGY})
+        return mesh
 
     def translated(self, vector):
         return self.with_positions(self.positions + np.asarray(vector, float))
@@ -304,6 +359,12 @@ class LabeledTriMesh:
 
     def scaled(self, s):
         return self.with_positions(self.positions * float(s))
+
+
+# cached properties that depend on the triangles and labels only
+_TOPOLOGY = frozenset(
+    ("adj_dir", "adj_sym", "pair_pattern", "boundary_edges", "boundary_vertices", "boundary_loops")
+)
 
 
 @dataclass

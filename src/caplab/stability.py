@@ -14,6 +14,14 @@ The constraint enters the inverse as a rank-one Schur correction, never as a
 saddle system. Each answer is certified by the projected residual of every
 pair and by an inertia count (Sylvester, Haynsworth) of the constrained
 eigenvalues below a cut past the last one reported.
+
+A and M live on one CSR pattern, the mesh's pairs of vertices that share a
+triangle, so each matrix factored, A + sM or A - mu M, is a sum of their data
+arrays; SuperLU runs with the supernode relaxation and panel size
+(``SUPERLU_RELAX``, ``SUPERLU_PANEL_SIZE``) that suit such surface meshes.
+The first eigenfunction reported involves no arbitrary choice: when lambda_min
+is multiple, it is the projection of the fixed Lanczos start onto the
+certified eigenspace.
 """
 
 from __future__ import annotations
@@ -67,16 +75,39 @@ ARPACK_TOL = 1e-2 * RESIDUAL_BOUND
 MAX_SHIFT_DOUBLINGS = 60
 # extra pairs requested beyond k, the second try after a failed certificate
 CERTIFICATE_BUFFERS = (2, 8)
+# SuperLU's supernode relaxation and panel size (Demmel, Eisenstat, Gilbert,
+# Li and Liu, SIAM J. Matrix Anal. Appl. 20, 1999). The defaults merge small
+# subtrees into relaxed supernodes and update in wide panels, which on these
+# surface-mesh matrices costs each factorization 1.2-2.0 times as much
+# (nv 433-12,545)
+SUPERLU_RELAX = 1
+SUPERLU_PANEL_SIZE = 1
 
 
 @dataclass
 class IndexFormSystem:
-    """Matrices realizing the index form on the discrete function space."""
+    """Matrices realizing the index form on the discrete function space.
+
+    A and M are held as CSR matrices on one pattern, so that every shifted
+    matrix A + tM the solver factors is a sum of their data arrays.
+    """
 
     A: sparse.csr_matrix
     M: sparse.csr_matrix
     c: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        A, M = sparse.csr_matrix(self.A), sparse.csr_matrix(self.M)
+        if not (np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices)):
+            # both on the union of their entries, each padded with zeros
+            A, M = A.tocoo(), M.tocoo()
+            at = (np.concatenate([A.row, M.row]), np.concatenate([A.col, M.col]))
+            A, M = (
+                sparse.csr_matrix((np.concatenate([a, m]), at), shape=A.shape)
+                for a, m in ((A.data, np.zeros(M.nnz)), (np.zeros(A.nnz), M.data))
+            )
+        self.A, self.M = A, M
 
     @property
     def n(self):
@@ -156,7 +187,10 @@ def assemble_index_form(
 ) -> IndexFormSystem:
     """A = K - M_{|sigma|^2} - sum_i cot(theta_i) sigma(nu,nu) B_i and c = M 1."""
     ops = operators or assemble_operators(mesh)
-    A = ops.K - weighted_mass(mesh, fields.sigma_sq)
+    # K, M and the weighted mass share the mesh's pair pattern, and A is
+    # formed on it: exactly symmetric, since each entry pair sums alike
+    data = ops.K.data - weighted_mass(mesh, fields.sigma_sq).data
+    diagonal = mesh.pair_pattern.diagonal
     sigma_nn_full = fields.full("sigma_nn")
     conormal_full = fields.full("conormal")
     for i, theta in enumerate(walls.angles):
@@ -165,17 +199,18 @@ def assemble_index_form(
         cot = _cot(theta)
         if cot == 0.0:
             continue
-        on_wall = ops.B_wall[i].diagonal() != 0.0
+        b = ops.B_wall[i].diagonal()
+        on_wall = b != 0.0
         bad = ~np.isfinite(sigma_nn_full[on_wall]) | ~np.isfinite(conormal_full[on_wall]).all(axis=1)
         if bad.any():
             raise FitFailureError(
                 f"{int(bad.sum())} vertices on wall {i} have a non-finite sigma(nu, nu) "
                 "or conormal; the boundary term of the index form is undefined"
             )
-        q = cot * sigma_nn_full
-        A = A - ops.B_wall[i].multiply(q[None, :])
-    A = (0.5 * (A + A.T)).tocsr()
-    M = ops.M.tocsr()
+        q = cot * sigma_nn_full[on_wall]
+        data[diagonal[on_wall]] -= q * b[on_wall]
+    A = mesh.pair_pattern.csr(data)
+    M = ops.M
     c = np.asarray(M @ np.ones(mesh.nv))
     meta = {
         "area": ops.area,
@@ -184,6 +219,12 @@ def assemble_index_form(
         "fields": dict(fields.info),
     }
     return IndexFormSystem(A=A, M=M, c=c, meta=meta)
+
+
+def _pencil(system, t):
+    """A + tM, summed on the pattern A and M share."""
+    A = system.A
+    return sparse.csr_matrix((A.data + t * system.M.data, A.indices, A.indptr), shape=A.shape)
 
 
 def _factor(K):
@@ -197,6 +238,8 @@ def _factor(K):
             K.tocsc(),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
+            relax=SUPERLU_RELAX,
+            panel_size=SUPERLU_PANEL_SIZE,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:  # exactly singular
@@ -213,11 +256,22 @@ def _positive_shift(system, s):
     interlacing), so the pairs nearest -s are the lowest ones.
     """
     for _ in range(MAX_SHIFT_DOUBLINGS):
-        lu, nonpositive = _factor(system.A + s * system.M)
+        lu, nonpositive = _factor(_pencil(system, s))
         if nonpositive == 0:
             return s, lu
         s *= 2.0
     raise SolverFailureError(f"no shift up to {s:.3e} makes A + sM positive definite")
+
+
+def _start(c):
+    """The fixed Lanczos start vector, cos(0), cos(1), ... made c-orthogonal."""
+    v0 = np.cos(np.arange(len(c), dtype=float))
+    return v0 - c * (float(c @ v0) / float(c @ c))
+
+
+def _gap(value, s):
+    """Distance within which found values count as copies of ``value``."""
+    return 1e-6 * (value + s)
 
 
 def _lanczos(system, m, s, lu):
@@ -236,11 +290,9 @@ def _lanczos(system, m, s, lu):
         return y - w * (float(c @ y) / cw)
 
     op = LinearOperator((n, n), matvec=apply, dtype=float)
-    v0 = np.cos(np.arange(n, dtype=float))
-    v0 -= c * (float(c @ v0) / float(c @ c))
     try:
         vals, vecs = eigsh(
-            system.A, k=m, M=system.M, sigma=-s, OPinv=op, v0=v0, tol=ARPACK_TOL
+            system.A, k=m, M=system.M, sigma=-s, OPinv=op, v0=_start(c), tol=ARPACK_TOL
         )
     except ArpackError as exc:
         raise SolverFailureError(f"shift-invert Lanczos failed: {exc}") from exc
@@ -258,12 +310,39 @@ def _certify(system, vals, k, s):
     constrained pencil, and its Schur complement -c^T (A - mu M)^{-1} c
     carries the rest.
     """
-    gap = 1e-6 * (vals[k - 1] + s)
+    gap = _gap(vals[k - 1], s)
     above = vals[k:][vals[k:] > vals[k - 1] + gap]
     mu = 0.5 * (vals[k - 1] + above[0]) if len(above) else vals[k - 1] + gap
-    lu, nonpositive = _factor(system.A - mu * system.M)
+    lu, nonpositive = _factor(_pencil(system, -mu))
     count = nonpositive + int(float(system.c @ lu.solve(system.c)) > 0.0) - 1
     return float(mu), count, int(np.count_nonzero(vals < mu))
+
+
+def _normalized(vecs, M):
+    """Columns scaled to f^T M f = 1, each with its largest entry positive."""
+    vecs = vecs / np.sqrt(np.einsum("ij,ij->j", vecs, M @ vecs))
+    return vecs * np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])])
+
+
+def _canonical_basis(V, M, c):
+    """An M-orthonormal basis of span V led by the projection of the Lanczos start.
+
+    The first vector is the M-orthogonal projection of ``_start(c)`` onto the
+    span, so it depends on the eigenspace alone, not on where Lanczos stopped.
+    Its sign is the projection's own, a positive M-product with the start:
+    the largest-entry rule is ill-posed on a symmetric mesh, where entries of
+    opposite sign tie in size and rounding picks one. A Householder
+    reflection of the coefficients carries the rest of the basis along.
+    """
+    V = _normalized(V, M)
+    u = (M @ V).T @ _start(c)
+    u /= np.linalg.norm(u)
+    u[0] -= 1.0
+    if u @ u > 0.0:
+        V = V - np.outer(V @ u, u) * (2.0 / (u @ u))
+    V[:, 1:] = _normalized(V[:, 1:], M)
+    V[:, 0] /= math.sqrt(float(V[:, 0] @ (M @ V[:, 0])))
+    return V
 
 
 def solve_spectrum(system: IndexFormSystem, k=10) -> Spectrum:
@@ -275,6 +354,12 @@ def solve_spectrum(system: IndexFormSystem, k=10) -> Spectrum:
     the set by an inertia count showing that no constrained eigenvalue below
     the k-th was missed. Raises SolverFailureError when either fails.
     Deterministic for fixed inputs.
+
+    ``solver["multiplicity"]`` counts the pairs found within the
+    certificate's gap of lambda_min. Above 1, the vectors of that eigenspace
+    are replaced, after the residual checks, by the basis of
+    ``_canonical_basis``: the first is the M-projection of the Lanczos start,
+    the same whatever the tolerance or rounding Lanczos ran with.
     """
     n = system.n
     k = max(1, min(k, n - 2))
@@ -295,10 +380,10 @@ def solve_spectrum(system: IndexFormSystem, k=10) -> Spectrum:
             f"spectrum not certified: {count} constrained eigenvalues below {mu:.6g}, "
             f"solver found {found}"
         )
-    vals, vecs = vals[:k], vecs[:, :k]
-    # normalize: f^T M f = 1 and a fixed sign
-    vecs = vecs / np.sqrt(np.einsum("ij,ij->j", vecs, M @ vecs))
-    vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)])
+    # lambda_min's eigenspace: the pairs found within the certificate's gap
+    # of it, all below the certified cut
+    eigenspace = vecs[:, vals <= vals[0] + _gap(vals[0], s)]
+    vals, vecs = vals[:k], _normalized(vecs[:, :k], M)
     cn = c / np.linalg.norm(c)
     R = A @ vecs - (M @ vecs) * vals
     R -= np.outer(cn, cn @ R)
@@ -317,7 +402,11 @@ def solve_spectrum(system: IndexFormSystem, k=10) -> Spectrum:
         "residuals": [float(r) for r in resid],
         "constraint_defects": [float(d) for d in np.abs(c @ vecs)],
         "certificate": {"mu": mu, "count_below": count},
+        "multiplicity": eigenspace.shape[1],
     }
+    if eigenspace.shape[1] > 1:
+        basis = _canonical_basis(eigenspace, M, c)
+        vecs[:, : basis.shape[1]] = basis[:, :k]
     return Spectrum(vals, vecs, solver)
 
 

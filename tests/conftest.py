@@ -1,11 +1,15 @@
 """Shared fixtures: cached family meshes at the standard resolutions."""
 
+import collections
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from caplab import discops, families
+from caplab import discops, families, meshkit
+
+TOPOLOGY = ("adj_dir", "adj_sym", "pair_pattern", "boundary_edges", "boundary_vertices", "boundary_loops")
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +65,23 @@ def flat_disk():
     spec = families.FlatDisk(R=1.0, resolution=32)
     mesh, fields = families.generate_mesh(spec)
     return spec, mesh, fields
+
+
+@pytest.fixture
+def topology_builds(monkeypatch):
+    """Counter of the builds of each cached topology property of any mesh."""
+    counts = collections.Counter()
+    for name in TOPOLOGY:
+        build = getattr(meshkit.LabeledTriMesh, name).func
+
+        def counted(self, build=build, name=name):
+            counts[name] += 1
+            return build(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(meshkit.LabeledTriMesh, name)
+        monkeypatch.setattr(meshkit.LabeledTriMesh, name, prop)
+    return counts
 
 
 def decreasing_with_floor(values, floor=1e-4):

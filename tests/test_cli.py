@@ -284,6 +284,17 @@ class TestSweep:
         lo, hi = doc["bracket"]
         assert lo <= math.pi <= hi + 0.2  # coarse grid, coarse mesh
 
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    def test_default_threshold_scales_with_curvature(self, r, tmp_path):
+        # lambda_min scales like 1/r^2; a fixed threshold of 0.02 put the
+        # bracket past the onset L* = pi r: [4.8, 4.95] at r = 1.5
+        argv = ["sweep", "cylinder", "--r", repr(r), "--lmin", repr(2 * r), "--lmax", repr(4 * r)]
+        assert main(argv + ["--step", repr(0.1 * r), "--out", str(tmp_path)]) == 0
+        doc = read_json(tmp_path / "sweep.json")
+        assert doc["onset_tol"] == pytest.approx(0.02 / r**2, rel=1e-12)
+        lo, hi = doc["bracket"]
+        assert lo <= math.pi * r <= hi
+
 
 class TestReports:
     def test_every_json_report_opens_with_the_header(self, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from caplab import families, meshkit
 from caplab.errors import InvalidMeshError, MeshValidationError, ParseError
+from conftest import TOPOLOGY, rotation_matrix
 
 
 # -- reference CAPMESH reader and writer: the per-line loops meshkit replaced --
@@ -492,6 +493,22 @@ class TestBoundaryStructure:
         assert mesh.boundary_edges is mesh.boundary_edges
         assert mesh.boundary_vertices is mesh.boundary_vertices
         assert mesh.boundary_loops is mesh.boundary_loops
+
+    def test_copies_share_the_topology(self, topology_builds):
+        spec = families.Cap(R=1.0, theta=math.pi / 3, resolution=16)
+        mesh = meshkit.LabeledTriMesh(*spec.build())
+        built = {name: getattr(mesh, name) for name in TOPOLOGY}
+        assert topology_builds == {name: 1 for name in TOPOLOGY}
+        copies = [
+            mesh.with_positions(2.0 * mesh.positions),
+            mesh.translated([1.0, 2.0, 3.0]),
+            mesh.transformed(rotation_matrix([1, 1, 0], 0.3)),
+            mesh.scaled(0.5),
+        ]
+        for copy in copies:
+            for name in TOPOLOGY:
+                assert getattr(copy, name) is built[name]
+        assert topology_builds == {name: 1 for name in TOPOLOGY}
 
     def test_closed_sphere_no_boundary(self, unit_sphere):
         _, mesh, _ = unit_sphere

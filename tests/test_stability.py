@@ -2,6 +2,11 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +112,24 @@ class TestAssembly:
         system = stability.assemble_index_form(mesh, spec.walls(), fields)
         assert abs(system.A - system.A.T).max() <= 1e-12 * abs(system.A).max()
         assert np.linalg.norm(system.c) > 0
+
+    def test_system_puts_A_and_M_on_one_pattern(self, cap_pi3):
+        spec, mesh, fields = cap_pi3[16]
+        system = stability.assemble_index_form(mesh, spec.walls(), fields)
+        # one pair of entries dropped, one pair outside M's pattern added
+        A = system.A.tolil()
+        A[0, 1] = A[1, 0] = 0.0
+        A[0, mesh.nv - 1] = A[mesh.nv - 1, 0] = 1.0
+        A = A.tocsr()
+        A.eliminate_zeros()
+        assert not np.array_equal(A.indices, system.M.indices)
+        other = stability.IndexFormSystem(A=A, M=system.M, c=system.c)
+        assert np.array_equal(other.A.indices, other.M.indices)
+        assert np.array_equal(other.A.indptr, other.M.indptr)
+        assert abs(other.A - A).max() == 0.0 and abs(other.M - system.M).max() == 0.0
+        t = 3.0
+        shifted = stability._pencil(other, t)
+        assert abs(shifted - (A + t * system.M)).max() == 0.0
 
     def test_angle_independence_at_right_angle(self, hemisphere):
         # any wall set with theta = pi/2 assembles the same form
@@ -270,6 +293,98 @@ class TestSolverAgainstDense:
         assert max_relative_error(spectrum.values, dense_constrained_spectrum(deep, 10)) <= 1e-8
 
 
+@pytest.fixture(scope="module")
+def small_systems():
+    """Index forms small enough for dense checks: three caps and a cylinder."""
+    out = {}
+    for deg in (60, 120, 160):
+        out[f"cap{deg}"] = cap_system(math.radians(deg), 24)
+    spec = families.Cylinder(r=1.0, L=4.0, resolution=12)
+    mesh, fields = families.generate_mesh(spec)
+    out["cylinder"] = stability.assemble_index_form(mesh, spec.walls(), fields)
+    return out
+
+
+class TestFactorization:
+    """The inertia count and the eigenspace written, under the SuperLU settings."""
+
+    @pytest.mark.parametrize("name", ["cap60", "cap120", "cap160", "cylinder"])
+    def test_inertia_matches_dense_count(self, name, small_systems):
+        system = small_systems[name]
+        A, M = system.A.toarray(), system.M.toarray()
+        lam = dense_eigh(A, M, eigvals_only=True)
+        # -t halfway between distinct eigenvalues: 0, 1, about 6 and about 25
+        # negative eigenvalues of A + tM, the last three indefinite
+        shifts = [1.0 - lam[0]]
+        for j in (0, 5, 24):
+            while lam[j + 1] - lam[j] <= 1e-6 * abs(lam[j + 1]):
+                j += 1
+            shifts.append(-0.5 * (lam[j] + lam[j + 1]))
+        counts = []
+        for t in shifts:
+            _, nonpositive = stability._factor(stability._pencil(system, t))
+            dense = int(np.count_nonzero(np.linalg.eigvalsh(A + t * M) < 0.0))
+            assert nonpositive == dense
+            counts.append(nonpositive)
+        assert counts[0] == 0 and counts[1] == 1 and counts[3] > counts[2] > 1
+
+    def test_thousand_factorizations_exit_cleanly(self):
+        # SuperLU sized too large (relax = panel_size = 32) crashed the
+        # process; a crash here fails this test rather than pytest itself
+        script = textwrap.dedent(
+            """
+            import math
+            from caplab import families, stability
+            systems = []
+            for deg in (45, 60, 90, 120, 160):
+                spec = families.Cap(R=1.0, theta=math.radians(deg), resolution=32)
+                mesh, fields = families.generate_mesh(spec)
+                systems.append(stability.assemble_index_form(mesh, spec.walls(), fields))
+            for i in range(1000):
+                system = systems[i % len(systems)]
+                stability._factor(stability._pencil(system, 20.0 * ((i % 7) - 2)))
+            """
+        )
+        src = str(Path(stability.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-X", "faulthandler", "-c", script],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
+    @pytest.mark.parametrize("deg", [60, 120])
+    @pytest.mark.parametrize("res", [64, 96, 128])
+    def test_eigenfunction_depends_on_the_eigenspace_alone(self, deg, res, monkeypatch):
+        # lambda_min is double on caps; the written vector must not depend on
+        # where Lanczos stops (ARPACK's tolerance) or on factorization rounding
+        system = cap_system(math.radians(deg), res)
+        verdict = stability.stability_verdict(system)
+        assert verdict.info["solver"]["multiplicity"] == 2
+        for name, value in (("ARPACK_TOL", 1e-13), ("SUPERLU_RELAX", None)):
+            with monkeypatch.context() as patch:
+                patch.setattr(stability, name, value)
+                if value is None:
+                    patch.setattr(stability, "SUPERLU_PANEL_SIZE", None)
+                other = stability.stability_verdict(system)
+            assert np.abs(other.eigenfunction - verdict.eigenfunction).max() <= 1e-8
+        f, start = verdict.eigenfunction, stability._start(system.c)
+        assert float(f @ (system.M @ f)) == pytest.approx(1.0, abs=1e-12)
+        assert float(f @ (system.M @ start)) > 0.0
+        # the first two columns still span the eigenspace, M-orthonormally
+        V = verdict.eigenfunctions[:, :2]
+        assert np.abs(V.T @ (system.M @ V) - np.eye(2)).max() <= 1e-8
+
+    def test_simple_lambda_min_keeps_its_vector(self):
+        spec = families.Cylinder(r=1.0, L=4.0, resolution=32)
+        mesh, fields = families.generate_mesh(spec)
+        system = stability.assemble_index_form(mesh, spec.walls(), fields)
+        spectrum = stability.solve_spectrum(system, k=1)
+        assert spectrum.solver["multiplicity"] == 1
+        f = spectrum.vectors[:, 0]
+        assert f[np.argmax(np.abs(f))] > 0.0
+
+
 class TestVerdicts:
     def test_hemisphere_stable(self, hemisphere):
         spec, mesh, fields = hemisphere[48]
@@ -408,6 +523,19 @@ class TestFirstVariation:
             stability.first_variation_energy(
                 mesh, spec.walls(), np.ones(mesh.nv), 1e-4, fields
             )
+
+    def test_perturbed_copies_build_no_topology(self, topology_builds):
+        # the two displaced meshes share the triangles and labels, so they
+        # reuse the boundary loops the mesh has built (2 rebuilds before)
+        spec = families.Cap(R=1.0, theta=math.pi / 3, resolution=32)
+        mesh, fields = families.generate_mesh(spec)
+        ops = discops.assemble_operators(mesh)
+        mesh.boundary_loops
+        built = dict(topology_builds)
+        system = stability.assemble_index_form(mesh, spec.walls(), fields, ops)
+        _, f = stability.min_constrained_eigenpair(system)
+        stability.first_variation_energy(mesh, spec.walls(), f, 1e-4, fields, ops)
+        assert topology_builds == built
 
     def test_cap_energy_matches_closed_form(self, cap_pi3):
         spec, mesh, _ = cap_pi3[64]
