@@ -222,7 +222,8 @@ def _cmd_wedge(args):
         "delta_max_deg": math.degrees(delta),
     }
     if args.mesh:
-        mesh, _ = mk.load(args.mesh)
+        # the walls are the ones --walls names, never the mesh's own document
+        mesh, _ = mk.load(args.mesh, args.walls)
         fields = estimate_fields(mesh, walls)
         system = st.assemble_index_form(mesh, walls, fields)
         # the classification reads only lambda_min and the stable flag

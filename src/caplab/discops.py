@@ -10,7 +10,9 @@ rounding level leaves the orientation of the mesh winding.
 The mass, stiffness and weighted-mass matrices are summed from 3x3 element
 matrices with ``np.bincount`` into the mesh's cached ``pair_pattern``: no
 per-matrix COO build or index sort, one shared set of index arrays, and
-exact symmetry.
+exact symmetry. The triangle areas and cotangents come from one gather of
+the triangle corners; the weighted mass reuses the areas its ``OperatorSet``
+keeps. The boundary measures are diagonal CSR matrices built directly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -131,34 +135,51 @@ class OperatorSet:
     piecewise-linear Dirichlet form with natural boundary treatment, ``B_wall``
     maps a wall index to the diagonal matrix lumping half of each of its
     boundary edges onto the endpoints, and ``B_all`` does the same for the
-    whole boundary regardless of labels.
+    whole boundary regardless of labels. ``areas`` holds the triangle areas
+    the matrices were summed from. The total area, the row sums of ``M`` and
+    the wall lengths are computed on first use, once.
     """
 
     M: sparse.csr_matrix
     K: sparse.csr_matrix
     B_wall: dict
     B_all: sparse.csr_matrix
+    mesh: LabeledTriMesh
+    areas: np.ndarray
 
     @property
     def nv(self):
         return self.M.shape[0]
 
-    @property
+    @cached_property
     def area(self):
         return float(self.M.sum())
 
+    @cached_property
     def boundary_lengths(self):
-        return {w: float(B.sum()) for w, B in self.B_wall.items()}
+        """Length of each wall's boundary, by wall index."""
+        return MappingProxyType({w: float(B.sum()) for w, B in self.B_wall.items()})
 
+    @cached_property
     def lumped_mass(self):
-        return np.asarray(self.M.sum(axis=1)).ravel()
+        """Row sums of ``M`` (read-only)."""
+        lumped = np.asarray(self.M.sum(axis=1)).ravel()
+        lumped.flags.writeable = False
+        return lumped
 
 
-def _triangle_geometry(mesh):
-    p = mesh.positions
-    t = mesh.triangles
-    cr = np.cross(p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]])
-    areas = 0.5 * np.linalg.norm(cr, axis=1)
+def _element_geometry(mesh):
+    """Triangle areas and the half-cotangents of their corners, from one gather.
+
+    ``half_cot[:, c]`` is <u, w> / (4 A) for the edges u, w leaving corner c:
+    half the cotangent of its angle.
+    """
+    corners = np.take(mesh.positions, mesh.triangles, axis=0)
+    u = np.take(corners, _NEXT, axis=1)
+    u -= corners
+    w = np.take(corners, _PREV, axis=1)
+    w -= corners
+    areas = 0.5 * np.linalg.norm(np.cross(u[:, 0], w[:, 0]), axis=1)
     if len(areas):
         floor = 1e-14 * areas.mean()
         bad = np.nonzero(areas < floor)[0]
@@ -166,12 +187,24 @@ def _triangle_geometry(mesh):
             raise DegenerateElementError(
                 f"triangle {int(bad[0])} has area {areas[bad[0]]:.3g} below {floor:.3g}"
             )
-    return areas
+    half_cot = np.einsum("fcj,fcj->fc", u, w) / (4.0 * areas)[:, None]
+    return areas, half_cot
 
 
 # _THIRD[a, b]: the corner of a triangle that is neither a nor b (a != b)
 _THIRD = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
 _CORNER = np.arange(3)
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def _diagonal(values):
+    """The diagonal CSR matrix of ``values``, storing their nonzeros only."""
+    on = values != 0
+    indptr = np.zeros(len(values) + 1, dtype=np.int32)
+    np.cumsum(on, out=indptr[1:])
+    rows = np.flatnonzero(on).astype(np.int32)
+    return sparse.csr_matrix((values[rows], rows, indptr), shape=(len(values), len(values)))
 
 
 def assemble_operators(mesh: LabeledTriMesh) -> OperatorSet:
@@ -179,13 +212,12 @@ def assemble_operators(mesh: LabeledTriMesh) -> OperatorSet:
 
     ``M`` and ``K`` are summed from 3x3 element matrices on the mesh's
     ``pair_pattern``, so they share its index arrays and are exactly
-    symmetric.
+    symmetric. Both come from one gather of the triangle corners.
     """
     if mesh.nv == 0 or mesh.nf == 0:
         raise InvalidMeshError("cannot assemble operators on an empty mesh")
     p = mesh.positions
-    t = mesh.triangles
-    areas = _triangle_geometry(mesh)
+    areas, half_cot = _element_geometry(mesh)
     nv = mesh.nv
     pattern = mesh.pair_pattern
 
@@ -194,14 +226,9 @@ def assemble_operators(mesh: LabeledTriMesh) -> OperatorSet:
     local[:, _CORNER, _CORNER] = (areas / 6.0)[:, None]
     M = pattern.assemble(local)
 
-    # cotangent stiffness: for the corner opposite an edge, cot = <u, v>/(2A);
-    # a triangle puts -cot/2 of its third corner on each pair of corners and
-    # the cot/2 of the other two corners on each corner's diagonal
-    half_cot = np.empty((mesh.nf, 3))
-    for corner in range(3):
-        u = p[t[:, (corner + 1) % 3]] - p[t[:, corner]]
-        w = p[t[:, (corner + 2) % 3]] - p[t[:, corner]]
-        half_cot[:, corner] = np.einsum("ij,ij->i", u, w) / (4.0 * areas)
+    # cotangent stiffness: a triangle puts -cot/2 of its third corner on each
+    # pair of corners and the cot/2 of the other two corners on each
+    # corner's diagonal
     local = -half_cot[:, _THIRD]
     local[:, _CORNER, _CORNER] = half_cot[:, [1, 2, 0]] + half_cot[:, [2, 0, 1]]
     K = pattern.assemble(local)
@@ -214,26 +241,27 @@ def assemble_operators(mesh: LabeledTriMesh) -> OperatorSet:
     B_wall = {}
     for w in np.unique(edge_wall[edge_wall >= 0]).tolist():
         on = edge_wall == w
-        B_wall[w] = sparse.diags(np.bincount(be.ravel()[on], half[on], minlength=nv)).tocsr()
+        B_wall[w] = _diagonal(np.bincount(be.ravel()[on], half[on], minlength=nv))
     # numpy counts an empty edge list in integers
-    B_all = sparse.diags(np.bincount(be.ravel(), half, minlength=nv).astype(float, copy=False)).tocsr()
-    return OperatorSet(M=M, K=K, B_wall=B_wall, B_all=B_all)
+    B_all = _diagonal(np.bincount(be.ravel(), half, minlength=nv).astype(float, copy=False))
+    return OperatorSet(M=M, K=K, B_wall=B_wall, B_all=B_all, mesh=mesh, areas=areas)
 
 
-def weighted_mass(mesh: LabeledTriMesh, weights) -> sparse.csr_matrix:
+def weighted_mass(operators: OperatorSet, weights) -> sparse.csr_matrix:
     """Consistent mass matrix of the piecewise-linear weight function.
 
     Entries are exact integrals of w * phi_i * phi_j with w interpolating the
-    per-vertex ``weights``, on the same pattern as ``assemble_operators``.
+    per-vertex ``weights``, summed from the triangle areas of ``operators``
+    on the pattern of its ``M`` and ``K``.
     """
+    mesh = operators.mesh
     w = np.asarray(weights, float)
     if w.shape != (mesh.nv,):
         raise ValueError("need one weight per vertex")
-    areas = _triangle_geometry(mesh)
     wt = w[mesh.triangles]
     local = (wt[:, :, None] + wt[:, None, :]) / 30.0 + wt[:, _THIRD] / 60.0
     local[:, _CORNER, _CORNER] = wt / 10.0 + (wt.sum(axis=1)[:, None] - wt) / 30.0
-    return mesh.pair_pattern.assemble(areas[:, None, None] * local)
+    return mesh.pair_pattern.assemble(operators.areas[:, None, None] * local)
 
 
 def integrate_scalar(matrix, values) -> float:

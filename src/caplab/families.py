@@ -50,18 +50,16 @@ E3 = np.array([0.0, 0.0, 1.0])
 # -- structured mesh pieces -----------------------------------------------------
 
 
-def _ring_indices(base, count):
-    return base + np.arange(count)
+def _strips(rings):
+    """Quads between consecutive rows of the (m, n) ring indices, split into triangles.
 
-
-def _strip(ring_a, ring_b):
-    """Quads between two same-length rings, split into triangles."""
-    n = len(ring_a)
-    ln = np.arange(n)
-    lp = (ln + 1) % n
-    a, b = ring_a[ln], ring_a[lp]
-    d, c = ring_b[ln], ring_b[lp]
-    return np.vstack([np.column_stack([a, b, c]), np.column_stack([a, c, d])])
+    Strip j lists its n triangles (a, b, c), then its n triangles (a, c, d),
+    for the quad a = rings[j, i], b = rings[j, i + 1], c = rings[j + 1, i + 1],
+    d = rings[j + 1, i], i taken mod n.
+    """
+    a, d = rings[:-1], rings[1:]
+    b, c = np.roll(a, -1, axis=1), np.roll(d, -1, axis=1)
+    return np.stack([np.stack([a, b, c], axis=-1), np.stack([a, c, d], axis=-1)], axis=1).reshape(-1, 3)
 
 
 def _fan(apex, ring, reverse=False):
@@ -85,11 +83,9 @@ def _disk_grid(R, n):
         rho = R * j / m
         rows.append(np.column_stack([rho * np.cos(alphas), rho * np.sin(alphas), np.zeros(n)]))
     positions = np.vstack([[0.0, 0.0, 0.0], *rows])
-    rings = [_ring_indices(1 + j * n, n) for j in range(m)]
-    tris = [_fan(0, rings[0], reverse=True)]
-    for j in range(m - 1):
-        tris.append(_strip(rings[j], rings[j + 1]))
-    return positions, np.vstack(tris)[:, [0, 2, 1]], rings
+    rings = 1 + np.arange(m * n).reshape(m, n)
+    tris = np.vstack([_fan(0, rings[0], reverse=True), _strips(rings)])
+    return positions, tris[:, [0, 2, 1]], rings
 
 
 def _radial(q):
@@ -187,11 +183,9 @@ class Cap(FamilySpec):
         # the last ring sits exactly on z = 0: R cos(theta) - R cos(theta)
         positions[1 + (m - 1) * n :, 2] = R * math.cos(theta) + c[2]
 
-        rings = [_ring_indices(1 + j * n, n) for j in range(m)]
-        tris = [_fan(0, rings[0], reverse=True)]
-        for j in range(m - 1):
-            tris.append(_strip(rings[j], rings[j + 1]))
-        return positions, np.vstack(tris), {int(v): 0 for v in rings[-1]}
+        rings = 1 + np.arange(m * n).reshape(m, n)
+        tris = np.vstack([_fan(0, rings[0], reverse=True), _strips(rings)])
+        return positions, tris, {int(v): 0 for v in rings[-1]}
 
     def exact(self, p, b):
         nv, nb = len(p), len(b)
@@ -252,8 +246,8 @@ class Cylinder(FamilySpec):
                 np.column_stack([self.r * np.cos(alphas), self.r * np.sin(alphas), np.full(n, z)])
             )
         positions = np.vstack(rows)
-        rings = [_ring_indices(j * n, n) for j in range(m + 1)]
-        tris = np.vstack([_strip(rings[j], rings[j + 1]) for j in range(m)])
+        rings = np.arange((m + 1) * n).reshape(m + 1, n)
+        tris = _strips(rings)
         labels = {int(v): 0 for v in rings[0]}
         labels.update({int(v): 1 for v in rings[-1]})
         # the strips wind around the outward normal; the tube's is inward
@@ -359,12 +353,9 @@ class ClosedSphere(FamilySpec):
             )
         positions = np.vstack([[0.0, 0.0, R], *rows, [0.0, 0.0, -R]])
         south = positions.shape[0] - 1
-        rings = [_ring_indices(1 + j * n, n) for j in range(m - 1)]
-        tris = [_fan(0, rings[0], reverse=True)]
-        for j in range(m - 2):
-            tris.append(_strip(rings[j], rings[j + 1]))
-        tris.append(_fan(south, rings[-1]))
-        return positions, np.vstack(tris), {}
+        rings = 1 + np.arange((m - 1) * n).reshape(m - 1, n)
+        tris = np.vstack([_fan(0, rings[0], reverse=True), _strips(rings), _fan(south, rings[-1])])
+        return positions, tris, {}
 
     def exact(self, p, b):
         nv = len(p)

@@ -100,7 +100,7 @@ def _report(name, lhs, rhs, area, natural_scale=0.0, resolution="", info=None):
 
 
 def _mean_curvature_stats(fields, ops):
-    lumped = ops.lumped_mass()
+    lumped = ops.lumped_mass
     w = lumped / lumped.sum()
     mean = float(fields.mean_curv @ w)
     var = float(((fields.mean_curv - mean) ** 2) @ w)
@@ -240,7 +240,7 @@ def check_laplacian_position(mesh, fields, walls=None, operators=None, resolutio
         mag = 0.0
         for i in range(len(walls)):
             if i in ops.B_wall:
-                gamma_len = float(ops.B_wall[i].sum())
+                gamma_len = ops.boundary_lengths[i]
                 term = math.sin(walls.angles[i]) * gamma_len
                 decomposition += term * walls.walls[i].normal
                 mag += term
@@ -278,7 +278,7 @@ def check_jacobi_fields(mesh, fields, operators=None, a=None, resolution="", dir
     hbar, spread = _mean_curvature_stats(fields, ops)
     interior = np.ones(mesh.nv, dtype=bool)
     interior[fields.boundary_vertices] = False
-    lumped = ops.lumped_mass()
+    lumped = ops.lumped_mass
     sig = fields.sigma_sq
     a = np.zeros(3) if a is None else np.asarray(a, float).reshape(3)
     direction = (
@@ -336,9 +336,7 @@ def _claim_reports(mesh, fields, walls, ops, resolution):
         w = np.einsum("ij,ij->i", shifted, fields.full("wall_conormal"))
         integrand = (hbar + math.sin(walls.angles[i]) * fields.full("bdry_curv")) * w
         val = integrate_scalar(ops.B_wall[i], integrand)
-        scale = integrate_scalar(ops.B_wall[i], np.abs(integrand)) + abs(hbar) * float(
-            ops.B_wall[i].sum()
-        )
+        scale = integrate_scalar(ops.B_wall[i], np.abs(integrand)) + abs(hbar) * ops.boundary_lengths[i]
         out.append(
             _report(
                 f"claim_wall{i}", val, 0.0, ops.area, scale, resolution, {"derived": True}

@@ -7,6 +7,10 @@ supports them; a boundary loop with mixed labels is rejected because it would
 have to cross an intersection line of two walls. A mesh with an empty label
 map is a bare immersion (no supporting walls); plane-incidence checks then do
 not apply.
+
+A mesh sorts the vertex pairs of its triangle sides once (``edges``). The
+sparsity pattern of assembled matrices, the adjacency matrices, the boundary,
+validation and refinement all read that sort and sort no pairs again.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "Hyperplane",
     "WallSet",
     "LabeledTriMesh",
+    "Edges",
     "PairPattern",
     "ValidationIssue",
     "ValidationReport",
@@ -141,6 +146,31 @@ def _read_only(array):
     return array
 
 
+# the corner after corner k of a triangle: side k runs from corner k to corner _NEXT[k]
+_NEXT = np.array([1, 2, 0])
+# pattern slots of a triangle's (corner, corner) pairs, row-major, as columns of
+# [diagonal (k, k) | along side k (k, k + 1) | against it (k + 1, k)], k = 0, 1, 2
+_PAIR_COLUMNS = np.array([0, 3, 8, 6, 1, 4, 5, 7, 2])
+_CORNERS = np.arange(3)
+
+
+class Edges(NamedTuple):
+    """The undirected edges of a mesh, sorted by their ends (lo, hi), lo < hi.
+
+    ``side[f, k]`` is the edge of side k of triangle f, which runs from
+    corner k to corner k + 1 (mod 3). ``count[e]`` is the number of
+    triangle sides on edge e (1 on the boundary, 2 inside a manifold), and
+    ``forward[e]`` the number of them that run from lo to hi. All five
+    arrays are int32, like the pair pattern's.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    side: np.ndarray
+    count: np.ndarray
+    forward: np.ndarray
+
+
 class PairPattern(NamedTuple):
     """CSR pattern of the vertex pairs that share a triangle, diagonal included.
 
@@ -181,11 +211,12 @@ class LabeledTriMesh:
     boundary_labels : dict vertex index -> wall index, optional
         Empty for bare immersions without supporting walls.
 
-    ``vertex_wall`` holds the same labels as one array (-1: no wall); the
-    adjacency, the pair pattern and the boundary edges, loops and vertices are
-    built once, on first use, and shared by every copy ``with_positions``
-    makes. All are read-only: instances are immutable and operations return
-    new meshes.
+    ``vertex_wall`` holds the same labels as one array (-1: no wall). The
+    edges, the pair pattern, the adjacency and the boundary edges, loops and
+    vertices are built once, on first use, and shared by every copy
+    ``with_positions`` makes. All are read-only: instances are immutable and
+    operations return new meshes. A triangle that repeats a vertex is
+    rejected.
     """
 
     def __init__(self, positions, triangles, boundary_labels=None):
@@ -199,6 +230,10 @@ class LabeledTriMesh:
             raise InvalidMeshError("positions contain non-finite values")
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(positions)):
             raise InvalidMeshError("triangle index out of range")
+        a, b, c = triangles.T
+        repeated = np.flatnonzero((a == b) | (b == c) | (c == a))
+        if len(repeated):
+            raise InvalidMeshError(f"triangle {repeated[0]} repeats a vertex")
         self.positions = positions
         self.triangles = triangles
         self.boundary_labels = {int(k): int(v) for k, v in (boundary_labels or {}).items()}
@@ -225,61 +260,115 @@ class LabeledTriMesh:
     # -- adjacency ---------------------------------------------------------
 
     @cached_property
+    def edges(self):
+        """The one sort of vertex pairs a mesh makes (see Edges).
+
+        Every other topology property reads it: the pair pattern, the
+        adjacency matrices, the boundary and refinement.
+        """
+        a = self.triangles.T
+        b = a[_NEXT]
+        lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+        keys = lo * self.nv
+        keys += hi
+        # stable: a structured mesh lists its sides in long sorted runs
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        count = np.diff(starts, append=len(keys))
+        side = np.empty(len(keys), dtype=np.int32)
+        side[order] = np.repeat(np.arange(len(starts), dtype=np.int32), count)
+        forward = np.bincount(side[(a < b).ravel()], minlength=len(starts))
+        ends = order[starts]
+        return Edges(
+            *(
+                _read_only(x.astype(np.int32, copy=False))
+                for x in (lo[ends], hi[ends], side.reshape(3, -1).T, count, forward)
+            )
+        )
+
+    @cached_property
+    def pair_pattern(self):
+        """Sparsity of every matrix assembled over the triangles (see PairPattern).
+
+        Laid out from ``edges`` with no further sort of pairs: row v lists
+        the lo of each edge (lo, v), then v, then the hi of each edge (v, hi).
+        """
+        lo, hi, side, _, _ = self.edges
+        nv, ne = self.nv, len(lo)
+        right = np.bincount(lo, minlength=nv)
+        left = np.bincount(hi, minlength=nv)
+        used = right + left > 0
+        indptr = np.zeros(nv + 1, dtype=np.int64)
+        np.cumsum(left + used + right, out=indptr[1:])
+        diagonal = np.where(used, indptr[:-1] + left, -1)
+        # in (lo, hi) order the edges fill the right of row lo one by one; in
+        # (hi, lo) order, the transpose, they fill the left of row hi
+        rank = np.arange(ne)
+        upper = rank + np.repeat(diagonal + 1 - np.cumsum(right) + right, right)
+        lower = np.empty(ne, dtype=np.int64)
+        lower[np.argsort(hi, kind="stable")] = rank + np.repeat(indptr[:-1] - np.cumsum(left) + left, left)
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        indices[upper] = hi
+        indices[lower] = lo
+        indices[diagonal[used]] = np.flatnonzero(used)
+        t = self.triangles
+        up = t < t[:, _NEXT]
+        upper, lower, diagonal = (x.astype(np.int32) for x in (upper, lower, diagonal))
+        along = np.where(up, upper[side], lower[side])
+        against = np.where(up, lower[side], upper[side])
+        slots = np.concatenate([diagonal[t], along, against], axis=1)[:, _PAIR_COLUMNS]
+        return PairPattern(
+            *(_read_only(x) for x in (indptr.astype(np.int32), indices, slots.reshape(-1, 3, 3), diagonal))
+        )
+
+    def _pair_counts(self, rows, cols):
+        """CSR of the pattern entries that the triangles' (rows, cols) corner pairs hit, counted."""
+        pattern = self.pair_pattern
+        counts = np.bincount(pattern.slots[:, rows, cols].ravel(), minlength=len(pattern.indices))
+        hit = counts > 0
+        kept = np.zeros(len(hit) + 1, dtype=np.int32)
+        np.cumsum(hit, out=kept[1:])
+        return sparse.csr_matrix(
+            (counts[hit], pattern.indices[hit], kept[pattern.indptr]), shape=(self.nv, self.nv)
+        )
+
+    @cached_property
     def adj_dir(self):
         """Directed edge adjacency; entry counts occurrences of edge (i, j)."""
-        t = self.triangles
-        i = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
-        j = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
-        dat = np.ones(i.shape, dtype=np.int64)
-        return sparse.csr_matrix((dat, (i, j)), shape=(self.nv, self.nv))
+        return self._pair_counts(_CORNERS, _NEXT)
 
     @cached_property
     def adj_sym(self):
         """Undirected edge adjacency; entry counts incident triangles."""
-        return (self.adj_dir + self.adj_dir.T).tocsr()
-
-    @cached_property
-    def pair_pattern(self):
-        """Sparsity of every matrix assembled over the triangles (see PairPattern)."""
-        t, nv = self.triangles, self.nv
-        keys = (np.repeat(t, 3, axis=1) * nv + np.tile(t, 3)).ravel()
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = ordered[1:] != ordered[:-1]
-        slots = np.empty(len(keys), dtype=np.int32)
-        slots[order] = np.cumsum(first) - 1
-        pairs = ordered[first]
-        indptr = np.searchsorted(pairs, np.arange(nv + 1) * nv).astype(np.int32)
-        slots = slots.reshape(-1, 3, 3)
-        diagonal = np.full(nv, -1, dtype=np.int32)
-        diagonal[t] = slots[:, [0, 1, 2], [0, 1, 2]]
-        return PairPattern(
-            *(_read_only(a) for a in (indptr, (pairs % nv).astype(np.int32), slots, diagonal))
-        )
+        return self._pair_counts(np.r_[_CORNERS, _NEXT], np.r_[_NEXT, _CORNERS])
 
     def is_manifold(self):
-        return self.adj_sym.nnz == 0 or self.adj_sym.data.max() <= 2
+        return not np.any(self.edges.count > 2)
 
     def is_oriented(self):
-        return self.adj_dir.nnz == 0 or self.adj_dir.data.max() == 1
+        edges = self.edges
+        return not np.any((edges.forward > 1) | (edges.count - edges.forward > 1))
 
     def is_closed(self):
-        return self.adj_sym.nnz == 0 or 1 not in self.adj_sym.data
+        return not np.any(self.edges.count == 1)
 
     def euler_characteristic(self):
-        ne = self.adj_sym.nnz // 2
-        return self.nv - ne + self.nf
+        return self.nv - len(self.edges.lo) + self.nf
 
     # -- boundary structure --------------------------------------------------
 
     @cached_property
     def boundary_edges(self):
-        """Directed boundary edges (a, b), wound as in their unique triangle."""
-        a = self.adj_dir.tocoo()
-        has_back = np.asarray(self.adj_dir[a.col, a.row]).ravel() if a.nnz else np.array([])
-        mask = (a.data == 1) & (has_back == 0)
-        return _read_only(np.column_stack([a.row[mask], a.col[mask]]).astype(np.int64))
+        """Directed boundary edges (a, b), wound as in their unique triangle, sorted."""
+        lo, hi, _, count, forward = self.edges
+        alone = count == 1
+        run = forward[alone] == 1
+        a, b = np.where(run, lo[alone], hi[alone]), np.where(run, hi[alone], lo[alone])
+        order = np.lexsort((b, a))
+        return _read_only(np.column_stack([a[order], b[order]]).astype(np.int64))
 
     @cached_property
     def boundary_vertices(self):
@@ -363,7 +452,7 @@ class LabeledTriMesh:
 
 # cached properties that depend on the triangles and labels only
 _TOPOLOGY = frozenset(
-    ("adj_dir", "adj_sym", "pair_pattern", "boundary_edges", "boundary_vertices", "boundary_loops")
+    ("edges", "adj_dir", "adj_sym", "pair_pattern", "boundary_edges", "boundary_vertices", "boundary_loops")
 )
 
 
@@ -397,17 +486,18 @@ def validate(mesh: LabeledTriMesh, walls: WallSet | None = None, plane_tol=None)
     """
     issues = []
 
-    sym = mesh.adj_sym.tocoo()
-    over = sym.data > 2
+    lo, hi, _, count, forward = mesh.edges
+    over = count > 2
     if over.any():
-        bad = np.column_stack([sym.row[over], sym.col[over]])
-        bad = tuple(map(tuple, bad[bad[:, 0] < bad[:, 1]]))
+        bad = tuple(zip(lo[over].tolist(), hi[over].tolist()))
         issues.append(ValidationIssue("manifold", f"{len(bad)} edges in more than 2 triangles", bad))
 
-    dd = mesh.adj_dir.tocoo()
-    dup = dd.data > 1
-    if dup.any():
-        bad = tuple(map(tuple, np.column_stack([dd.row[dup], dd.col[dup]])))
+    # a directed edge met twice: (lo, hi) by forward sides, (hi, lo) by the others
+    up, down = forward > 1, count - forward > 1
+    if up.any() or down.any():
+        a, b = np.r_[lo[up], hi[down]], np.r_[hi[up], lo[down]]
+        order = np.lexsort((b, a))
+        bad = tuple(zip(a[order].tolist(), b[order].tolist()))
         issues.append(
             ValidationIssue("orientation", f"{len(bad)} directed edges repeated (inconsistent winding)", bad)
         )
@@ -476,18 +566,14 @@ def refine(mesh: LabeledTriMesh, projector=None, walls: WallSet | None = None) -
     if not report.ok:
         raise MeshValidationError(f"refusing to refine invalid mesh: {report}", report)
 
-    adjtriu = sparse.triu(mesh.adj_sym, k=1, format="csr")
-    n_edges = adjtriu.nnz
+    # one new vertex per edge, numbered in edge order
+    lo, hi, side, count, _ = mesh.edges
     nv = mesh.nv
-    numbering = adjtriu.copy()
-    numbering.data = np.arange(nv, nv + n_edges)
-    rows, cols = numbering.nonzero()
-    mid = 0.5 * (mesh.positions[rows] + mesh.positions[cols])
+    mid = 0.5 * (mesh.positions[lo] + mesh.positions[hi])
 
     # wall labels for midpoints of boundary edges with matching endpoint labels
-    face_counts = np.asarray(adjtriu[rows, cols]).ravel()
-    la, lb = mesh.vertex_wall[rows], mesh.vertex_wall[cols]
-    mid_label_arr = np.where((face_counts == 1) & (la == lb), la, -1)
+    la, lb = mesh.vertex_wall[lo], mesh.vertex_wall[hi]
+    mid_label_arr = np.where((count == 1) & (la == lb), la, -1)
 
     if walls is not None:
         for w, plane in enumerate(walls.walls):
@@ -496,11 +582,8 @@ def refine(mesh: LabeledTriMesh, projector=None, walls: WallSet | None = None) -
     if projector is not None:
         mid = projector(mid, mid_label_arr)
 
-    numbering_sym = (numbering + numbering.T).tocsr()
     t = mesh.triangles
-    e01 = np.asarray(numbering_sym[t[:, 0], t[:, 1]]).ravel()
-    e12 = np.asarray(numbering_sym[t[:, 1], t[:, 2]]).ravel()
-    e20 = np.asarray(numbering_sym[t[:, 2], t[:, 0]]).ravel()
+    e01, e12, e20 = (nv + side).T
     t1 = np.column_stack([t[:, 0], e01, e20])
     t2 = np.column_stack([t[:, 1], e12, e01])
     t3 = np.column_stack([t[:, 2], e20, e12])

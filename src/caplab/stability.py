@@ -189,7 +189,7 @@ def assemble_index_form(
     ops = operators or assemble_operators(mesh)
     # K, M and the weighted mass share the mesh's pair pattern, and A is
     # formed on it: exactly symmetric, since each entry pair sums alike
-    data = ops.K.data - weighted_mass(mesh, fields.sigma_sq).data
+    data = ops.K.data - weighted_mass(ops, fields.sigma_sq).data
     diagonal = mesh.pair_pattern.diagonal
     sigma_nn_full = fields.full("sigma_nn")
     conormal_full = fields.full("conormal")
@@ -215,7 +215,7 @@ def assemble_index_form(
     meta = {
         "area": ops.area,
         "max_sigma_sq": float(np.max(fields.sigma_sq)),
-        "boundary_lengths": ops.boundary_lengths(),
+        "boundary_lengths": dict(ops.boundary_lengths),
         "fields": dict(fields.info),
     }
     return IndexFormSystem(A=A, M=M, c=c, meta=meta)
@@ -459,7 +459,7 @@ def common_wall_point(walls: WallSet):
 
 
 def _mean_curvature_bar(fields, ops):
-    lumped = ops.lumped_mass()
+    lumped = ops.lumped_mass
     return float(fields.mean_curv @ lumped / lumped.sum())
 
 

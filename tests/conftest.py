@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from caplab import discops, families, meshkit
-
-TOPOLOGY = ("adj_dir", "adj_sym", "pair_pattern", "boundary_edges", "boundary_vertices", "boundary_loops")
+from caplab.meshkit import _TOPOLOGY as TOPOLOGY
 
 
 @pytest.fixture(scope="session")

@@ -63,6 +63,14 @@ class TestGen:
 
 
 class TestIdentities:
+    def test_one_sort_of_vertex_pairs_per_mesh(self, tmp_path, topology_builds):
+        assert main(["identities", "--family", "cap", "--levels", "3", "--out", str(tmp_path)]) == 0
+        # three fresh meshes; the pattern and the boundary read each one's sort
+        assert topology_builds["edges"] == 3
+        assert topology_builds["pair_pattern"] == 3
+        assert topology_builds["boundary_edges"] == 3
+        assert topology_builds["adj_dir"] == topology_builds["adj_sym"] == 0
+
     def test_cap_three_levels_exit_0_and_decreasing(self, tmp_path):
         rc = main(
             [
@@ -254,6 +262,20 @@ class TestWedge:
         classification = read_json(tmp_path / "w" / "wedge.json")["classification"]
         assert classification["lambda_min"] == pytest.approx(lam, rel=1e-10)
         assert classification["stable"] == verdict["stable"]
+
+    def test_mesh_reads_only_the_named_walls(self, tmp_path):
+        # the mesh's own walls document is corrupt; wedge, like stability,
+        # reads the one --walls names
+        assert main(["gen", "cap", "--angle-deg", "60", "--res", "24", "--out", str(tmp_path)]) == 0
+        stem = tmp_path / "cap_r1_a60_res24"
+        good = tmp_path / "good.walls.json"
+        good.write_text(stem.with_suffix(".walls.json").read_text())
+        stem.with_suffix(".walls.json").write_text("{not json")
+        inputs = ["--mesh", str(stem.with_suffix(".capmesh")), "--walls", str(good)]
+        assert main(["stability", *inputs, "--out", str(tmp_path / "s")]) == 0
+        assert main(["wedge", *inputs, "--out", str(tmp_path / "w")]) == 0
+        classification = read_json(tmp_path / "w" / "wedge.json")["classification"]
+        assert classification["stable"] == read_json(tmp_path / "s" / "verdict.json")["stable"]
 
     def test_dependent_normals_exit_2(self, tmp_path):
         walls_doc = [

@@ -72,6 +72,18 @@ class TestOperators:
             for w, d in diag_wall.items():
                 assert np.array_equal(ops.B_wall[w].diagonal(), d)
 
+    def test_sums_computed_once_with_the_same_reductions(self, cylinder_l2):
+        _, mesh, _ = cylinder_l2[16]
+        ops = discops.assemble_operators(mesh)
+        assert ops.area == float(ops.M.sum())
+        assert np.array_equal(ops.lumped_mass, np.asarray(ops.M.sum(axis=1)).ravel())
+        assert ops.boundary_lengths == {w: float(B.sum()) for w, B in ops.B_wall.items()}
+        assert ops.lumped_mass is ops.lumped_mass
+        assert ops.boundary_lengths is ops.boundary_lengths
+        assert not ops.lumped_mass.flags.writeable
+        with pytest.raises(TypeError):
+            ops.boundary_lengths[0] = 0.0
+
     def test_degenerate_triangle_named(self):
         positions = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, 0.0], [0.5, 0.5, 1e-20]]
         tris = [[0, 1, 2], [1, 3, 4]]
@@ -83,14 +95,14 @@ class TestOperators:
     def test_weighted_mass_matches_plain_for_unit_weight(self, cap_pi3):
         _, mesh, _ = cap_pi3[16]
         ops = discops.assemble_operators(mesh)
-        W = discops.weighted_mass(mesh, np.ones(mesh.nv))
+        W = discops.weighted_mass(ops, np.ones(mesh.nv))
         assert abs(W - ops.M).max() <= 1e-14
 
     def test_weighted_mass_linear_exactness(self, flat_disk):
         # oracle: integral of z * x^2 over the unit disk for z = 1 + x
         _, mesh, _ = flat_disk
         w = 1.0 + mesh.positions[:, 0]
-        W = discops.weighted_mass(mesh, w)
+        W = discops.weighted_mass(discops.assemble_operators(mesh), w)
         f = mesh.positions[:, 0]
         got = f @ (W @ f)
         exact = integrate.dblquad(

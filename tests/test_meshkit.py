@@ -471,6 +471,11 @@ class TestBoundaryStructure:
         labels = {frozenset(mesh.vertex_wall[loop].tolist()) for loop in loops}
         assert labels == {frozenset({0}), frozenset({1})}
 
+    @pytest.mark.parametrize("triangle", [[0, 0, 1], [0, 1, 1], [1, 0, 1]])
+    def test_triangle_repeating_a_vertex_rejected(self, triangle):
+        with pytest.raises(InvalidMeshError, match="triangle 1 repeats a vertex"):
+            meshkit.LabeledTriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2], triangle])
+
     def test_negative_wall_label_rejected(self):
         with pytest.raises(InvalidMeshError, match="negative wall label"):
             meshkit.LabeledTriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]], {0: 0, 1: -1, 2: 0})

@@ -88,21 +88,21 @@ class TestAssembly:
         spec, mesh, fields = hemisphere[32]
         ops = discops.assemble_operators(mesh)
         system = stability.assemble_index_form(mesh, spec.walls(), fields, ops)
-        expected = ops.K - discops.weighted_mass(mesh, fields.sigma_sq)
+        expected = ops.K - discops.weighted_mass(ops, fields.sigma_sq)
         assert abs(system.A - expected).max() == 0.0
 
     def test_cylinder_form_is_stiffness_minus_weighted_mass(self, cylinder_l2):
         spec, mesh, fields = cylinder_l2[32]
         ops = discops.assemble_operators(mesh)
         system = stability.assemble_index_form(mesh, spec.walls(), fields, ops)
-        expected = ops.K - discops.weighted_mass(mesh, np.ones(mesh.nv))
+        expected = ops.K - discops.weighted_mass(ops, np.ones(mesh.nv))
         assert abs(system.A - expected).max() <= 1e-14
 
     def test_cap_boundary_coefficient(self, cap_pi3):
         spec, mesh, fields = cap_pi3[32]
         ops = discops.assemble_operators(mesh)
         system = stability.assemble_index_form(mesh, spec.walls(), fields, ops)
-        base = ops.K - discops.weighted_mass(mesh, fields.sigma_sq)
+        base = ops.K - discops.weighted_mass(ops, fields.sigma_sq)
         # umbilical sigma(nu, nu) = 1/R: the boundary term is cot(pi/3) B
         expected = base - (1.0 / math.tan(math.pi / 3)) * ops.B_wall[0]
         assert abs(system.A - expected).max() <= 1e-13

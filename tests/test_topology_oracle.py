@@ -1,0 +1,282 @@
+"""Per-mesh set-up against the builders it replaced, bit for bit.
+
+The references below are the former builders: the pair pattern from one
+stable argsort of all 9 nf (corner, corner) keys, the adjacency matrices as
+COO -> CSR builds, the boundary edges looked up in the directed adjacency,
+refinement numbered through the upper triangle of the adjacency, the family
+strips built one ring pair at a time, and the element matrices formed corner
+by corner with the B matrices as ``sparse.diags(...).tocsr()``. The mesh now
+sorts its vertex pairs once (``LabeledTriMesh.edges``) and reads everything
+else off that sort, and assembly gathers the corners once; the arithmetic is
+the same, so every array must be equal, dtypes included.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from caplab import discops, families, meshkit
+
+SPECS = {
+    "cap60-16": families.Cap(R=1.0, theta=math.pi / 3, resolution=16),
+    "cap120-40": families.Cap(R=0.7, theta=math.radians(120), resolution=40),
+    "cylinder-12": families.Cylinder(r=1.0, L=3.0, resolution=12),
+    "cylinder-33": families.Cylinder(r=0.8, L=2.0, resolution=33),
+    "disk-8": families.FlatDisk(R=1.0, resolution=8),
+    "disk-30": families.FlatDisk(R=2.0, resolution=30),
+    "sphere-9": families.ClosedSphere(R=1.0, resolution=9),
+    "sphere-24": families.ClosedSphere(R=1.5, resolution=24),
+    "monge-10": families.MongePatch(amplitude=0.1, R=1.0, resolution=10),
+    "monge-36": families.MongePatch(amplitude=0.15, R=1.0, resolution=36),
+}
+
+
+def _cap_variants():
+    spec = SPECS["cap60-16"]
+    mesh, _ = families.generate_mesh(spec)
+    refined = mesh
+    for _ in range(2):
+        refined = meshkit.refine(refined, families.surface_projector(spec), walls=spec.walls())
+    reversed_winding = meshkit.LabeledTriMesh(mesh.positions, mesh.triangles[:, ::-1], mesh.boundary_labels)
+    return {"cap60-16-refined-twice": refined, "cap60-16-reversed": reversed_winding}
+
+
+MESHES = {name: families.generate_mesh(spec)[0] for name, spec in SPECS.items()} | _cap_variants()
+
+# triangle lists that break one mesh invariant each, on 7 random points
+INVALID = {
+    "non-manifold-edge": [[0, 1, 2], [1, 0, 3], [0, 1, 4]],
+    "inconsistent-orientation": [[0, 1, 2], [0, 1, 3], [1, 3, 4]],
+    "isolated-vertex": [[0, 1, 2], [2, 1, 3], [3, 1, 4]],
+    "all-three": [[0, 1, 2], [1, 0, 3], [0, 1, 4], [4, 5, 1], [4, 5, 2]],
+}
+
+
+def invalid_mesh(name):
+    return meshkit.LabeledTriMesh(np.random.default_rng(7).uniform(size=(7, 3)), INVALID[name])
+
+
+# -- the former builders ---------------------------------------------------------
+
+
+def reference_pair_pattern(mesh):
+    t, nv = mesh.triangles, mesh.nv
+    keys = (np.repeat(t, 3, axis=1) * nv + np.tile(t, 3)).ravel()
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    slots = np.empty(len(keys), dtype=np.int32)
+    slots[order] = np.cumsum(first) - 1
+    pairs = ordered[first]
+    indptr = np.searchsorted(pairs, np.arange(nv + 1) * nv).astype(np.int32)
+    slots = slots.reshape(-1, 3, 3)
+    diagonal = np.full(nv, -1, dtype=np.int32)
+    diagonal[t] = slots[:, [0, 1, 2], [0, 1, 2]]
+    return indptr, (pairs % nv).astype(np.int32), slots, diagonal
+
+
+def reference_adjacency(mesh):
+    t = mesh.triangles
+    i = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
+    j = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
+    adj_dir = sparse.csr_matrix((np.ones(i.shape, dtype=np.int64), (i, j)), shape=(mesh.nv, mesh.nv))
+    return adj_dir, (adj_dir + adj_dir.T).tocsr()
+
+
+def reference_boundary_edges(mesh):
+    adj_dir, _ = reference_adjacency(mesh)
+    a = adj_dir.tocoo()
+    has_back = np.asarray(adj_dir[a.col, a.row]).ravel() if a.nnz else np.array([])
+    mask = (a.data == 1) & (has_back == 0)
+    return np.column_stack([a.row[mask], a.col[mask]]).astype(np.int64)
+
+
+def reference_structure_issues(mesh):
+    adj_dir, adj_sym = reference_adjacency(mesh)
+    issues = []
+    sym = adj_sym.tocoo()
+    over = sym.data > 2
+    if over.any():
+        bad = np.column_stack([sym.row[over], sym.col[over]])
+        bad = tuple(map(tuple, bad[bad[:, 0] < bad[:, 1]]))
+        issues.append(("manifold", f"{len(bad)} edges in more than 2 triangles", bad))
+    dd = adj_dir.tocoo()
+    dup = dd.data > 1
+    if dup.any():
+        bad = tuple(map(tuple, np.column_stack([dd.row[dup], dd.col[dup]])))
+        issues.append(("orientation", f"{len(bad)} directed edges repeated (inconsistent winding)", bad))
+    return issues
+
+
+def reference_refine(mesh):
+    """Midpoint subdivision numbered through the upper triangle of adj_sym (no projector)."""
+    _, adj_sym = reference_adjacency(mesh)
+    adjtriu = sparse.triu(adj_sym, k=1, format="csr")
+    nv = mesh.nv
+    numbering = adjtriu.copy()
+    numbering.data = np.arange(nv, nv + adjtriu.nnz)
+    rows, cols = numbering.nonzero()
+    mid = 0.5 * (mesh.positions[rows] + mesh.positions[cols])
+    face_counts = np.asarray(adjtriu[rows, cols]).ravel()
+    la, lb = mesh.vertex_wall[rows], mesh.vertex_wall[cols]
+    mid_label = np.where((face_counts == 1) & (la == lb), la, -1)
+    numbering_sym = (numbering + numbering.T).tocsr()
+    t = mesh.triangles
+    e01 = np.asarray(numbering_sym[t[:, 0], t[:, 1]]).ravel()
+    e12 = np.asarray(numbering_sym[t[:, 1], t[:, 2]]).ravel()
+    e20 = np.asarray(numbering_sym[t[:, 2], t[:, 0]]).ravel()
+    tris = np.vstack(
+        [
+            np.column_stack([t[:, 0], e01, e20]),
+            np.column_stack([t[:, 1], e12, e01]),
+            np.column_stack([t[:, 2], e20, e12]),
+            np.column_stack([e01, e12, e20]),
+        ]
+    )
+    new = np.flatnonzero(mid_label >= 0)
+    labels = {**mesh.boundary_labels, **dict(zip((nv + new).tolist(), mid_label[new].tolist()))}
+    return np.vstack([mesh.positions, mid]), tris, labels
+
+
+def _strip(ring_a, ring_b):
+    n = len(ring_a)
+    ln = np.arange(n)
+    lp = (ln + 1) % n
+    a, b = ring_a[ln], ring_a[lp]
+    d, c = ring_b[ln], ring_b[lp]
+    return np.vstack([np.column_stack([a, b, c]), np.column_stack([a, c, d])])
+
+
+def reference_triangles(spec, nv):
+    """The family's triangles built one ring pair at a time."""
+    n = spec.resolution
+    if isinstance(spec, families.Cylinder):
+        rings = [j * n + np.arange(n) for j in range(nv // n)]
+        return np.vstack([_strip(rings[j], rings[j + 1]) for j in range(len(rings) - 1)])[:, [0, 2, 1]]
+    closed = isinstance(spec, families.ClosedSphere)
+    rings = [1 + j * n + np.arange(n) for j in range((nv - 1 - closed) // n)]
+    tris = [families._fan(0, rings[0], reverse=True)]
+    tris += [_strip(rings[j], rings[j + 1]) for j in range(len(rings) - 1)]
+    if closed:
+        tris.append(families._fan(nv - 1, rings[-1]))
+    tris = np.vstack(tris)
+    return tris[:, [0, 2, 1]] if isinstance(spec, (families.FlatDisk, families.MongePatch)) else tris
+
+
+def reference_geometry(mesh):
+    """Triangle areas and half-cotangents, each corner's edges gathered on their own."""
+    p, t = mesh.positions, mesh.triangles
+    cr = np.cross(p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]])
+    areas = 0.5 * np.linalg.norm(cr, axis=1)
+    half_cot = np.empty((mesh.nf, 3))
+    for corner in range(3):
+        u = p[t[:, (corner + 1) % 3]] - p[t[:, corner]]
+        w = p[t[:, (corner + 2) % 3]] - p[t[:, corner]]
+        half_cot[:, corner] = np.einsum("ij,ij->i", u, w) / (4.0 * areas)
+    return areas, half_cot
+
+
+def reference_boundary_measures(mesh):
+    """B_all and B_wall through a DIA matrix, from the reference boundary edges."""
+    p, nv = mesh.positions, mesh.nv
+    be = reference_boundary_edges(mesh)
+    half = np.repeat(0.5 * np.linalg.norm(p[be[:, 1]] - p[be[:, 0]], axis=1), 2)
+    ends = mesh.vertex_wall[be]
+    edge_wall = np.repeat(np.where(ends[:, 0] == ends[:, 1], ends[:, 0], -1), 2)
+    B_wall = {}
+    for w in np.unique(edge_wall[edge_wall >= 0]).tolist():
+        on = edge_wall == w
+        B_wall[w] = sparse.diags(np.bincount(be.ravel()[on], half[on], minlength=nv)).tocsr()
+    B_all = sparse.diags(np.bincount(be.ravel(), half, minlength=nv).astype(float, copy=False)).tocsr()
+    return B_wall, B_all
+
+
+# -- comparisons -----------------------------------------------------------------
+
+
+def assert_identical(new, old):
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert np.array_equal(new, old)
+
+
+def assert_same_csr(new, old):
+    for name in ("indptr", "indices", "data"):
+        assert_identical(getattr(new, name), getattr(old, name))
+
+
+def check_topology(mesh):
+    for new, old in zip(mesh.pair_pattern, reference_pair_pattern(mesh)):
+        assert_identical(new, old)
+    adj_dir, adj_sym = reference_adjacency(mesh)
+    assert_same_csr(mesh.adj_dir, adj_dir)
+    assert_same_csr(mesh.adj_sym, adj_sym)
+    assert_identical(mesh.boundary_edges, reference_boundary_edges(mesh))
+    assert mesh.is_manifold() == (adj_sym.nnz == 0 or adj_sym.data.max() <= 2)
+    assert mesh.is_oriented() == (adj_dir.nnz == 0 or adj_dir.data.max() == 1)
+    assert mesh.is_closed() == (adj_sym.nnz == 0 or 1 not in adj_sym.data)
+    assert mesh.euler_characteristic() == mesh.nv - adj_sym.nnz // 2 + mesh.nf
+
+
+@pytest.mark.parametrize("name", list(MESHES))
+def test_topology_matches_former_builders(name):
+    check_topology(MESHES[name])
+
+
+@pytest.mark.parametrize("name", list(INVALID))
+def test_invalid_mesh_topology_and_counts(name):
+    mesh = invalid_mesh(name)
+    check_topology(mesh)
+    report = meshkit.validate(mesh)
+    structure = [(i.check, i.message, i.indices) for i in report.issues if i.check in ("manifold", "orientation")]
+    assert structure == reference_structure_issues(mesh)
+    assert report.ok == (name == "isolated-vertex")
+
+
+@pytest.mark.parametrize("name", list(MESHES))
+def test_refine_matches_former_numbering(name):
+    mesh = MESHES[name]
+    fine = meshkit.refine(mesh)
+    positions, triangles, labels = reference_refine(mesh)
+    assert_identical(fine.positions, positions)
+    assert_identical(fine.triangles, triangles)
+    assert fine.boundary_labels == labels
+
+
+@pytest.mark.parametrize("name", list(SPECS))
+def test_family_strips_match_ring_by_ring(name):
+    spec = SPECS[name]
+    positions, triangles, _ = spec.build()
+    assert_identical(triangles, reference_triangles(spec, len(positions)))
+
+
+@pytest.mark.parametrize("name", list(MESHES))
+def test_assembly_matches_corner_by_corner(name):
+    mesh = MESHES[name]
+    areas, half_cot = discops._element_geometry(mesh)
+    ref_areas, ref_half_cot = reference_geometry(mesh)
+    assert_identical(areas, ref_areas)
+    assert_identical(half_cot, ref_half_cot)
+
+    ops = discops.assemble_operators(mesh)
+    pattern = mesh.pair_pattern
+    M = np.repeat(ref_areas / 12.0, 9).reshape(-1, 3, 3)
+    M[:, [0, 1, 2], [0, 1, 2]] = (ref_areas / 6.0)[:, None]
+    K = -ref_half_cot[:, discops._THIRD]
+    K[:, [0, 1, 2], [0, 1, 2]] = ref_half_cot[:, [1, 2, 0]] + ref_half_cot[:, [2, 0, 1]]
+    assert_same_csr(ops.M, pattern.assemble(M))
+    assert_same_csr(ops.K, pattern.assemble(K))
+
+    B_wall, B_all = reference_boundary_measures(mesh)
+    assert_same_csr(ops.B_all, B_all)
+    assert sorted(ops.B_wall) == sorted(B_wall)
+    for w, B in B_wall.items():
+        assert_same_csr(ops.B_wall[w], B)
+
+    w = np.random.default_rng(11).uniform(-1.0, 2.0, mesh.nv)
+    wt = w[mesh.triangles]
+    local = (wt[:, :, None] + wt[:, None, :]) / 30.0 + wt[:, discops._THIRD] / 60.0
+    local[:, [0, 1, 2], [0, 1, 2]] = wt / 10.0 + (wt.sum(axis=1)[:, None] - wt) / 30.0
+    assert_same_csr(discops.weighted_mass(ops, w), pattern.assemble(ref_areas[:, None, None] * local))
