@@ -13,7 +13,15 @@ factorization is positive definite, so the pairs nearest -s are the lowest.
 The constraint enters the inverse as a rank-one Schur correction, never as a
 saddle system. Each answer is certified by the projected residual of every
 pair and by an inertia count (Sylvester, Haynsworth) of the constrained
-eigenvalues below a cut past the last one reported.
+eigenvalues below a cut past the last one reported, from a second
+factorization, of A - mu M.
+
+Single-vector Lanczos can return one copy of a multiple eigenvalue, and the
+lab's symmetric surfaces have many (lambda_min of every cap is double). When
+the count exceeds the pairs found below the cut, the pairs found are locked
+and Lanczos runs again on their M-orthogonal complement, from a second fixed
+start, on the same factorization; the cut and the count stand. A solve thus
+factors twice, plus any shift doublings, whether or not a copy was missed.
 
 A and M live on one CSR pattern, the mesh's pairs of vertices that share a
 triangle, so each matrix factored, A + sM or A - mu M, is a sum of their data
@@ -33,6 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .discops import (
@@ -73,8 +82,6 @@ RESIDUAL_BOUND = 1e-8
 # bound instead of its default of machine precision
 ARPACK_TOL = 1e-2 * RESIDUAL_BOUND
 MAX_SHIFT_DOUBLINGS = 60
-# extra pairs requested beyond k, the second try after a failed certificate
-CERTIFICATE_BUFFERS = (2, 8)
 # SuperLU's supernode relaxation and panel size (Demmel, Eisenstat, Gilbert,
 # Li and Liu, SIAM J. Matrix Anal. Appl. 20, 1999). The defaults merge small
 # subtrees into relaxed supernodes and update in wide panels, which on these
@@ -263,9 +270,9 @@ def _positive_shift(system, s):
     raise SolverFailureError(f"no shift up to {s:.3e} makes A + sM positive definite")
 
 
-def _start(c):
-    """The fixed Lanczos start vector, cos(0), cos(1), ... made c-orthogonal."""
-    v0 = np.cos(np.arange(len(c), dtype=float))
+def _start(c, wave=np.cos):
+    """A fixed Lanczos start vector, wave(0), wave(1), ... made c-orthogonal."""
+    v0 = wave(np.arange(len(c), dtype=float))
     return v0 - c * (float(c @ v0) / float(c @ c))
 
 
@@ -274,25 +281,59 @@ def _gap(value, s):
     return 1e-6 * (value + s)
 
 
-def _lanczos(system, m, s, lu):
+def _lanczos(system, m, s, lu, locked=None):
     """m pairs of the constrained pencil nearest -s by shift-invert Lanczos.
 
     The inverse is restricted to c^T x = 0 by a rank-one Schur correction
-    (Golub, SIAM Rev. 15, 1973): x -> K^{-1} x - w (c^T K^{-1} x) / (c^T w)
-    with K = A + sM and w = K^{-1} c.
-    """
-    n, c = system.n, system.c
-    w = lu.solve(c)
-    cw = float(c @ w)
+    (Golub, SIAM Rev. 15, 1973): x -> y - w (c^T y) / (c^T w) with
+    y = K^{-1} x, K = A + sM and w = K^{-1} c.
 
-    def apply(x):
-        y = lu.solve(np.asarray(x, float))
-        return y - w * (float(c @ y) / cw)
+    With ``locked`` pairs F (M-orthonormal columns) the inverse is also
+    restricted to their M-orthogonal complement, which deflates them
+    (Lehoucq and Sorensen, SIAM J. Matrix Anal. Appl. 17, 1996): the
+    correction becomes rank 1 + j, x -> y - W (C^T W)^{-1} C^T y with
+    C = [c, M F] and W = K^{-1} C. Such a round starts from a second fixed
+    vector. The first start's projection onto an eigenspace is the copy
+    already found, so it has no weight on a copy that was missed.
+    """
+    n, c, M = system.n, system.c, system.M
+    if locked is None:
+        w = lu.solve(c)
+        cw = float(c @ w)
+
+        def apply(x):
+            y = lu.solve(np.asarray(x, float))
+            return y - w * (float(c @ y) / cw)
+
+        v0 = _start(c)
+    else:
+        C = np.column_stack([c, M @ locked])
+        W = lu.solve(C)
+        CW = C.T @ W
+
+        def apply(x):
+            y = lu.solve(np.asarray(x, float))
+            return y - W @ np.linalg.solve(CW, C.T @ y)
+
+        v0 = _start(c, np.sin)
+
+    def mass(x):
+        # ARPACK takes about three M-products per step; the CSR kernel
+        # skips scipy's sparse dispatch, with the same arithmetic
+        y = np.zeros(n)
+        csr_matvec(n, n, M.indptr, M.indices, M.data, x, y)
+        return y
 
     op = LinearOperator((n, n), matvec=apply, dtype=float)
     try:
         vals, vecs = eigsh(
-            system.A, k=m, M=system.M, sigma=-s, OPinv=op, v0=_start(c), tol=ARPACK_TOL
+            system.A,
+            k=m,
+            M=LinearOperator((n, n), matvec=mass, dtype=float),
+            sigma=-s,
+            OPinv=op,
+            v0=v0,
+            tol=ARPACK_TOL,
         )
     except ArpackError as exc:
         raise SolverFailureError(f"shift-invert Lanczos failed: {exc}") from exc
@@ -352,7 +393,11 @@ def solve_spectrum(system: IndexFormSystem, k=10) -> Spectrum:
     s doubled until that factorization is positive definite. Every answer is
     certified twice: each pair by its residual projected onto c^T f = 0, and
     the set by an inertia count showing that no constrained eigenvalue below
-    the k-th was missed. Raises SolverFailureError when either fails.
+    the k-th was missed. When the count exceeds the pairs found, deflation
+    rounds on the same factorization search the complement of the pairs
+    found, each asking for the missing count plus one, and
+    ``solver["deflated"]`` lists those requests. Raises SolverFailureError
+    when a round adds nothing below the cut or either check fails.
     Deterministic for fixed inputs.
 
     ``solver["multiplicity"]`` counts the pairs found within the
@@ -369,13 +414,26 @@ def solve_spectrum(system: IndexFormSystem, k=10) -> Spectrum:
     # the lowest unconstrained eigenvalue on every family
     area = float(c.sum())
     s, lu = _positive_shift(system, max(-2.0 * float(A.sum()) / area, 1.0 / area))
-    for buffer in CERTIFICATE_BUFFERS:
-        m = min(k + buffer, n - 2)
-        vals, vecs = _lanczos(system, m, s, lu)
-        mu, count, found = _certify(system, vals, k, s)
-        if count == found:
+    # two pairs past the k-th, so that the certificate's cut has a next
+    # distinct value to sit below
+    m = min(k + 2, n - 2)
+    vals, vecs = _lanczos(system, m, s, lu)
+    mu, count, found = _certify(system, vals, k, s)
+    # Lanczos missed a copy of a multiple eigenvalue: lock the pairs below mu
+    # and search their complement on the same factor. mu and the count stand,
+    # so no new factorization is needed
+    deflated = []
+    while found < count:
+        below = vals < mu
+        deflated.append(min(count - found + 1, n - 2))
+        more, extra = _lanczos(system, deflated[-1], s, lu, vecs[:, below])
+        vals = np.concatenate([vals[below], more])
+        order = np.argsort(vals)
+        vals, vecs = vals[order], np.column_stack([vecs[:, below], extra])[:, order]
+        found, before = int(np.count_nonzero(vals < mu)), found
+        if found == before:
             break
-    else:
+    if found != count:
         raise SolverFailureError(
             f"spectrum not certified: {count} constrained eigenvalues below {mu:.6g}, "
             f"solver found {found}"
@@ -404,6 +462,8 @@ def solve_spectrum(system: IndexFormSystem, k=10) -> Spectrum:
         "certificate": {"mu": mu, "count_below": count},
         "multiplicity": eigenspace.shape[1],
     }
+    if deflated:
+        solver["deflated"] = deflated
     if eigenspace.shape[1] > 1:
         basis = _canonical_basis(eigenspace, M, c)
         vecs[:, : basis.shape[1]] = basis[:, :k]

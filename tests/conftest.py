@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from caplab import discops, families, meshkit
+from caplab import discops, families, meshkit, stability
 from caplab.meshkit import _TOPOLOGY as TOPOLOGY
 
 
@@ -81,6 +81,20 @@ def topology_builds(monkeypatch):
         prop.__set_name__(meshkit.LabeledTriMesh, name)
         monkeypatch.setattr(meshkit.LabeledTriMesh, name, prop)
     return counts
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Orders of the matrices the eigensolver factors, one entry per factorization."""
+    orders = []
+    factor = stability._factor
+
+    def counted(K):
+        orders.append(K.shape[0])
+        return factor(K)
+
+    monkeypatch.setattr(stability, "_factor", counted)
+    return orders
 
 
 def decreasing_with_floor(values, floor=1e-4):

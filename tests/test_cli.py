@@ -306,6 +306,13 @@ class TestSweep:
         lo, hi = doc["bracket"]
         assert lo <= math.pi <= hi + 0.2  # coarse grid, coarse mesh
 
+    def test_two_factorizations_per_point(self, tmp_path, factorizations):
+        # the default sweep misses a copy of lambda_min at L = 2.9 and 3.0;
+        # the certificate's two factors serve the deflation round as well
+        assert main(["sweep", "cylinder", "--out", str(tmp_path)]) == 0
+        points = len(read_json(tmp_path / "sweep.json")["parameters"])
+        assert points == 21 and len(factorizations) == 2 * points
+
     @pytest.mark.parametrize("r", [1.5, 2.0])
     def test_default_threshold_scales_with_curvature(self, r, tmp_path):
         # lambda_min scales like 1/r^2; a fixed threshold of 0.02 put the
