@@ -243,6 +243,10 @@ def _cmd_wedge(args):
 
 
 def _cmd_sweep(args):
+    for flag in ("r", "lmin", "lmax", "step", "onset_tol"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise CapLabError(f"--{flag.replace('_', '-')} must be finite, got {value}")
     if args.step <= 0:
         raise CapLabError("sweep step must be positive")
     if args.lmax < args.lmin:
@@ -255,12 +259,19 @@ def _cmd_sweep(args):
         value += args.step
     results = []
     sigma_sq = 0.0
+    # each point is solved on one factorization at the previous point's
+    # certified cut; a point whose count at that cut fails is solved cold
+    cut = None
+    solves = {"continued": 0, "cold": 0, "factorizations": 0}
     for L in params:
         spec = fam.Cylinder(r=args.r, L=L, resolution=args.res)
         mesh, fields = fam.generate_mesh(spec)
         system = st.assemble_index_form(mesh, spec.walls(), fields)
-        lam, _ = st.min_constrained_eigenpair(system)
-        results.append((L, lam))
+        vals, _, solver = st.solve_spectrum(system, k=1, cut=cut)
+        cut = solver["certificate"]["mu"]
+        solves["continued" if solver.get("continued") else "cold"] += 1
+        solves["factorizations"] += solver.get("factorizations", 2)
+        results.append((L, float(vals[0])))
         sigma_sq = max(sigma_sq, system.meta["max_sigma_sq"])
     results.sort(key=lambda t: t[0])
     # lambda_min scales like |sigma|^2, so the default threshold does too
@@ -284,6 +295,7 @@ def _cmd_sweep(args):
         "parameters": [L for L, _ in results],
         "lambda_min": [lam for _, lam in results],
         "bracket": bracket,
+        "solves": solves,
     }
     write_report(out / "sweep.json", document("sweep", body))
     print(csv_path)

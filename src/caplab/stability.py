@@ -20,8 +20,15 @@ Single-vector Lanczos can return one copy of a multiple eigenvalue, and the
 lab's symmetric surfaces have many (lambda_min of every cap is double). When
 the count exceeds the pairs found below the cut, the pairs found are locked
 and Lanczos runs again on their M-orthogonal complement, from a second fixed
-start, on the same factorization; the cut and the count stand. A solve thus
-factors twice, plus any shift doublings, whether or not a copy was missed.
+start, on the same factorization; the cut and the count stand. A cold solve
+thus factors twice, plus any shift doublings, whether or not a copy was
+missed.
+
+A solve continued from a nearby system's cut (Grimes, Lewis and Simon, SIAM
+J. Matrix Anal. Appl. 15, 1994) factors once: A - mu M at that cut is both
+the shift-invert operator, for the pairs nearest the cut, and the inertia
+count that certifies every pair below it. When the count is short of the
+pairs asked for or is not met, the solve falls back to the cold path.
 
 A and M live on one CSR pattern, the mesh's pairs of vertices that share a
 triangle, so each matrix factored, A + sM or A - mu M, is a sum of their data
@@ -257,15 +264,15 @@ def _factor(K):
 
 
 def _positive_shift(system, s):
-    """Smallest s * 2^j making A + sM positive definite, with its factor.
+    """Smallest s * 2^j making A + sM positive definite, its factor, and j + 1.
 
     Every constrained eigenvalue then lies above -s (Sylvester's law and
     interlacing), so the pairs nearest -s are the lowest ones.
     """
-    for _ in range(MAX_SHIFT_DOUBLINGS):
+    for tries in range(1, MAX_SHIFT_DOUBLINGS + 1):
         lu, nonpositive = _factor(_pencil(system, s))
         if nonpositive == 0:
-            return s, lu
+            return s, lu, tries
         s *= 2.0
     raise SolverFailureError(f"no shift up to {s:.3e} makes A + sM positive definite")
 
@@ -341,22 +348,26 @@ def _lanczos(system, m, s, lu, locked=None):
     return vals[order], vecs[:, order]
 
 
-def _certify(system, vals, k, s):
-    """A cut mu past the k-th value, the inertia count below it, and the pairs found.
+def _inertia(system, mu):
+    """The factor of A - mu M and the number of constrained eigenvalues below mu.
 
-    mu lies halfway to the next distinct value found, so a missed copy of a
-    multiple eigenvalue at the top of the window makes count and pairs
-    disagree. The count is Haynsworth's: the bordered matrix
-    [[A - mu M, c], [c^T, 0]] has one more negative eigenvalue than the
-    constrained pencil, and its Schur complement -c^T (A - mu M)^{-1} c
-    carries the rest.
+    The count is Haynsworth's: the bordered matrix [[A - mu M, c], [c^T, 0]]
+    has one more negative eigenvalue than the constrained pencil, and its
+    Schur complement -c^T (A - mu M)^{-1} c carries the rest.
+    """
+    lu, nonpositive = _factor(_pencil(system, -mu))
+    return lu, nonpositive + int(float(system.c @ lu.solve(system.c)) > 0.0) - 1
+
+
+def _cut(vals, k, s):
+    """The certificate's cut: halfway from the k-th value to the next distinct one.
+
+    A missed copy of a multiple eigenvalue at the top of the window then
+    makes the count below the cut and the pairs found there disagree.
     """
     gap = _gap(vals[k - 1], s)
     above = vals[k:][vals[k:] > vals[k - 1] + gap]
-    mu = 0.5 * (vals[k - 1] + above[0]) if len(above) else vals[k - 1] + gap
-    lu, nonpositive = _factor(_pencil(system, -mu))
-    count = nonpositive + int(float(system.c @ lu.solve(system.c)) > 0.0) - 1
-    return float(mu), count, int(np.count_nonzero(vals < mu))
+    return float(0.5 * (vals[k - 1] + above[0]) if len(above) else vals[k - 1] + gap)
 
 
 def _normalized(vecs, M):
@@ -386,7 +397,7 @@ def _canonical_basis(V, M, c):
     return V
 
 
-def solve_spectrum(system: IndexFormSystem, k=10) -> Spectrum:
+def solve_spectrum(system: IndexFormSystem, k=10, cut=None) -> Spectrum:
     """Lowest k eigenpairs of f^T A f over {c^T f = 0, f^T M f = 1}, certified.
 
     One shift-invert Lanczos solve on a single factorization of A + sM, with
@@ -400,25 +411,67 @@ def solve_spectrum(system: IndexFormSystem, k=10) -> Spectrum:
     when a round adds nothing below the cut or either check fails.
     Deterministic for fixed inputs.
 
+    Given a ``cut`` (a nearby system's ``solver["certificate"]["mu"]``, as
+    along a sweep), the solve is continued: one factorization of A - cut M
+    is both the shift-invert operator (``solver["shift"]`` is -cut) and the
+    inertia count c at the cut, Lanczos asks for the c + 2 pairs nearest
+    the cut, and the pairs found below it must number c. Every eigenvalue
+    below the cut is then known, so the certificate's mu is the cold path's
+    cut, capped at this one, with the pairs found below it as its count;
+    ``solver["continued"]`` is true. When c < k, or the count or the
+    residual check fails, the solve falls back to the cold path above.
+    ``solver["factorizations"]`` is recorded whenever a solve did not factor
+    exactly twice: 1 when continued, more after shift doublings or a
+    fallback.
+
     ``solver["multiplicity"]`` counts the pairs found within the
     certificate's gap of lambda_min. Above 1, the vectors of that eigenspace
     are replaced, after the residual checks, by the basis of
     ``_canonical_basis``: the first is the M-projection of the Lanczos start,
     the same whatever the tolerance or rounding Lanczos ran with.
     """
-    n = system.n
-    k = max(1, min(k, n - 2))
-    A, M, c = system.A, system.M, system.c
-    scale = float(abs(A).sum(axis=1).max())
+    k = max(1, min(k, system.n - 2))
     # the constant's Rayleigh quotient (cot term included) sits just above
     # the lowest unconstrained eigenvalue on every family
-    area = float(c.sum())
-    s, lu = _positive_shift(system, max(-2.0 * float(A.sum()) / area, 1.0 / area))
-    # two pairs past the k-th, so that the certificate's cut has a next
-    # distinct value to sit below
-    m = min(k + 2, n - 2)
-    vals, vecs = _lanczos(system, m, s, lu)
-    mu, count, found = _certify(system, vals, k, s)
+    area = float(system.c.sum())
+    s0 = max(-2.0 * float(system.A.sum()) / area, 1.0 / area)
+    if cut is not None:
+        try:
+            return _solve(system, k, s0, float(cut))
+        except SolverFailureError:
+            # the cold path decides; the factor at the cut still counts
+            return _solve(system, k, s0, factored=1)
+    return _solve(system, k, s0)
+
+
+def _solve(system, k, s0, cut=None, factored=0):
+    """The certified solve: cold from the starting shift s0, or continued at ``cut``.
+
+    The two modes differ only in where the factor and the certificate's cut
+    come from.
+    """
+    n, A, M, c = system.n, system.A, system.M, system.c
+    if cut is None:
+        s, lu, tries = _positive_shift(system, s0)
+        gap_shift = s
+        # two pairs past the k-th, so that the certificate's cut has a next
+        # distinct value to sit below
+        m = min(k + 2, n - 2)
+        vals, vecs = _lanczos(system, m, s, lu)
+        mu = _cut(vals, k, s)
+        _, count = _inertia(system, mu)
+        factored += tries + 1
+    else:
+        # _gap(value, -cut) is negative below the cut; the starting shift is
+        # the cold path's scale and needs no factorization
+        s, mu, gap_shift = -cut, cut, s0
+        lu, count = _inertia(system, mu)
+        factored += 1
+        if count < k:
+            raise SolverFailureError(f"{count} constrained eigenvalues below the cut {mu:.6g}")
+        m = min(count + 2, n - 2)
+        vals, vecs = _lanczos(system, m, s, lu)
+    found = int(np.count_nonzero(vals < mu))
     # Lanczos missed a copy of a multiple eigenvalue: lock the pairs below mu
     # and search their complement on the same factor. mu and the count stand,
     # so no new factorization is needed
@@ -438,16 +491,27 @@ def solve_spectrum(system: IndexFormSystem, k=10) -> Spectrum:
             f"spectrum not certified: {count} constrained eigenvalues below {mu:.6g}, "
             f"solver found {found}"
         )
+    if cut is not None:
+        # every eigenvalue below the cut was found, so below any mu under it
+        # the count is the pairs found: the cold path's cut, capped at this
+        # one, is certified with no second factorization
+        mu = min(_cut(vals, k, gap_shift), cut)
+        count = int(np.count_nonzero(vals < mu))
     # lambda_min's eigenspace: the pairs found within the certificate's gap
     # of it, all below the certified cut
-    eigenspace = vecs[:, vals <= vals[0] + _gap(vals[0], s)]
+    eigenspace = vecs[:, vals <= vals[0] + _gap(vals[0], gap_shift)]
     vals, vecs = vals[:k], _normalized(vecs[:, :k], M)
     cn = c / np.linalg.norm(c)
     R = A @ vecs - (M @ vecs) * vals
     R -= np.outer(cn, cn @ R)
-    resid = np.linalg.norm(R, axis=0) / max(scale, 1e-300)
+    resid = np.linalg.norm(R, axis=0) / max(float(abs(A).sum(axis=1).max()), 1e-300)
     worst = float(resid.max())
-    if not np.all(np.isfinite(vals)) or not worst <= RESIDUAL_BOUND or vals[0] <= -s:
+    # a value at or below a positive-definite shift -s would be spurious. A
+    # continued solve's shift is its cut, which lies above the values it
+    # certifies; there the count at the cut, met by the pairs found, is what
+    # proves that every eigenvalue below the cut was found
+    spurious = cut is None and vals[0] <= -s
+    if not np.all(np.isfinite(vals)) or not worst <= RESIDUAL_BOUND or spurious:
         raise SolverFailureError(
             f"eigensolver did not converge (projected relative residual {worst:.3e})",
             residual=worst,
@@ -464,6 +528,10 @@ def solve_spectrum(system: IndexFormSystem, k=10) -> Spectrum:
     }
     if deflated:
         solver["deflated"] = deflated
+    if cut is not None:
+        solver["continued"] = True
+    if factored != 2:
+        solver["factorizations"] = factored
     if eigenspace.shape[1] > 1:
         basis = _canonical_basis(eigenspace, M, c)
         vecs[:, : basis.shape[1]] = basis[:, :k]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from caplab import meshkit
+from caplab import families, meshkit
 from caplab.cli import main
 
 
@@ -306,12 +306,26 @@ class TestSweep:
         lo, hi = doc["bracket"]
         assert lo <= math.pi <= hi + 0.2  # coarse grid, coarse mesh
 
-    def test_two_factorizations_per_point(self, tmp_path, factorizations):
-        # the default sweep misses a copy of lambda_min at L = 2.9 and 3.0;
-        # the certificate's two factors serve the deflation round as well
+    @pytest.mark.parametrize("flag", ["--r", "--lmin", "--lmax", "--step", "--onset-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_range_exits_2_before_any_mesh(
+        self, flag, value, tmp_path, capsys, monkeypatch
+    ):
+        # --lmax inf looped forever, and nan values wrote empty or
+        # meaningless reports with exit 0
+        monkeypatch.setattr(families, "generate_mesh", None)
+        assert main(["sweep", "cylinder", f"{flag}={value}", "--out", str(tmp_path)]) == 2
+        assert f"error: {flag} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.json").exists()
+
+    def test_one_factorization_per_point_after_the_first(self, tmp_path, factorizations):
+        # the first point is solved cold (a positive shift, then the
+        # certificate); each later one on one factor at the previous cut
         assert main(["sweep", "cylinder", "--out", str(tmp_path)]) == 0
-        points = len(read_json(tmp_path / "sweep.json")["parameters"])
-        assert points == 21 and len(factorizations) == 2 * points
+        doc = read_json(tmp_path / "sweep.json")
+        points = len(doc["parameters"])
+        assert points == 21 and len(factorizations) == points + 1
+        assert doc["solves"] == {"continued": 20, "cold": 1, "factorizations": 22}
 
     @pytest.mark.parametrize("r", [1.5, 2.0])
     def test_default_threshold_scales_with_curvature(self, r, tmp_path):
