@@ -36,6 +36,8 @@ OUTDIR_ENV = "CAPLAB_OUTDIR"
 
 # the sweep's default onset threshold, in units of max |sigma|^2
 ONSET_TOL_SCALE = 0.02
+# the most points one sweep solves; a finer grid is an input error
+MAX_SWEEP_POINTS = 10_000
 
 
 def _outdir(args):
@@ -247,22 +249,29 @@ def _cmd_sweep(args):
         value = getattr(args, flag)
         if value is not None and not math.isfinite(value):
             raise CapLabError(f"--{flag.replace('_', '-')} must be finite, got {value}")
+    if args.onset_tol is not None and args.onset_tol < 0:
+        raise CapLabError("--onset-tol must be nonnegative")
     if args.step <= 0:
         raise CapLabError("sweep step must be positive")
     if args.lmax < args.lmin:
         raise CapLabError("empty sweep range")
-    out = _outdir(args)
     params = []
     value = args.lmin
     while value <= args.lmax + 1e-12:
+        if len(params) == MAX_SWEEP_POINTS:
+            raise CapLabError(
+                f"sweep grid has more than {MAX_SWEEP_POINTS} points; "
+                "raise --step or narrow --lmin/--lmax"
+            )
         params.append(round(value, 12))
         value += args.step
+    out = _outdir(args)
     results = []
     sigma_sq = 0.0
     # each point is solved on one factorization at the previous point's
     # certified cut; a point whose count at that cut fails is solved cold
     cut = None
-    solves = {"continued": 0, "cold": 0, "factorizations": 0}
+    solves = {"continued": 0, "cold": 0, "factorizations": 0, "lanczos_steps": 0}
     for L in params:
         spec = fam.Cylinder(r=args.r, L=L, resolution=args.res)
         mesh, fields = fam.generate_mesh(spec)
@@ -271,6 +280,7 @@ def _cmd_sweep(args):
         cut = solver["certificate"]["mu"]
         solves["continued" if solver.get("continued") else "cold"] += 1
         solves["factorizations"] += solver.get("factorizations", 2)
+        solves["lanczos_steps"] += sum(solver["steps"])
         results.append((L, float(vals[0])))
         sigma_sq = max(sigma_sq, system.meta["max_sigma_sq"])
     results.sort(key=lambda t: t[0])

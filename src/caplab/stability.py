@@ -7,9 +7,11 @@ realized as f^T A f with A = K - M_sigma - sum_i q_i B_i, and stability means
 nonnegativity of the smallest eigenvalue of A relative to the mass M over the
 mean-zero subspace c^T f = 0, c = M 1.
 
-The constrained spectrum has one solver: shift-invert Lanczos (ARPACK) on a
-single sparse factorization of A + sM, with the shift s doubled until that
-factorization is positive definite, so the pairs nearest -s are the lowest.
+The constrained spectrum has one solver: shift-invert Lanczos (Ericsson and
+Ruhe, Math. Comp. 35, 1980), written here in numpy with full
+reorthogonalization and no restart, on a single sparse factorization of
+A + sM, with the shift s doubled until that factorization is positive
+definite, so the pairs nearest -s are the lowest.
 The constraint enters the inverse as a rank-one Schur correction, never as a
 saddle system. Each answer is certified by the projected residual of every
 pair and by an inertia count (Sylvester, Haynsworth) of the constrained
@@ -48,8 +50,9 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dstev
 from scipy.sparse._sparsetools import csr_matvec
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import splu
 
 from .discops import (
     NDIM,
@@ -85,9 +88,12 @@ __all__ = [
 ]
 
 RESIDUAL_BOUND = 1e-8
-# ARPACK's relative Ritz-value accuracy: two orders inside the residual
-# bound instead of its default of machine precision
-ARPACK_TOL = 1e-2 * RESIDUAL_BOUND
+# Lanczos's relative Ritz-value accuracy: two orders inside the residual
+# bound instead of machine precision
+LANCZOS_TOL = 1e-2 * RESIDUAL_BOUND
+# a Gram-Schmidt pass that leaves less than this share of a vector's norm is
+# repeated, as ARPACK's is
+DGKS_RATIO = 1.0 / math.sqrt(2.0)
 MAX_SHIFT_DOUBLINGS = 60
 # SuperLU's supernode relaxation and panel size (Demmel, Eisenstat, Gilbert,
 # Li and Liu, SIAM J. Matrix Anal. Appl. 20, 1999). The defaults merge small
@@ -236,9 +242,13 @@ def assemble_index_form(
 
 
 def _pencil(system, t):
-    """A + tM, summed on the pattern A and M share."""
+    """A + tM, summed on the pattern A and M share, in the CSC form SuperLU takes.
+
+    A and M are symmetric, so their CSR arrays read as CSC are the same
+    matrix, and no transposing copy is made.
+    """
     A = system.A
-    return sparse.csr_matrix((A.data + t * system.M.data, A.indices, A.indptr), shape=A.shape)
+    return sparse.csc_matrix((A.data + t * system.M.data, A.indices, A.indptr), shape=A.shape)
 
 
 def _factor(K):
@@ -249,7 +259,7 @@ def _factor(K):
     """
     try:
         lu = splu(
-            K.tocsc(),
+            K,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             relax=SUPERLU_RELAX,
@@ -288,12 +298,28 @@ def _gap(value, s):
     return 1e-6 * (value + s)
 
 
-def _lanczos(system, m, s, lu, locked=None):
+def _lanczos(system, m, s, lu, locked=None, w=None):
     """m pairs of the constrained pencil nearest -s by shift-invert Lanczos.
+
+    The spectral transformation of Ericsson and Ruhe (Math. Comp. 35,
+    1980): Lanczos in the M inner product on x -> (A + sM)^{-1} M x, whose
+    eigenvalues theta = 1 / (lambda + s) are largest in modulus for the
+    lambda nearest -s. Each step takes one solve and the three-term
+    recurrence; a classical Gram-Schmidt pass against the whole basis,
+    repeated when it removed most of the vector, then keeps the basis
+    M-orthonormal, so no restart is needed. A step costs two mass products
+    (three when the pass repeats), and only the basis itself is stored. It
+    stops on ARPACK's rule: every wanted Ritz pair's estimate
+    beta_j |s_ji| is within LANCZOS_TOL |theta_i|, the wanted pairs being the
+    m with the largest |theta|. The returned vectors are purified by one step
+    of the operator, as ARPACK's are. Raises SolverFailureError when the
+    Krylov space fills the search space before that. Returns the values
+    ascending, the vectors as columns and the number of steps taken.
 
     The inverse is restricted to c^T x = 0 by a rank-one Schur correction
     (Golub, SIAM Rev. 15, 1973): x -> y - w (c^T y) / (c^T w) with
-    y = K^{-1} x, K = A + sM and w = K^{-1} c.
+    y = K^{-1} x, K = A + sM and w = K^{-1} c, which a caller that already
+    solved for it passes as ``w``.
 
     With ``locked`` pairs F (M-orthonormal columns) the inverse is also
     restricted to their M-orthogonal complement, which deflates them
@@ -304,59 +330,99 @@ def _lanczos(system, m, s, lu, locked=None):
     already found, so it has no weight on a copy that was missed.
     """
     n, c, M = system.n, system.c, system.M
+    # C and W are held by rows, C^T and W^T in the formulas above
     if locked is None:
-        w = lu.solve(c)
-        cw = float(c @ w)
-
-        def apply(x):
-            y = lu.solve(np.asarray(x, float))
-            return y - w * (float(c @ y) / cw)
-
+        C, W = c[None, :], (lu.solve(c) if w is None else w)[None, :]
         v0 = _start(c)
     else:
-        C = np.column_stack([c, M @ locked])
-        W = lu.solve(C)
-        CW = C.T @ W
-
-        def apply(x):
-            y = lu.solve(np.asarray(x, float))
-            return y - W @ np.linalg.solve(CW, C.T @ y)
-
+        C = np.vstack([c, (M @ locked).T])
+        W = np.ascontiguousarray(lu.solve(C.T).T)
         v0 = _start(c, np.sin)
+    # the rows of W premultiplied by (W C^T)^{-1}, once
+    W = np.linalg.solve(W @ C.T, W)
+
+    def apply(x):
+        y = lu.solve(x)
+        y -= np.dot(np.dot(C, y), W)
+        return y
 
     def mass(x):
-        # ARPACK takes about three M-products per step; the CSR kernel
-        # skips scipy's sparse dispatch, with the same arithmetic
+        # the CSR kernel skips scipy's sparse dispatch, with the same arithmetic
         y = np.zeros(n)
         csr_matvec(n, n, M.indptr, M.indices, M.data, x, y)
         return y
 
-    op = LinearOperator((n, n), matvec=apply, dtype=float)
-    try:
-        vals, vecs = eigsh(
-            system.A,
-            k=m,
-            M=LinearOperator((n, n), matvec=mass, dtype=float),
-            sigma=-s,
-            OPinv=op,
-            v0=v0,
-            tol=ARPACK_TOL,
+    # the search space, c's complement less the locked pairs, bounds the
+    # steps. The basis is sized past the steps measured runs take (12-27 at
+    # m = 3, 42-60 at m = 12) and doubled when a run needs more
+    most = n - 1 - (0 if locked is None else locked.shape[1])
+    Q = np.empty((min(most, 3 * m + 30), n))
+    alpha, beta = np.empty(most), np.empty(most)
+    # the start is taken into the operator's range, as ARPACK does
+    r = apply(mass(v0))
+    Mr = mass(r)
+    b = math.sqrt(float(r @ Mr))
+    for j in range(most):
+        if j == len(Q):
+            Q = np.concatenate([Q, Q])[:most]
+        q, Mq = np.divide(r, b, out=Q[j]), Mr / b
+        r = apply(Mq)
+        alpha[j] = float(Mq @ r)
+        r -= alpha[j] * q
+        if j:
+            r -= beta[j - 1] * Q[j - 1]
+        # rounding in the recurrence, relative to what it removed, can leave
+        # the constrained space; the correction takes it back
+        r -= np.dot(np.dot(C, r), W)
+        Mr = mass(r)
+        norm = math.sqrt(float(r @ Mr))
+        # full reorthogonalization in the M inner product, repeated when it
+        # removed most of r (Daniel, Gragg, Kaufman and Stewart, Math. Comp.
+        # 30, 1976); holding no M Q keeps the basis at one vector per step
+        for _ in range(2):
+            basis = Q[: j + 1]
+            g = np.dot(basis, Mr)
+            r -= np.dot(g, basis)
+            alpha[j] += g[j]
+            Mr = mass(r)
+            b = math.sqrt(max(float(r @ Mr), 0.0))
+            if b > DGKS_RATIO * norm:
+                break
+            norm = b
+        beta[j] = b
+        steps = j + 1
+        # a tridiagonal eigensolve costs more than a step once the basis is
+        # long, so the test runs every third step and wherever Lanczos must stop
+        if (steps < m or steps % 3) and steps < most and b > 0.0:
+            continue
+        theta, S, info = dstev(alpha[:steps], beta[: max(steps - 1, 1)])
+        if info:
+            raise SolverFailureError(f"tridiagonal eigensolve failed (LAPACK info {info})")
+        wanted = np.argsort(-np.abs(theta), kind="stable")[:m]
+        theta, S = theta[wanted], S[:, wanted]
+        if np.all(b * np.abs(S[-1]) <= LANCZOS_TOL * np.abs(theta)):
+            break
+    else:
+        raise SolverFailureError(
+            f"shift-invert Lanczos did not converge in {most} steps, the whole search space"
         )
-    except ArpackError as exc:
-        raise SolverFailureError(f"shift-invert Lanczos failed: {exc}") from exc
+    # Ritz vectors, purified by one step of the operator as ARPACK's are
+    X = np.dot(S.T, Q[:steps]) + np.outer(S[-1] / theta, r)
+    vals = 1.0 / theta - s
     order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    return vals[order], X[order].T, steps
 
 
 def _inertia(system, mu):
-    """The factor of A - mu M and the number of constrained eigenvalues below mu.
+    """The factor of A - mu M, w = (A - mu M)^{-1} c, and the constrained count below mu.
 
     The count is Haynsworth's: the bordered matrix [[A - mu M, c], [c^T, 0]]
     has one more negative eigenvalue than the constrained pencil, and its
-    Schur complement -c^T (A - mu M)^{-1} c carries the rest.
+    Schur complement -c^T w carries the rest. Lanczos on this factor reuses w.
     """
     lu, nonpositive = _factor(_pencil(system, -mu))
-    return lu, nonpositive + int(float(system.c @ lu.solve(system.c)) > 0.0) - 1
+    w = lu.solve(system.c)
+    return lu, w, nonpositive + int(float(system.c @ w) > 0.0) - 1
 
 
 def _cut(vals, k, s):
@@ -424,6 +490,9 @@ def solve_spectrum(system: IndexFormSystem, k=10, cut=None) -> Spectrum:
     exactly twice: 1 when continued, more after shift doublings or a
     fallback.
 
+    ``solver["steps"]`` lists the Lanczos steps of each round, the first
+    run and any deflation rounds, of the solve that gave the answer.
+
     ``solver["multiplicity"]`` counts the pairs found within the
     certificate's gap of lambda_min. Above 1, the vectors of that eigenspace
     are replaced, after the residual checks, by the basis of
@@ -457,29 +526,30 @@ def _solve(system, k, s0, cut=None, factored=0):
         # two pairs past the k-th, so that the certificate's cut has a next
         # distinct value to sit below
         m = min(k + 2, n - 2)
-        vals, vecs = _lanczos(system, m, s, lu)
+        vals, vecs, steps = _lanczos(system, m, s, lu)
         mu = _cut(vals, k, s)
-        _, count = _inertia(system, mu)
+        _, _, count = _inertia(system, mu)
         factored += tries + 1
     else:
         # _gap(value, -cut) is negative below the cut; the starting shift is
         # the cold path's scale and needs no factorization
         s, mu, gap_shift = -cut, cut, s0
-        lu, count = _inertia(system, mu)
+        lu, w, count = _inertia(system, mu)
         factored += 1
         if count < k:
             raise SolverFailureError(f"{count} constrained eigenvalues below the cut {mu:.6g}")
         m = min(count + 2, n - 2)
-        vals, vecs = _lanczos(system, m, s, lu)
+        vals, vecs, steps = _lanczos(system, m, s, lu, w=w)
     found = int(np.count_nonzero(vals < mu))
     # Lanczos missed a copy of a multiple eigenvalue: lock the pairs below mu
     # and search their complement on the same factor. mu and the count stand,
     # so no new factorization is needed
-    deflated = []
+    deflated, steps = [], [steps]
     while found < count:
         below = vals < mu
         deflated.append(min(count - found + 1, n - 2))
-        more, extra = _lanczos(system, deflated[-1], s, lu, vecs[:, below])
+        more, extra, taken = _lanczos(system, deflated[-1], s, lu, vecs[:, below])
+        steps.append(taken)
         vals = np.concatenate([vals[below], more])
         order = np.argsort(vals)
         vals, vecs = vals[order], np.column_stack([vecs[:, below], extra])[:, order]
@@ -504,7 +574,9 @@ def _solve(system, k, s0, cut=None, factored=0):
     cn = c / np.linalg.norm(c)
     R = A @ vecs - (M @ vecs) * vals
     R -= np.outer(cn, cn @ R)
-    resid = np.linalg.norm(R, axis=0) / max(float(abs(A).sum(axis=1).max()), 1e-300)
+    # the largest absolute row sum of A
+    scale = float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
+    resid = np.linalg.norm(R, axis=0) / max(scale, 1e-300)
     worst = float(resid.max())
     # a value at or below a positive-definite shift -s would be spurious. A
     # continued solve's shift is its cut, which lies above the values it
@@ -520,7 +592,8 @@ def _solve(system, k, s0, cut=None, factored=0):
         "method": "shift-invert Lanczos, rank-one constraint correction",
         "shift": s,
         "requested": m,
-        "arpack_tol": ARPACK_TOL,
+        "lanczos_tol": LANCZOS_TOL,
+        "steps": steps,
         "residuals": [float(r) for r in resid],
         "constraint_defects": [float(d) for d in np.abs(c @ vecs)],
         "certificate": {"mu": mu, "count_below": count},

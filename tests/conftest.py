@@ -97,6 +97,21 @@ def factorizations(monkeypatch):
     return orders
 
 
+@pytest.fixture
+def lanczos_rounds(monkeypatch):
+    """Steps of each Lanczos round the eigensolver runs, one entry per round."""
+    steps = []
+    lanczos = stability._lanczos
+
+    def counted(*args, **kwargs):
+        vals, vecs, taken = lanczos(*args, **kwargs)
+        steps.append(taken)
+        return vals, vecs, taken
+
+    monkeypatch.setattr(stability, "_lanczos", counted)
+    return steps
+
+
 def decreasing_with_floor(values, floor=1e-4):
     """True when each step decreases, tiny plateaus excepted.
 

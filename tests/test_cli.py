@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -185,7 +186,7 @@ class TestStability:
         assert max(solver["constraint_defects"]) <= 1e-10
         assert solver["certificate"]["mu"] > doc["eigenvalues"][-1]
         assert solver["certificate"]["count_below"] >= len(doc["eigenvalues"])
-        assert solver["arpack_tol"] == 1e-10
+        assert solver["lanczos_tol"] == 1e-10
 
     def test_mesh_verdict_records_field_estimation(self, tmp_path):
         assert main(["gen", "cap", "--angle-deg", "60", "--res", "24", "--out", str(tmp_path)]) == 0
@@ -325,7 +326,41 @@ class TestSweep:
         doc = read_json(tmp_path / "sweep.json")
         points = len(doc["parameters"])
         assert points == 21 and len(factorizations) == points + 1
+        steps = doc["solves"].pop("lanczos_steps")
         assert doc["solves"] == {"continued": 20, "cold": 1, "factorizations": 22}
+        # ARPACK applied the inverse 505 times on this sweep; a Lanczos step
+        # applies it once
+        assert 0 < steps < 505
+
+    def test_grid_over_the_point_limit_exits_2_before_any_mesh(self, tmp_path, capsys, monkeypatch):
+        # about 1e7 points: the parameter list alone took seconds, and the
+        # sweep never ended
+        monkeypatch.setattr(families, "generate_mesh", None)
+        start = time.perf_counter()
+        rc = main(["sweep", "cylinder", "--lmax", "1e6", "--res", "8", "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 0.5
+        assert rc == 2
+        assert "error: sweep grid has more than 10000 points" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.json").exists()
+
+    def test_grid_at_the_point_limit_reaches_its_first_mesh(self, tmp_path, monkeypatch):
+        # 2 + 9999 steps of 1e-4 end at 2.9999: exactly the limit, no error
+        class FirstMesh(Exception):
+            pass
+
+        def first_mesh(**spec):
+            raise FirstMesh
+
+        monkeypatch.setattr(families, "Cylinder", first_mesh)
+        argv = ["sweep", "cylinder", "--lmax", "2.99995", "--step", "1e-4", "--out", str(tmp_path)]
+        with pytest.raises(FirstMesh):
+            main(argv)
+
+    def test_negative_onset_tol_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(families, "generate_mesh", None)
+        assert main(["sweep", "cylinder", "--onset-tol", "-1", "--out", str(tmp_path)]) == 2
+        assert "error: --onset-tol must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.json").exists()
 
     @pytest.mark.parametrize("r", [1.5, 2.0])
     def test_default_threshold_scales_with_curvature(self, r, tmp_path):
@@ -375,6 +410,23 @@ class TestDeterminism:
         assert main(args + ["--out", str(b)]) == 0
         for name in ("identities.csv", "identities.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_solver_counts_repeat(self, tmp_path):
+        # the Lanczos steps, per round and per sweep, are deterministic facts
+        runs = {
+            "verdict.json": ["stability", "--family", "cap", "--angle-deg", "120", "--res", "24"],
+            "sweep.json": ["sweep", "cylinder", "--lmin", "3.0", "--lmax", "3.3", "--res", "16"],
+        }
+        docs = {}
+        for name, args in runs.items():
+            a, b = tmp_path / name / "a", tmp_path / name / "b"
+            assert main(args + ["--out", str(a)]) == 0
+            assert main(args + ["--out", str(b)]) == 0
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+            docs[name] = read_json(a / name)
+        steps = docs["verdict.json"]["info"]["solver"]["steps"]
+        assert steps and all(isinstance(n, int) and n > 0 for n in steps)
+        assert docs["sweep.json"]["solves"]["lanczos_steps"] > 0
 
     def test_sweep_byte_identical(self, tmp_path):
         args = ["sweep", "cylinder", "--lmin", "3.0", "--lmax", "3.2", "--step", "0.1", "--res", "12"]

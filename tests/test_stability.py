@@ -233,7 +233,10 @@ class TestSolverAgainstDense:
         assert dense[9] - dense[8] <= 1e-9 * dense[9]
         spectrum = stability.solve_spectrum(system, k=10)
         assert max_relative_error(spectrum.values, dense) <= 1e-8
-        assert spectrum.solver["certificate"]["count_below"] == 10
+        # the count is the dense one below the cut, wherever the cut falls
+        certificate = spectrum.solver["certificate"]
+        below = dense_constrained_spectrum(system, certificate["count_below"] + 1)
+        assert np.count_nonzero(below < certificate["mu"]) == certificate["count_below"]
 
     def test_certificate_recovers_missed_copy(self, monkeypatch, factorizations):
         # single-vector Lanczos can return one copy of a double eigenvalue;
@@ -243,20 +246,23 @@ class TestSolverAgainstDense:
         lanczos = stability._lanczos
         calls = []
 
-        def miss_first(system, m, s, lu, locked=None):
-            vals, vecs = lanczos(system, m, s, lu, locked)
-            calls.append((m, None if locked is None else locked.shape[1]))
-            if len(calls) == 1:
+        def miss_first(system, m, s, lu, locked=None, w=None):
+            vals, vecs, steps = lanczos(system, m, s, lu, locked, w)
+            if not calls:
                 vals, vecs = np.delete(vals, 9), np.delete(vecs, 9, axis=1)
-            return vals, vecs
+            calls.append((m, None if locked is None else locked.shape[1], vals))
+            return vals, vecs, steps
 
         monkeypatch.setattr(stability, "_lanczos", miss_first)
         spectrum = stability.solve_spectrum(system, k=10)
         # one copy missing below the cut: the round locks every pair found
         # there and asks for the missing count plus one
-        count = spectrum.solver["certificate"]["count_below"]
-        assert calls == [(12, None), (2, count - 1)]
-        assert spectrum.solver["deflated"] == [2] and spectrum.solver["requested"] == 12
+        count, mu = (spectrum.solver["certificate"][key] for key in ("count_below", "mu"))
+        (first, _, found), (asked, locked, _) = calls
+        found = int(np.count_nonzero(found < mu))
+        assert first == 12 and found < count
+        assert (asked, locked) == (count - found + 1, found)
+        assert spectrum.solver["deflated"] == [asked] and spectrum.solver["requested"] == 12
         assert max_relative_error(spectrum.values, dense_constrained_spectrum(system, 10)) <= 1e-8
         assert len(factorizations) == 2
 
@@ -264,11 +270,11 @@ class TestSolverAgainstDense:
         system = cap_system(math.radians(160), 36)
         lanczos = stability._lanczos
 
-        def always_miss(system, m, s, lu, locked=None):
-            vals, vecs = lanczos(system, m, s, lu, locked)
+        def always_miss(system, m, s, lu, locked=None, w=None):
+            vals, vecs, steps = lanczos(system, m, s, lu, locked, w)
             # a deflation round's lowest pair is the missed copy itself
             slot = 9 if locked is None else 0
-            return np.delete(vals, slot), np.delete(vecs, slot, axis=1)
+            return np.delete(vals, slot), np.delete(vecs, slot, axis=1), steps
 
         monkeypatch.setattr(stability, "_lanczos", always_miss)
         with pytest.raises(SolverFailureError, match="not certified"):
@@ -422,11 +428,11 @@ class TestContinued:
         cold = stability.solve_spectrum(system, k=1)
         lanczos = stability._lanczos
 
-        def miss_when_continued(system, m, s, lu, locked=None):
-            vals, vecs = lanczos(system, m, s, lu, locked)
+        def miss_when_continued(system, m, s, lu, locked=None, w=None):
+            vals, vecs, steps = lanczos(system, m, s, lu, locked, w)
             if s < 0.0:  # shifted to a positive cut: drop the lowest pair
                 vals, vecs = vals[1:], vecs[:, 1:]
-            return vals, vecs
+            return vals, vecs, steps
 
         monkeypatch.setattr(stability, "_lanczos", miss_when_continued)
         factorizations.clear()
@@ -444,6 +450,65 @@ class TestContinued:
         assert spectrum.solver["multiplicity"] == 2
         cold = stability.solve_spectrum(system, k=1)
         assert abs(spectrum.values[0] - cold.values[0]) <= 1e-10 * system.meta["max_sigma_sq"]
+
+
+LANCZOS_SYSTEMS = {
+    "tube r1 L2": (lambda: tube_system(1.0, 2.0), 6),
+    "tube r1 L4": (lambda: tube_system(1.0, 4.0), 6),
+    "tube r0.6 L2": (lambda: tube_system(0.6, 2.0), 6),
+    "cap45": (lambda: cap_system(math.radians(45), 32), 10),
+    "cap120": (lambda: cap_system(math.radians(120), 32), 10),
+    "cap160": (lambda: cap_system(math.radians(160), 32), 10),
+}
+
+
+def tiny_cap():
+    """The 25-vertex cap: k = 10 asks for 12 of its 24 constrained pairs."""
+    system = cap_system(math.pi / 3, 12)
+    assert system.n == 25
+    return system
+
+
+class TestLanczos:
+    """The shift-invert Lanczos on its own: accuracy, repeatability, its limits."""
+
+    @pytest.mark.parametrize("name", list(LANCZOS_SYSTEMS))
+    def test_matches_dense_oracle(self, name, lanczos_rounds):
+        make, k = LANCZOS_SYSTEMS[name]
+        system = make()
+        spectrum = stability.solve_spectrum(system, k=k)
+        assert max_relative_error(spectrum.values, dense_constrained_spectrum(system, k)) <= 1e-8
+        # the record lists the steps of every round that ran
+        assert spectrum.solver["steps"] == lanczos_rounds
+        assert all(0 < steps < system.n - 1 for steps in lanczos_rounds)
+
+    def test_repeat_runs_are_bit_identical(self):
+        system = cap_system(math.radians(120), 32)
+        s, lu, _ = stability._positive_shift(system, 1.0)
+        first, again = (stability._lanczos(system, 12, s, lu) for _ in range(2))
+        assert first[2] == again[2]
+        assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
+        one, two = (stability.solve_spectrum(system, k=10) for _ in range(2))
+        assert one.solver == two.solver
+        assert np.array_equal(one.values, two.values) and np.array_equal(one.vectors, two.vectors)
+
+    def test_krylov_space_capped_at_the_constrained_dimension(self, lanczos_rounds):
+        # the basis fills c's complement, n - 1 vectors, before every wanted
+        # pair meets the tolerance; on the whole space the estimates vanish
+        system = tiny_cap()
+        spectrum = stability.solve_spectrum(system, k=10)
+        assert lanczos_rounds == [system.n - 1] == spectrum.solver["steps"]
+        assert max_relative_error(spectrum.values, dense_constrained_spectrum(system, 10)) <= 1e-8
+
+    def test_no_convergence_raises(self, monkeypatch):
+        # no estimate is exactly zero, so a zero tolerance is never met
+        system = tiny_cap()
+        monkeypatch.setattr(stability, "LANCZOS_TOL", 0.0)
+        s, lu, _ = stability._positive_shift(system, 1.0)
+        with pytest.raises(SolverFailureError, match="did not converge in 24 steps"):
+            stability._lanczos(system, 12, s, lu)
+        with pytest.raises(SolverFailureError):
+            stability.solve_spectrum(system, k=10)
 
 
 @pytest.fixture(scope="module")
@@ -510,11 +575,11 @@ class TestFactorization:
     @pytest.mark.parametrize("res", [64, 96, 128])
     def test_eigenfunction_depends_on_the_eigenspace_alone(self, deg, res, monkeypatch):
         # lambda_min is double on caps; the written vector must not depend on
-        # where Lanczos stops (ARPACK's tolerance) or on factorization rounding
+        # where Lanczos stops (its tolerance) or on factorization rounding
         system = cap_system(math.radians(deg), res)
         verdict = stability.stability_verdict(system)
         assert verdict.info["solver"]["multiplicity"] == 2
-        for name, value in (("ARPACK_TOL", 1e-13), ("SUPERLU_RELAX", None)):
+        for name, value in (("LANCZOS_TOL", 1e-13), ("SUPERLU_RELAX", None)):
             with monkeypatch.context() as patch:
                 patch.setattr(stability, name, value)
                 if value is None:
