@@ -58,6 +58,19 @@ FAMILIES = {
 }
 
 
+def _check_flags(args, finite=(), nonnegative=()):
+    """Input error unless each named flag that is set is finite, and >= 0 if ``nonnegative``."""
+    for flag in (*finite, *nonnegative):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        name = "--" + flag.replace("_", "-")
+        if not math.isfinite(value):
+            raise CapLabError(f"{name} must be finite, got {value}")
+        if flag in nonnegative and value < 0:
+            raise CapLabError(f"{name} must be nonnegative")
+
+
 def _family_from_args(args, res=None):
     if not args.family:
         raise CapLabError("either --mesh or --family is required")
@@ -118,6 +131,7 @@ def _cmd_gen(args):
 
 
 def _cmd_identities(args):
+    _check_flags(args, nonnegative=("tol",))
     n_levels = args.levels or (1 if args.mesh else 3)
     if args.mesh and n_levels > 1:
         raise CapLabError(
@@ -125,21 +139,17 @@ def _cmd_identities(args):
             "refinement of a raw mesh leaves the surface"
         )
     out = _outdir(args)
-    # one (mesh, walls, fields, resolution tag, capillary vector) per level
-    if args.mesh:
-        mesh, walls, fields, _ = _load_inputs(args)
-        levels = [(mesh, walls, fields, f"nv={mesh.nv}", None)]
-    else:
-        levels = []
-        for level in range(n_levels):
+    rows = []
+    # levels are built and checked one at a time, so at most two levels'
+    # meshes and fields are alive at once
+    for level in range(n_levels):
+        if args.mesh:
+            mesh, walls, fields, _ = _load_inputs(args)
+            tag, a = f"nv={mesh.nv}", None
+        else:
             spec = _family_from_args(args, res=args.res * (2**level))
             mesh, fields = fam.generate_mesh(spec)
-            levels.append(
-                (mesh, spec.walls(), fields, str(spec.resolution), spec.capillary_vector())
-            )
-
-    rows = []
-    for mesh, walls, fields, tag, a in levels:
+            walls, tag, a = spec.walls(), str(spec.resolution), spec.capillary_vector()
         final_reports = idn.run_suite(mesh, walls, fields, resolution=tag, capillary_vector=a)
         rows.extend(final_reports)
 
@@ -166,6 +176,7 @@ def _cmd_identities(args):
 
 
 def _cmd_stability(args):
+    _check_flags(args, nonnegative=("tol",))
     out = _outdir(args)
     mesh, walls, fields, spec = _load_inputs(args)
     if walls is None:
@@ -211,6 +222,7 @@ def _cmd_testfn(args):
 
 
 def _cmd_wedge(args):
+    _check_flags(args, nonnegative=("tol",))
     out = _outdir(args)
     walls = mk.load_walls(args.walls)
     sol = wg.solve_a(walls.normals, walls.angles)
@@ -245,12 +257,7 @@ def _cmd_wedge(args):
 
 
 def _cmd_sweep(args):
-    for flag in ("r", "lmin", "lmax", "step", "onset_tol"):
-        value = getattr(args, flag)
-        if value is not None and not math.isfinite(value):
-            raise CapLabError(f"--{flag.replace('_', '-')} must be finite, got {value}")
-    if args.onset_tol is not None and args.onset_tol < 0:
-        raise CapLabError("--onset-tol must be nonnegative")
+    _check_flags(args, finite=("r", "lmin", "lmax", "step"), nonnegative=("onset_tol",))
     if args.step <= 0:
         raise CapLabError("sweep step must be positive")
     if args.lmax < args.lmin:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -53,20 +53,21 @@ __all__ = [
 
 @dataclass
 class GeometryFields:
-    """Per-vertex geometry of an immersed mesh.
+    """Per-vertex geometry of an immersed mesh: every array has one row per vertex.
 
     ``normal``, ``mean_curv`` (H) and ``sigma_sq`` (|sigma|^2) cover every
-    vertex. The remaining arrays are aligned with ``boundary_vertices`` (sorted
-    vertex ids): exterior conormal ``conormal`` (nu), in-wall normal
-    ``wall_conormal`` (nu-bar), ``sigma_nn`` = sigma(nu, nu), signed boundary
-    curvature ``bdry_curv`` (w.r.t. nu-bar) and measured contact ``angle``.
-    Wall-dependent entries are NaN for meshes without supporting walls.
+    vertex. The boundary fields are NaN off the boundary: exterior conormal
+    ``conormal`` (nu), in-wall normal ``wall_conormal`` (nu-bar),
+    ``sigma_nn`` = sigma(nu, nu), signed boundary curvature ``bdry_curv``
+    (w.r.t. nu-bar) and measured contact ``angle``. They are read through the
+    boundary measures, which store no interior entries, or at boundary
+    vertices, so the NaN never reaches a sum. Wall-dependent entries are NaN
+    for meshes without supporting walls.
     """
 
     normal: np.ndarray
     mean_curv: np.ndarray
     sigma_sq: np.ndarray
-    boundary_vertices: np.ndarray
     conormal: np.ndarray
     wall_conormal: np.ndarray
     sigma_nn: np.ndarray
@@ -74,56 +75,25 @@ class GeometryFields:
     angle: np.ndarray
     info: dict = field(default_factory=dict)
 
-    @property
-    def nv(self):
-        return self.normal.shape[0]
-
-    def boundary_index(self, vertices):
-        idx = np.searchsorted(self.boundary_vertices, vertices)
-        if np.any(idx >= len(self.boundary_vertices)) or np.any(
-            self.boundary_vertices[np.minimum(idx, len(self.boundary_vertices) - 1)] != vertices
-        ):
-            raise KeyError("vertex is not a boundary vertex")
-        return idx
-
-    def full(self, name, fill=0.0):
-        """Boundary array scattered to vertex length, ``fill`` off-boundary."""
-        values = getattr(self, name)
-        out_shape = (self.nv,) + values.shape[1:]
-        out = np.full(out_shape, fill, dtype=float)
-        out[self.boundary_vertices] = values
-        return out
-
     def transformed(self, matrix):
         """Fields of the mesh rotated by an orthogonal ``matrix``."""
         R = np.asarray(matrix, float)
-        return GeometryFields(
+        return replace(
+            self,
             normal=self.normal @ R.T,
-            mean_curv=self.mean_curv.copy(),
-            sigma_sq=self.sigma_sq.copy(),
-            boundary_vertices=self.boundary_vertices.copy(),
             conormal=self.conormal @ R.T,
             wall_conormal=self.wall_conormal @ R.T,
-            sigma_nn=self.sigma_nn.copy(),
-            bdry_curv=self.bdry_curv.copy(),
-            angle=self.angle.copy(),
-            info=dict(self.info),
         )
 
     def scaled(self, s):
         """Fields of the mesh dilated by ``s``: curvatures scale like 1/s."""
         s = float(s)
-        return GeometryFields(
-            normal=self.normal.copy(),
+        return replace(
+            self,
             mean_curv=self.mean_curv / s,
             sigma_sq=self.sigma_sq / s**2,
-            boundary_vertices=self.boundary_vertices.copy(),
-            conormal=self.conormal.copy(),
-            wall_conormal=self.wall_conormal.copy(),
             sigma_nn=self.sigma_nn / s,
             bdry_curv=self.bdry_curv / s,
-            angle=self.angle.copy(),
-            info=dict(self.info),
         )
 
 
@@ -494,13 +464,11 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
 
     # boundary structure
     loops = mesh.boundary_loops
-    bverts = mesh.boundary_vertices
-    nb = len(bverts)
-    conormal = np.full((nb, 3), np.nan)
-    wall_conormal = np.full((nb, 3), np.nan)
-    sigma_nn = np.full(nb, np.nan)
-    bdry_curv = np.full(nb, np.nan)
-    angle = np.full(nb, np.nan)
+    conormal = np.full((nv, 3), np.nan)
+    wall_conormal = np.full((nv, 3), np.nan)
+    sigma_nn = np.full(nv, np.nan)
+    bdry_curv = np.full(nv, np.nan)
+    angle = np.full(nv, np.nan)
 
     if loops:
         v = np.concatenate(loops)
@@ -522,32 +490,29 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
         ring1 = sparse.csr_matrix((np.ones(adj.nnz), adj.indices, adj.indptr), shape=adj.shape)[v]
         interior_dir = ring1 @ p / np.diff(adj.indptr)[v][:, None] - p[v]
         nu[_dot(nu, interior_dir) > 0] *= -1.0
-        i = np.searchsorted(bverts, v)
-        conormal[i] = nu
+        conormal[v] = nu
 
         q = np.column_stack([_dot(nu, fits.t1[v]), _dot(nu, fits.t2[v])])
         denom = _form(fits.m1[v], q)
         pos = denom > 0
         m2 = -fits.m2[v[pos]] if flipped else fits.m2[v[pos]]
-        sigma_nn[i[pos]] = _form(m2, q[pos]) / denom[pos]
+        sigma_nn[v[pos]] = _form(m2, q[pos]) / denom[pos]
 
         if walls is not None:
             w = mesh.vertex_wall[v]
             on = (w >= 0) & (w < len(walls))
-            v, prev, nxt, T, N, nu, i = (a[on] for a in (v, prev, nxt, T, N, nu, i))
+            v, prev, nxt, T, N, nu = (a[on] for a in (v, prev, nxt, T, N, nu))
             n_i = walls.normals[w[on]]
-            angle[i] = np.arccos(np.clip(_dot(N, n_i), -1.0, 1.0))
+            angle[v] = np.arccos(np.clip(_dot(N, n_i), -1.0, 1.0))
             nb_raw = np.cross(n_i, T)
             nrm = np.linalg.norm(nb_raw, axis=1)
             keep = nrm > 0
-            v, prev, nxt, T, N, nu, i, n_i = (
-                a[keep] for a in (v, prev, nxt, T, N, nu, i, n_i)
-            )
+            v, prev, nxt, T, N, nu, n_i = (a[keep] for a in (v, prev, nxt, T, N, nu, n_i))
             nb_vec = nb_raw[keep] / nrm[keep, None]
             s_surface = _dot(np.cross(N, nu), T)
             s_wall = _dot(np.cross(n_i, nb_vec), T)
             nb_vec[s_surface * s_wall < 0] *= -1.0
-            wall_conormal[i] = nb_vec
+            wall_conormal[v] = nb_vec
             # circumscribed-circle curvature of the boundary polyline
             a = p[prev] - p[v]
             b = p[nxt] - p[v]
@@ -558,14 +523,14 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
                 * np.linalg.norm(p[nxt] - p[prev], axis=1)
             )
             kappa = np.divide(2.0 * area2, denom, out=np.zeros(len(v)), where=denom > 0)
-            bdry_curv[i] = np.where(kappa > 0, np.copysign(kappa, _dot(a + b, nb_vec)), 0.0)
+            bdry_curv[v] = np.where(kappa > 0, np.copysign(kappa, _dot(a + b, nb_vec)), 0.0)
 
-    nonfinite = ~np.isfinite(conormal).all(axis=1) | ~np.isfinite(sigma_nn)
+    bverts = mesh.boundary_vertices
+    nonfinite = ~np.isfinite(conormal[bverts]).all(axis=1) | ~np.isfinite(sigma_nn[bverts])
     return GeometryFields(
         normal=normals,
         mean_curv=H,
         sigma_sq=sigma_sq,
-        boundary_vertices=bverts,
         conormal=conormal,
         wall_conormal=wall_conormal,
         sigma_nn=sigma_nn,
@@ -585,17 +550,17 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
 def principal_direction_residual(mesh: LabeledTriMesh, walls: WallSet | None = None):
     """Check that the conormal is a principal direction at the boundary.
 
-    Returns per-boundary-vertex ||S nu - (nu^T S nu) nu|| / ||S|| measured in
-    the frame of a quadric fitted about the estimated normal; small values
-    confirm the boundary principal direction property of capillary
-    immersions.
+    Returns ||S nu - (nu^T S nu) nu|| / ||S|| per vertex, NaN off the
+    boundary and where the conormal is undefined, measured in the frame of a
+    quadric fitted about the estimated normal; small values confirm the
+    boundary principal direction property of capillary immersions.
     """
     fields = estimate_fields(mesh, walls)
-    out = np.full(len(fields.boundary_vertices), np.nan)
-    live = np.flatnonzero(np.isfinite(fields.conormal).all(axis=1))
-    if not len(live):
-        return fields.boundary_vertices, out
-    v = fields.boundary_vertices[live]
+    out = np.full(mesh.nv, np.nan)
+    b = mesh.boundary_vertices
+    v = b[np.isfinite(fields.conormal[b]).all(axis=1)]
+    if not len(v):
+        return out
     fits = _fit_quadrics(mesh, v, fields.normal[v], passes=1)
     m2 = -fits.m2 if fields.info["flipped"] else fits.m2
 
@@ -604,7 +569,7 @@ def principal_direction_residual(mesh: LabeledTriMesh, walls: WallSet | None = N
 
     # shape operator in the frame: S = M1^{-1} M2
     S = np.linalg.solve(square(fits.m1), square(m2))
-    nu = fields.conormal[live]
+    nu = fields.conormal[v]
     q = np.column_stack([_dot(nu, fits.t1), _dot(nu, fits.t2)])
     qn = np.linalg.norm(q, axis=1)
     keep = qn != 0
@@ -612,8 +577,8 @@ def principal_direction_residual(mesh: LabeledTriMesh, walls: WallSet | None = N
     Sq = np.einsum("bij,bj->bi", S, q)
     resid = np.linalg.norm(Sq - _dot(q, Sq)[:, None] * q, axis=1)
     norm_S = np.linalg.norm(S, 2, axis=(1, 2))
-    out[live[keep]] = np.divide(resid, norm_S, out=np.zeros(len(S)), where=norm_S > 0)
-    return fields.boundary_vertices, out
+    out[v[keep]] = np.divide(resid, norm_S, out=np.zeros(len(S)), where=norm_S > 0)
+    return out
 
 
 def export_fields_csv(mesh: LabeledTriMesh, fields: GeometryFields, path):
@@ -623,16 +588,14 @@ def export_fields_csv(mesh: LabeledTriMesh, fields: GeometryFields, path):
     module's default dialect.
     """
     path = Path(path)
-    table = np.full((mesh.nv, 17), np.nan)
-    table[:, :8] = np.column_stack(
-        [mesh.positions, fields.normal, fields.mean_curv, fields.sigma_sq]
-    )
-    b = fields.boundary_vertices
-    table[b, 8:] = np.column_stack(
-        [fields.conormal, fields.wall_conormal, fields.sigma_nn, fields.bdry_curv, fields.angle]
+    table = np.column_stack(
+        [
+            mesh.positions, fields.normal, fields.mean_curv, fields.sigma_sq,
+            fields.conormal, fields.wall_conormal, fields.sigma_nn, fields.bdry_curv, fields.angle,
+        ]
     )
     on_boundary = np.zeros(mesh.nv, dtype=bool)
-    on_boundary[b] = True
+    on_boundary[mesh.boundary_vertices] = True
     boundary_row = "%d" + ",%.17g" * 17
     interior_row = "%d" + ",%.17g" * 8 + "," * 9
     lines = [

@@ -16,6 +16,7 @@ plus one row of ``caplab.cli.FAMILIES``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -46,8 +47,20 @@ __all__ = [
 
 E3 = np.array([0.0, 0.0, 1.0])
 
+# the most vertices a family mesh may have: 160 times the 12,545 of the
+# res-256 cap, the largest mesh the benchmark tables name
+MAX_VERTICES = 2_000_000
+
 
 # -- structured mesh pieces -----------------------------------------------------
+
+
+def _check_vertices(count):
+    """Reject a mesh of more than MAX_VERTICES before any array is allocated."""
+    if count > MAX_VERTICES:
+        raise InvalidSpecError(
+            f"the mesh would have {count} or more vertices; at most {MAX_VERTICES} are allowed"
+        )
 
 
 def _strips(rings):
@@ -77,6 +90,7 @@ def _disk_grid(R, n):
     Triangles wind counterclockwise around +e3.
     """
     m = max(2, round(n / (2.0 * math.pi)) + 1)
+    _check_vertices(1 + m * n)
     alphas = 2.0 * math.pi * np.arange(n) / n
     rows = []
     for j in range(1, m + 1):
@@ -117,9 +131,15 @@ class FamilySpec:
     ``walls()`` and ``capillary_vector()``.
     """
 
-    def _check_resolution(self):
+    def _check_numbers(self):
+        """Reject a resolution off the integers 3 to MAX_VERTICES, and any non-finite field."""
         if not isinstance(self.resolution, int) or self.resolution < 3:
             raise InvalidSpecError(f"resolution must be an integer >= 3, got {self.resolution}")
+        _check_vertices(self.resolution)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise InvalidSpecError(f"{type(self).__name__} {f.name} must be finite, got {value}")
 
     def walls(self) -> WallSet | None:
         """Supporting wall set induced by the family, None for bare immersions."""
@@ -139,7 +159,7 @@ class Cap(FamilySpec):
     resolution: int
 
     def __post_init__(self):
-        self._check_resolution()
+        self._check_numbers()
         if self.R <= 0:
             raise InvalidSpecError(f"cap radius must be positive, got {self.R}")
         if not 0.0 < self.theta < math.pi:
@@ -165,6 +185,7 @@ class Cap(FamilySpec):
         n = self.resolution
         # meridian subdivisions balancing the equatorial azimuthal spacing
         m = max(2, round(n * self.theta / (2.0 * math.pi * math.sin(self.theta))))
+        _check_vertices(1 + m * n)
         R, theta = self.R, self.theta
         c = self.center
         alphas = 2.0 * math.pi * np.arange(n) / n
@@ -221,7 +242,7 @@ class Cylinder(FamilySpec):
     resolution: int
 
     def __post_init__(self):
-        self._check_resolution()
+        self._check_numbers()
         if self.r <= 0 or self.L <= 0:
             raise InvalidSpecError("cylinder radius and length must be positive")
 
@@ -237,7 +258,9 @@ class Cylinder(FamilySpec):
 
     def build(self):
         n = self.resolution
-        m = max(2, round(n * self.L / (2.0 * math.pi * self.r)))
+        # clipped: an infinite L / r then stays an integer and fails the check
+        m = max(2, round(min(n * self.L / (2.0 * math.pi * self.r), MAX_VERTICES)))
+        _check_vertices((m + 1) * n)
         alphas = 2.0 * math.pi * np.arange(n) / n
         rows = []
         for j in range(m + 1):
@@ -283,7 +306,7 @@ class FlatDisk(FamilySpec):
     resolution: int
 
     def __post_init__(self):
-        self._check_resolution()
+        self._check_numbers()
         if self.R <= 0:
             raise InvalidSpecError(f"disk radius must be positive, got {self.R}")
 
@@ -326,7 +349,7 @@ class ClosedSphere(FamilySpec):
     resolution: int
 
     def __post_init__(self):
-        self._check_resolution()
+        self._check_numbers()
         if self.R <= 0:
             raise InvalidSpecError(f"sphere radius must be positive, got {self.R}")
 
@@ -337,6 +360,7 @@ class ClosedSphere(FamilySpec):
     def build(self):
         n = self.resolution
         m = max(3, round(n / 2))
+        _check_vertices(2 + (m - 1) * n)
         R = self.R
         alphas = 2.0 * math.pi * np.arange(n) / n
         rows = []
@@ -378,7 +402,7 @@ class MongePatch(FamilySpec):
     resolution: int
 
     def __post_init__(self):
-        self._check_resolution()
+        self._check_numbers()
         if self.amplitude < 0:
             raise InvalidSpecError("amplitude must be nonnegative")
         if self.R <= 0:
@@ -503,25 +527,25 @@ def exact_fields(spec: FamilySpec, mesh: LabeledTriMesh) -> GeometryFields:
     """Analytic geometry fields evaluated at the mesh vertices.
 
     Positions are assumed to lie on the family surface (as produced by
-    ``generate_mesh`` or projector-based refinement). Boundary entries the
-    family does not define stay NaN.
+    ``generate_mesh`` or projector-based refinement). The boundary fields
+    are NaN off the boundary and wherever the family does not define them.
     """
     bverts = mesh.boundary_vertices
-    nb = len(bverts)
+    nv = mesh.nv
     normal, H, sigma_sq, known = spec.exact(mesh.positions, bverts)
     boundary = {
-        "conormal": np.full((nb, 3), np.nan),
-        "wall_conormal": np.full((nb, 3), np.nan),
-        "sigma_nn": np.full(nb, np.nan),
-        "bdry_curv": np.full(nb, np.nan),
-        "angle": np.full(nb, np.nan),
-        **known,
+        "conormal": np.full((nv, 3), np.nan),
+        "wall_conormal": np.full((nv, 3), np.nan),
+        "sigma_nn": np.full(nv, np.nan),
+        "bdry_curv": np.full(nv, np.nan),
+        "angle": np.full(nv, np.nan),
     }
+    for name, values in known.items():
+        boundary[name][bverts] = values
     return GeometryFields(
         normal=normal,
         mean_curv=np.asarray(H, float),
         sigma_sq=np.asarray(sigma_sq, float),
-        boundary_vertices=bverts,
         info={"family": type(spec).__name__},
         **boundary,
     )

@@ -211,8 +211,6 @@ def assemble_index_form(
     # formed on it: exactly symmetric, since each entry pair sums alike
     data = ops.K.data - weighted_mass(ops, fields.sigma_sq).data
     diagonal = mesh.pair_pattern.diagonal
-    sigma_nn_full = fields.full("sigma_nn")
-    conormal_full = fields.full("conormal")
     for i, theta in enumerate(walls.angles):
         if i not in ops.B_wall:
             continue
@@ -221,13 +219,13 @@ def assemble_index_form(
             continue
         b = ops.B_wall[i].diagonal()
         on_wall = b != 0.0
-        bad = ~np.isfinite(sigma_nn_full[on_wall]) | ~np.isfinite(conormal_full[on_wall]).all(axis=1)
+        bad = ~np.isfinite(fields.sigma_nn[on_wall]) | ~np.isfinite(fields.conormal[on_wall]).all(axis=1)
         if bad.any():
             raise FitFailureError(
                 f"{int(bad.sum())} vertices on wall {i} have a non-finite sigma(nu, nu) "
                 "or conormal; the boundary term of the index form is undefined"
             )
-        q = cot * sigma_nn_full[on_wall]
+        q = cot * fields.sigma_nn[on_wall]
         data[diagonal[on_wall]] -= q * b[on_wall]
     A = mesh.pair_pattern.csr(data)
     M = ops.M
@@ -703,17 +701,14 @@ def build_test_function(
     # term, which is removed through the structure equation for Delta phi
     lap_model = -fields.sigma_sq * phi + (fields.sigma_sq - NDIM * hbar * hbar)
     flux = ops.K @ phi + ops.M @ lap_model
-    bverts = fields.boundary_vertices
+    bverts = mesh.boundary_vertices
     q_full = np.zeros(mesh.nv)
-    sigma_nn_full = fields.full("sigma_nn")
     for i, theta in enumerate(walls.angles):
         on = mesh.vertex_wall == i
-        q_full[on] = _cot(theta) * sigma_nn_full[on]
+        q_full[on] = _cot(theta) * fields.sigma_nn[on]
     b_diag = np.asarray(ops.B_all.diagonal())
-    robin = np.zeros(len(bverts))
-    if len(bverts):
-        denom = np.maximum(b_diag[bverts], 1e-300)
-        robin = np.abs(flux[bverts] - q_full[bverts] * b_diag[bverts] * phi[bverts]) / denom
+    denom = np.maximum(b_diag[bverts], 1e-300)
+    robin = np.abs(flux[bverts] - q_full[bverts] * b_diag[bverts] * phi[bverts]) / denom
 
     quad = float(phi @ (sys_.A @ phi))
     closed = -integrate_scalar(ops.M, (fields.sigma_sq - NDIM * hbar * hbar) * phi)

@@ -63,6 +63,74 @@ class TestGen:
         assert rc == 2
 
 
+class NoArrays:
+    """Stands in for numpy in ``caplab.families``: any array is an error."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached before the mesh size was checked")
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identities", "--family", "cap"],
+            ["stability", "--family", "cap"],
+            ["wedge", "--walls", "missing.walls.json"],
+        ],
+        ids=["identities", "stability", "wedge"],
+    )
+    @pytest.mark.parametrize(
+        "value, message",
+        [("nan", "must be finite"), ("inf", "must be finite"), ("-inf", "must be finite"),
+         ("-1", "must be nonnegative")],
+    )
+    def test_bad_tol_exits_2_before_any_input(self, argv, value, message, tmp_path, capsys, monkeypatch):
+        # --tol nan wrote "tol_used": NaN, which is not JSON, and never
+        # failed; --tol -1 called the hemisphere unstable
+        monkeypatch.setattr(families, "generate_mesh", None)
+        out = tmp_path / "out"
+        assert main([*argv, f"--tol={value}", "--out", str(out)]) == 2
+        assert f"error: --tol {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--family", "cylinder", "--length", "inf", "--res", "12"], "Cylinder L must be finite"),
+            (["--family", "cap", "--radius", "nan"], "Cap R must be finite"),
+            (["--family", "cylinder", "--length", "1e300", "--res", "12"], "at most 2000000 are allowed"),
+            (["--family", "cylinder", "--r", "1e-320", "--res", "12"], "at most 2000000 are allowed"),
+            (["--family", "cylinder", "--res", "100000000"], "at most 2000000 are allowed"),
+            (["--family", "cap", "--angle-deg", "179.9999", "--res", "32"], "at most 2000000 are allowed"),
+        ],
+        ids=["length-inf", "radius-nan", "length-1e300", "r-1e-320", "res-1e8", "angle-179.9999"],
+    )
+    def test_family_flags_exit_2_before_any_array(self, argv, message, tmp_path, capsys, monkeypatch):
+        # these ended in an OverflowError, ran past a minute, or were killed
+        # for memory
+        monkeypatch.setattr(families, "np", NoArrays())
+        start = time.perf_counter()
+        assert main(["stability", *argv, "--out", str(tmp_path)]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert message in capsys.readouterr().err
+
+    def test_zero_contact_angle_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "walls.json"
+        path.write_text(json.dumps([{"normal": [0, 0, -1], "offset": 0.0, "angle_rad": 0}]))
+        assert main(["wedge", "--walls", str(path), "--out", str(tmp_path)]) == 2
+        assert "error: contact angle 0.0 outside (0, pi)" in capsys.readouterr().err
+
+    def test_undefined_cotangent_exits_2(self, tmp_path, capsys):
+        assert main(["gen", "cap", "--angle-deg", "60", "--res", "12", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "tiny.walls.json"
+        path.write_text(json.dumps([{"normal": [0, 0, -1], "offset": 0.0, "angle_rad": 1e-16}]))
+        mesh = str(tmp_path / "cap_r1_a60_res12.capmesh")
+        argv = ["stability", "--mesh", mesh, "--walls", str(path), "--out", str(tmp_path / "s")]
+        assert main(argv) == 2
+        assert "error: cotangent undefined at theta = 1e-16" in capsys.readouterr().err
+
+
 class TestIdentities:
     def test_one_sort_of_vertex_pairs_per_mesh(self, tmp_path, topology_builds):
         assert main(["identities", "--family", "cap", "--levels", "3", "--out", str(tmp_path)]) == 0

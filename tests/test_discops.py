@@ -159,12 +159,12 @@ class TestEstimateFields:
     def test_cylinder_boundary_sigma_nn_flat(self, cylinder_l2):
         spec, mesh, _ = cylinder_l2[32]
         est = discops.estimate_fields(mesh, spec.walls())
-        assert np.abs(est.sigma_nn).max() <= 0.05
+        assert np.abs(est.sigma_nn[mesh.boundary_vertices]).max() <= 0.05
 
     def test_hemisphere_boundary_curvature(self, hemisphere):
         spec, mesh, _ = hemisphere[32]
         est = discops.estimate_fields(mesh, spec.walls())
-        assert np.abs(est.bdry_curv + 1.0).max() <= 0.02
+        assert np.abs(est.bdry_curv[mesh.boundary_vertices] + 1.0).max() <= 0.02
 
     def test_normals_flipped_to_positive_mean_curvature(self, unit_sphere):
         _, mesh, exact = unit_sphere
@@ -189,7 +189,7 @@ class TestEstimateFields:
             spec, mesh, exact = cap_pi3[res]
             est = discops.estimate_fields(mesh, spec.walls())
             errs_H.append(np.abs(est.mean_curv - 1.0).max())
-            errs_ang.append(np.abs(est.angle - math.pi / 3).max())
+            errs_ang.append(np.abs(est.angle[mesh.boundary_vertices] - math.pi / 3).max())
         assert decreasing_with_floor(errs_H)
         assert decreasing_with_floor(errs_ang)
         assert errs_H[-1] <= 0.02
@@ -205,32 +205,26 @@ class TestEstimateFields:
     def test_conormal_orthogonality_and_unit_norms(self, cap_pi3):
         spec, mesh, _ = cap_pi3[32]
         est = discops.estimate_fields(mesh, spec.walls())
-        for vecs in (est.normal, est.conormal, est.wall_conormal):
+        b = mesh.boundary_vertices
+        for vecs in (est.normal, est.conormal[b], est.wall_conormal[b]):
             assert np.abs(np.linalg.norm(vecs, axis=1) - 1.0).max() <= 1e-10
-        dots = np.einsum(
-            "ij,ij->i", est.conormal, est.normal[est.boundary_vertices]
-        )
+        dots = np.einsum("ij,ij->i", est.conormal[b], est.normal[b])
         assert np.abs(dots).max() <= 1e-10
-        wall_dots = est.wall_conormal @ spec.walls().walls[0].normal
+        wall_dots = est.wall_conormal[b] @ spec.walls().walls[0].normal
         assert np.abs(wall_dots).max() <= 1e-12
 
     def test_principal_direction_at_boundary(self, cap_pi3, cylinder_l2):
         """The conormal is a principal direction of capillary immersions."""
         for fix in (cap_pi3, cylinder_l2):
             spec, mesh, _ = fix[32]
-            _, resid = discops.principal_direction_residual(mesh, spec.walls())
-            assert np.nanmax(resid) <= 0.05
-        res16 = np.nanmax(
-            discops.principal_direction_residual(
-                cap_pi3[16][1], cap_pi3[16][0].walls()
-            )[1]
-        )
-        res64 = np.nanmax(
-            discops.principal_direction_residual(
-                cap_pi3[64][1], cap_pi3[64][0].walls()
-            )[1]
-        )
-        assert res64 < res16
+            resid = discops.principal_direction_residual(mesh, spec.walls())
+            assert np.nanmax(resid[mesh.boundary_vertices]) <= 0.05
+        worst = []
+        for res in (16, 64):
+            spec, mesh, _ = cap_pi3[res]
+            resid = discops.principal_direction_residual(mesh, spec.walls())
+            worst.append(np.nanmax(resid[mesh.boundary_vertices]))
+        assert worst[1] < worst[0]
 
     def test_rigid_motion_invariance(self, cap_pi3):
         spec, mesh, _ = cap_pi3[16]
@@ -238,15 +232,16 @@ class TestEstimateFields:
         R = rotation_matrix([1.0, 2.0, 0.5], 0.93)
         est = discops.estimate_fields(mesh, walls)
         est_rot = discops.estimate_fields(mesh.transformed(R), rotate_walls(walls, R))
+        b = mesh.boundary_vertices
 
         def dev(a, b):
             return (np.abs(a - b) / (1.0 + np.abs(b))).max()
 
         assert dev(est_rot.mean_curv, est.mean_curv) <= 1e-10
         assert dev(est_rot.sigma_sq, est.sigma_sq) <= 1e-10
-        assert dev(est_rot.sigma_nn, est.sigma_nn) <= 1e-10
-        assert dev(est_rot.bdry_curv, est.bdry_curv) <= 1e-10
-        assert dev(est_rot.angle, est.angle) <= 1e-10
+        assert dev(est_rot.sigma_nn[b], est.sigma_nn[b]) <= 1e-10
+        assert dev(est_rot.bdry_curv[b], est.bdry_curv[b]) <= 1e-10
+        assert dev(est_rot.angle[b], est.angle[b]) <= 1e-10
         assert np.abs(est_rot.normal - est.normal @ R.T).max() <= 1e-10
 
     def test_scaling_covariance(self, cap_pi3):
@@ -254,10 +249,11 @@ class TestEstimateFields:
         walls = spec.walls()
         est = discops.estimate_fields(mesh, walls)
         est2 = discops.estimate_fields(mesh.scaled(2.0), walls)
+        b = mesh.boundary_vertices
         assert np.abs(2.0 * est2.mean_curv - est.mean_curv).max() <= 1e-10
         assert np.abs(4.0 * est2.sigma_sq - est.sigma_sq).max() <= 1e-10
-        assert np.abs(2.0 * est2.sigma_nn - est.sigma_nn).max() <= 1e-10
-        assert np.abs(2.0 * est2.bdry_curv - est.bdry_curv).max() <= 1e-10
+        assert np.abs(2.0 * est2.sigma_nn[b] - est.sigma_nn[b]).max() <= 1e-10
+        assert np.abs(2.0 * est2.bdry_curv[b] - est.bdry_curv[b]).max() <= 1e-10
 
     def test_fit_failure_on_tiny_mesh(self):
         mesh = meshkit.LabeledTriMesh(
@@ -288,7 +284,7 @@ class TestEstimateFields:
 
 def reference_fields_csv(mesh, fields, path):
     """The per-vertex csv.writer loop export_fields_csv replaced."""
-    bset = {int(v): i for i, v in enumerate(fields.boundary_vertices)}
+    bset = set(mesh.boundary_vertices.tolist())
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(
@@ -305,13 +301,12 @@ def reference_fields_csv(mesh, fields, path):
             row += [f"{c:.17g}" for c in fields.normal[v]]
             row += [f"{fields.mean_curv[v]:.17g}", f"{fields.sigma_sq[v]:.17g}"]
             if v in bset:
-                i = bset[v]
-                row += [f"{c:.17g}" for c in fields.conormal[i]]
-                row += [f"{c:.17g}" for c in fields.wall_conormal[i]]
+                row += [f"{c:.17g}" for c in fields.conormal[v]]
+                row += [f"{c:.17g}" for c in fields.wall_conormal[v]]
                 row += [
-                    f"{fields.sigma_nn[i]:.17g}",
-                    f"{fields.bdry_curv[i]:.17g}",
-                    f"{fields.angle[i]:.17g}",
+                    f"{fields.sigma_nn[v]:.17g}",
+                    f"{fields.bdry_curv[v]:.17g}",
+                    f"{fields.angle[v]:.17g}",
                 ]
             else:
                 row += [""] * 9

@@ -67,7 +67,7 @@ class TestGenerateMesh:
     def test_closed_sphere(self, unit_sphere):
         spec, mesh, fields = unit_sphere
         assert mesh.is_closed()
-        assert len(fields.boundary_vertices) == 0
+        assert np.isnan(fields.conormal).all() and np.isnan(fields.sigma_nn).all()
         assert np.allclose(fields.mean_curv, 1.0)
         assert np.allclose(fields.sigma_sq, 2.0)
         # inward normal
@@ -108,7 +108,7 @@ class TestGenerateMesh:
             spec = families.Cap(R=1.0, theta=theta, resolution=16)
             mesh, fields = families.generate_mesh(spec)
             n1 = spec.walls().walls[0].normal
-            measured = np.arccos(np.clip(fields.normal[fields.boundary_vertices] @ n1, -1, 1))
+            measured = np.arccos(np.clip(fields.normal[mesh.boundary_vertices] @ n1, -1, 1))
             assert np.abs(measured - theta).max() <= 1e-12
 
     def test_area_converges(self):
@@ -133,6 +133,42 @@ class TestGenerateMesh:
             families.Cylinder(r=-1.0, L=1.0, resolution=8)
         with pytest.raises(InvalidSpecError):
             families.MongePatch(amplitude=-0.1, R=1.0, resolution=8)
+
+    @pytest.mark.parametrize(
+        "cls, values",
+        [
+            (families.Cap, {"R": 1.0, "theta": math.pi / 3}),
+            (families.Cylinder, {"r": 1.0, "L": 2.0}),
+            (families.FlatDisk, {"R": 1.0}),
+            (families.ClosedSphere, {"R": 1.0}),
+            (families.MongePatch, {"amplitude": 0.1, "R": 1.0}),
+        ],
+    )
+    def test_non_finite_field_rejected(self, cls, values):
+        for name in values:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(InvalidSpecError, match=f"{name} must be finite"):
+                    cls(**{**values, name: bad}, resolution=8)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            families.Cap(R=1.0, theta=2.2, resolution=12),
+            families.Cylinder(r=1.0, L=3.0, resolution=12),
+            families.FlatDisk(R=1.0, resolution=12),
+            families.ClosedSphere(R=1.0, resolution=12),
+            families.MongePatch(amplitude=0.1, R=1.0, resolution=12),
+        ],
+        ids=lambda spec: type(spec).__name__,
+    )
+    def test_vertex_limit_is_the_exact_count(self, spec, monkeypatch):
+        # the count each build checks is the count it builds
+        nv = families.generate_mesh(spec)[0].nv
+        monkeypatch.setattr(families, "MAX_VERTICES", nv)
+        assert families.generate_mesh(spec)[0].nv == nv
+        monkeypatch.setattr(families, "MAX_VERTICES", nv - 1)
+        with pytest.raises(InvalidSpecError, match=f"{nv} or more vertices"):
+            families.generate_mesh(spec)
 
     def test_validates_against_induced_walls(self):
         for spec in (

@@ -71,22 +71,15 @@ class TestSmallPaths:
         with pytest.raises(ParseError):
             meshkit.load_walls(path)
 
-    def test_boundary_index_rejects_interior_vertex(self, cap_pi3):
-        spec, mesh, fields = cap_pi3[16]
-        interior = next(
-            v for v in range(mesh.nv) if v not in mesh.boundary_vertices
-        )
-        with pytest.raises(KeyError):
-            fields.boundary_index(np.array([interior]))
-
-    def test_fields_full_scatter(self, cap_pi3):
-        _, mesh, fields = cap_pi3[16]
-        full = fields.full("sigma_nn")
-        assert full.shape == (mesh.nv,)
-        assert np.allclose(full[fields.boundary_vertices], fields.sigma_nn)
-        interior_mask = np.ones(mesh.nv, bool)
-        interior_mask[fields.boundary_vertices] = False
-        assert np.all(full[interior_mask] == 0.0)
+    def test_boundary_fields_are_nan_exactly_off_the_boundary(self, cap_pi3):
+        spec, mesh, exact = cap_pi3[16]
+        on = np.zeros(mesh.nv, bool)
+        on[mesh.boundary_vertices] = True
+        for fields in (exact, discops.estimate_fields(mesh, spec.walls())):
+            for name in ("conormal", "wall_conormal", "sigma_nn", "bdry_curv", "angle"):
+                values = getattr(fields, name).reshape(mesh.nv, -1)
+                assert np.isfinite(values[on]).all(), name
+                assert np.isnan(values[~on]).all(), name
 
     def test_refine_closed_sphere(self, unit_sphere):
         spec, mesh, _ = unit_sphere

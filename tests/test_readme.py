@@ -1,5 +1,6 @@
-"""Every command of the README's command-line block exits 0."""
+"""Every command of the README's command-line block exits 0 and writes strict JSON."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -21,7 +22,16 @@ def test_block_found():
     assert {argv[0] for argv in commands} >= {"gen", "identities", "stability", "testfn", "wedge", "sweep"}
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_every_command_exits_0(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in readme_commands():
         assert main(argv) == 0, shlex.join(["caplab", *argv])
+    # json.loads accepts NaN and Infinity unless told otherwise
+    reports = sorted(tmp_path.rglob("*.json"))
+    assert reports
+    for path in reports:
+        json.loads(path.read_text(), parse_constant=reject_constant)

@@ -641,7 +641,7 @@ class TestNonFiniteFields:
     def test_nan_sigma_nn_on_contact_wall_is_a_fit_failure(self, cap_pi3):
         spec, mesh, fields = cap_pi3[16]
         sigma_nn = fields.sigma_nn.copy()
-        sigma_nn[3] = np.nan
+        sigma_nn[mesh.boundary_vertices[3]] = np.nan
         broken = dataclasses.replace(fields, sigma_nn=sigma_nn)
         with pytest.raises(FitFailureError, match="1 vertices on wall 0"):
             stability.assemble_index_form(mesh, spec.walls(), broken)
@@ -649,7 +649,7 @@ class TestNonFiniteFields:
     def test_nan_conormal_on_contact_wall_is_a_fit_failure(self, cap_pi3):
         spec, mesh, fields = cap_pi3[16]
         conormal = fields.conormal.copy()
-        conormal[[0, 5]] = np.nan
+        conormal[mesh.boundary_vertices[[0, 5]]] = np.nan
         broken = dataclasses.replace(fields, conormal=conormal)
         with pytest.raises(FitFailureError, match="2 vertices on wall 0"):
             stability.assemble_index_form(mesh, spec.walls(), broken)
@@ -658,7 +658,7 @@ class TestNonFiniteFields:
         # cot(pi/2) = 0: sigma(nu, nu) never enters the form
         spec, mesh, fields = hemisphere[16]
         sigma_nn = fields.sigma_nn.copy()
-        sigma_nn[3] = np.nan
+        sigma_nn[mesh.boundary_vertices[3]] = np.nan
         broken = dataclasses.replace(fields, sigma_nn=sigma_nn)
         system = stability.assemble_index_form(mesh, spec.walls(), broken)
         assert np.all(np.isfinite(system.A.data))
