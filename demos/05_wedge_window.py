@@ -53,7 +53,7 @@ walls = meshkit.WallSet(
 )
 system = stability.assemble_index_form(mesh, walls, fields)
 verdict = stability.stability_verdict(system)
-report = wedge.classify(mesh, walls, fields, verdict)
+report = wedge.classify(mesh, walls, verdict)
 print(f"checks: {report.checks}")
 print(f"hypotheses met: {report.hypotheses_met}")
 print(f"|a| = {report.norm_a:.4f}, window delta = {report.delta:.4f} rad")
@@ -62,7 +62,7 @@ print(f"sphericity residual = {report.sphericity_residual:.2e} "
 
 print("\n=== Same cap against an out-of-window wall set ===")
 far = meshkit.WallSet(walls.walls, (math.pi / 2 + 1.0, theta))
-report = wedge.classify(mesh, far, fields, stability.stability_verdict(
+report = wedge.classify(mesh, far, stability.stability_verdict(
     stability.assemble_index_form(mesh, far, fields)))
 print(f"checks: {report.checks}")
 print(f"hypotheses met: {report.hypotheses_met}")

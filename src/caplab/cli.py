@@ -23,7 +23,7 @@ from . import identities as idn
 from . import meshkit as mk
 from . import stability as st
 from . import wedge as wg
-from .discops import assemble_operators, estimate_fields, export_fields_csv
+from .discops import estimate_fields, export_fields_csv
 from .errors import CapLabError, SolverFailureError
 from .reports import document, write_report
 
@@ -103,11 +103,10 @@ def _load_inputs(args):
     """Mesh, walls and fields from either --mesh/--walls or family flags."""
     if args.mesh:
         mesh, walls = mk.load(args.mesh, getattr(args, "walls", None))
-        fields = estimate_fields(mesh, walls)
-        return mesh, walls, fields, None
+        return mesh, walls, estimate_fields(mesh, walls)
     spec = _family_from_args(args)
     mesh, fields = fam.generate_mesh(spec)
-    return mesh, spec.walls(), fields, spec
+    return mesh, spec.walls(), fields
 
 
 # -- gen -------------------------------------------------------------------------
@@ -115,7 +114,8 @@ def _load_inputs(args):
 
 def _cmd_gen(args):
     spec = _family_from_args(args)
-    mesh, _fields = fam.generate_mesh(spec)
+    # the mesh alone: gen writes no fields
+    mesh = mk.LabeledTriMesh(*spec.build())
     out = _outdir(args)
     name = args.name or spec.slug
     mesh_path = out / f"{name}.capmesh"
@@ -144,7 +144,7 @@ def _cmd_identities(args):
     # meshes and fields are alive at once
     for level in range(n_levels):
         if args.mesh:
-            mesh, walls, fields, _ = _load_inputs(args)
+            mesh, walls, fields = _load_inputs(args)
             tag, a = f"nv={mesh.nv}", None
         else:
             spec = _family_from_args(args, res=args.res * (2**level))
@@ -178,11 +178,10 @@ def _cmd_identities(args):
 def _cmd_stability(args):
     _check_flags(args, nonnegative=("tol",))
     out = _outdir(args)
-    mesh, walls, fields, spec = _load_inputs(args)
+    mesh, walls, fields = _load_inputs(args)
     if walls is None:
         raise CapLabError("stability analysis needs a wall set")
-    ops = assemble_operators(mesh)
-    system = st.assemble_index_form(mesh, walls, fields, ops)
+    system = st.assemble_index_form(mesh, walls, fields)
     verdict = st.stability_verdict(system, tol=args.tol)
     write_report(out / "verdict.json", verdict.to_document())
     lines = ["index,lambda"] + [
@@ -201,7 +200,7 @@ def _cmd_stability(args):
 
 def _cmd_testfn(args):
     out = _outdir(args)
-    mesh, walls, fields, spec = _load_inputs(args)
+    mesh, walls, fields = _load_inputs(args)
     if walls is None:
         raise CapLabError("the test function needs a wall set")
     a = None
@@ -242,7 +241,7 @@ def _cmd_wedge(args):
         system = st.assemble_index_form(mesh, walls, fields)
         # the classification reads only lambda_min and the stable flag
         verdict = st.stability_verdict(system, tol=args.tol, k=1)
-        report = wg.classify(mesh, walls, fields, verdict)
+        report = wg.classify(mesh, walls, verdict)
         body["classification"] = report.to_document()
     write_report(out / "wedge.json", document("wedge", body))
     print(out / "wedge.json")

@@ -11,8 +11,8 @@ The mass, stiffness and weighted-mass matrices are summed from 3x3 element
 matrices with ``np.bincount`` into the mesh's cached ``pair_pattern``: no
 per-matrix COO build or index sort, one shared set of index arrays, and
 exact symmetry. The triangle areas and cotangents come from one gather of
-the triangle corners; the weighted mass reuses the areas its ``OperatorSet``
-keeps. The boundary measures are diagonal CSR matrices built directly.
+the triangle corners; the weighted mass reuses the areas of the mesh's
+``operators``. The boundary measures are diagonal CSR matrices built directly.
 """
 
 from __future__ import annotations
@@ -107,19 +107,15 @@ class OperatorSet:
     boundary edges onto the endpoints, and ``B_all`` does the same for the
     whole boundary regardless of labels. ``areas`` holds the triangle areas
     the matrices were summed from. The total area, the row sums of ``M`` and
-    the wall lengths are computed on first use, once.
+    the wall lengths are computed on first use, once. A mesh keeps its set
+    as ``LabeledTriMesh.operators``, so every array here is read-only.
     """
 
     M: sparse.csr_matrix
     K: sparse.csr_matrix
     B_wall: dict
     B_all: sparse.csr_matrix
-    mesh: LabeledTriMesh
     areas: np.ndarray
-
-    @property
-    def nv(self):
-        return self.M.shape[0]
 
     @cached_property
     def area(self):
@@ -169,12 +165,19 @@ _PREV = np.array([2, 0, 1])
 
 
 def _diagonal(values):
-    """The diagonal CSR matrix of ``values``, storing their nonzeros only."""
+    """The diagonal CSR matrix of ``values``, storing their nonzeros only; read-only."""
     on = values != 0
     indptr = np.zeros(len(values) + 1, dtype=np.int32)
     np.cumsum(on, out=indptr[1:])
     rows = np.flatnonzero(on).astype(np.int32)
-    return sparse.csr_matrix((values[rows], rows, indptr), shape=(len(values), len(values)))
+    return _frozen(sparse.csr_matrix((values[rows], rows, indptr), shape=(len(values), len(values))))
+
+
+def _frozen(matrix):
+    """``matrix`` with its arrays made read-only."""
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False
+    return matrix
 
 
 def assemble_operators(mesh: LabeledTriMesh) -> OperatorSet:
@@ -182,7 +185,8 @@ def assemble_operators(mesh: LabeledTriMesh) -> OperatorSet:
 
     ``M`` and ``K`` are summed from 3x3 element matrices on the mesh's
     ``pair_pattern``, so they share its index arrays and are exactly
-    symmetric. Both come from one gather of the triangle corners.
+    symmetric. Both come from one gather of the triangle corners. Callers
+    read ``mesh.operators``, which calls this once per mesh.
     """
     if mesh.nv == 0 or mesh.nf == 0:
         raise InvalidMeshError("cannot assemble operators on an empty mesh")
@@ -194,14 +198,14 @@ def assemble_operators(mesh: LabeledTriMesh) -> OperatorSet:
     # consistent mass: A/6 on the diagonal, A/12 off-diagonal per triangle
     local = np.repeat(areas / 12.0, 9).reshape(-1, 3, 3)
     local[:, _CORNER, _CORNER] = (areas / 6.0)[:, None]
-    M = pattern.assemble(local)
+    M = _frozen(pattern.assemble(local))
 
     # cotangent stiffness: a triangle puts -cot/2 of its third corner on each
     # pair of corners and the cot/2 of the other two corners on each
     # corner's diagonal
     local = -half_cot[:, _THIRD]
     local[:, _CORNER, _CORNER] = half_cot[:, [1, 2, 0]] + half_cot[:, [2, 0, 1]]
-    K = pattern.assemble(local)
+    K = _frozen(pattern.assemble(local))
 
     # half of each boundary edge onto both ends, summed in edge order
     be = mesh.boundary_edges
@@ -214,24 +218,24 @@ def assemble_operators(mesh: LabeledTriMesh) -> OperatorSet:
         B_wall[w] = _diagonal(np.bincount(be.ravel()[on], half[on], minlength=nv))
     # numpy counts an empty edge list in integers
     B_all = _diagonal(np.bincount(be.ravel(), half, minlength=nv).astype(float, copy=False))
-    return OperatorSet(M=M, K=K, B_wall=B_wall, B_all=B_all, mesh=mesh, areas=areas)
+    areas.flags.writeable = False
+    return OperatorSet(M=M, K=K, B_wall=B_wall, B_all=B_all, areas=areas)
 
 
-def weighted_mass(operators: OperatorSet, weights) -> sparse.csr_matrix:
+def weighted_mass(mesh: LabeledTriMesh, weights) -> sparse.csr_matrix:
     """Consistent mass matrix of the piecewise-linear weight function.
 
     Entries are exact integrals of w * phi_i * phi_j with w interpolating the
-    per-vertex ``weights``, summed from the triangle areas of ``operators``
-    on the pattern of its ``M`` and ``K``.
+    per-vertex ``weights``, summed from the triangle areas of
+    ``mesh.operators`` on the pattern of its ``M`` and ``K``.
     """
-    mesh = operators.mesh
     w = np.asarray(weights, float)
     if w.shape != (mesh.nv,):
         raise ValueError("need one weight per vertex")
     wt = w[mesh.triangles]
     local = (wt[:, :, None] + wt[:, None, :]) / 30.0 + wt[:, _THIRD] / 60.0
     local[:, _CORNER, _CORNER] = wt / 10.0 + (wt.sum(axis=1)[:, None] - wt) / 30.0
-    return mesh.pair_pattern.assemble(operators.areas[:, None, None] * local)
+    return mesh.pair_pattern.assemble(mesh.operators.areas[:, None, None] * local)
 
 
 def integrate_scalar(matrix, values) -> float:

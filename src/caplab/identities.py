@@ -23,12 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discops import (
-    NDIM,
-    assemble_operators,
-    integrate_scalar,
-    integrate_vector,
-)
+from .discops import NDIM, integrate_scalar, integrate_vector
 from .errors import InvalidMeshError
 from .reports import document, to_jsonable
 
@@ -85,7 +80,7 @@ def _norm(v):
     return float(np.linalg.norm(np.atleast_1d(np.asarray(v, float))))
 
 
-def _report(name, lhs, rhs, area, natural_scale=0.0, resolution="", info=None):
+def _report(name, lhs, rhs, area, natural_scale=0.0, info=None):
     abs_res = _norm(np.asarray(lhs, float) - np.asarray(rhs, float))
     scale = max(_norm(lhs), _norm(rhs), natural_scale, SCALE_FLOOR_FACTOR * area)
     return IdentityReport(
@@ -94,9 +89,12 @@ def _report(name, lhs, rhs, area, natural_scale=0.0, resolution="", info=None):
         rhs=rhs,
         abs_residual=abs_res,
         rel_residual=abs_res / scale,
-        resolution=resolution,
         info=info or {},
     )
+
+
+def _skipped(name, why):
+    return IdentityReport(name, None, None, None, None, info={"skipped": why})
 
 
 def _mean_curvature_stats(fields, ops):
@@ -112,29 +110,29 @@ def _position_dot_normal(mesh, fields):
     return np.einsum("ij,ij->i", mesh.positions, fields.normal)
 
 
-def check_normal_integral(mesh, fields, operators=None, resolution=""):
+def check_normal_integral(mesh, fields):
     """Divergence identity for the normal of an arbitrary immersion.
 
     Compares n * integral of N over the surface with the boundary integral of
     <psi, nu> N - <psi, N> nu; no contact-angle structure is needed.
     """
-    ops = operators or assemble_operators(mesh)
+    ops = mesh.operators
     lhs = NDIM * integrate_vector(ops.M, fields.normal)
     u = _position_dot_normal(mesh, fields)
     w = np.einsum("ij,ij->i", mesh.positions, fields.conormal)
     integrand = w[:, None] * fields.normal - u[:, None] * fields.conormal
     rhs = integrate_vector(ops.B_all, integrand)
     scale = NDIM * ops.area + integrate_scalar(ops.B_all, np.linalg.norm(integrand, axis=1))
-    return _report("normal_integral", lhs, rhs, ops.area, scale, resolution)
+    return _report("normal_integral", lhs, rhs, ops.area, scale)
 
 
-def check_first_integral(mesh, fields, operators=None, resolution=""):
+def check_first_integral(mesh, fields):
     """Integrated tangential-divergence identity of the position field.
 
     Boundary integral of <psi, nu> against n * integral of (1 + H <psi, N>),
     with the pointwise H field; holds for arbitrary immersions.
     """
-    ops = operators or assemble_operators(mesh)
+    ops = mesh.operators
     w = np.einsum("ij,ij->i", mesh.positions, fields.conormal)
     lhs = integrate_scalar(ops.B_all, w)
     u = _position_dot_normal(mesh, fields)
@@ -145,20 +143,18 @@ def check_first_integral(mesh, fields, operators=None, resolution=""):
     scale = integrate_scalar(ops.B_all, np.abs(w)) + NDIM * integrate_scalar(
         ops.M, 1.0 + np.abs(fields.mean_curv * u)
     )
-    return _report("first_integral", lhs, rhs, ops.area, scale, resolution)
+    return _report("first_integral", lhs, rhs, ops.area, scale)
 
 
-def check_minkowski_boundary(mesh, fields, walls, wall, operators=None, resolution=""):
+def check_minkowski_boundary(mesh, fields, walls, wall):
     """Minkowski formula of the boundary curve inside its wall plane.
 
     |Gamma_i| against minus the integral of H_bdry <psi, nu-bar>, with the
     position measured from an origin translated into the wall plane.
     """
-    ops = operators or assemble_operators(mesh)
+    ops = mesh.operators
     if wall not in ops.B_wall:
-        return IdentityReport(
-            f"minkowski_wall{wall}", None, None, None, None, resolution, {"skipped": "no boundary on wall"}
-        )
+        return _skipped(f"minkowski_wall{wall}", "no boundary on wall")
     plane = walls.walls[wall]
     shifted = mesh.positions - plane.offset * plane.normal
     w = np.einsum("ij,ij->i", shifted, fields.wall_conormal)
@@ -167,16 +163,16 @@ def check_minkowski_boundary(mesh, fields, walls, wall, operators=None, resoluti
     integrand = fields.bdry_curv * w
     rhs = -integrate_scalar(B, integrand)
     scale = lhs + integrate_scalar(B, np.abs(integrand))
-    return _report(f"minkowski_wall{wall}", lhs, rhs, ops.area, scale, resolution)
+    return _report(f"minkowski_wall{wall}", lhs, rhs, ops.area, scale)
 
 
-def check_special_function(mesh, fields, operators=None, resolution=""):
+def check_special_function(mesh, fields):
     """Divergence identity of H |psi|^2 + 2 <psi, N> for CMC immersions.
 
     Integral of (n H^2 - |sigma|^2) <psi, N> against the boundary integral of
     (H - sigma(nu, nu)) <psi, nu>, using the area-averaged H.
     """
-    ops = operators or assemble_operators(mesh)
+    ops = mesh.operators
     hbar, spread = _mean_curvature_stats(fields, ops)
     info = {"mean_H": hbar, "H_rel_spread": spread}
     if spread > 0.05:
@@ -191,41 +187,37 @@ def check_special_function(mesh, fields, operators=None, resolution=""):
     # term magnitudes so the report stays meaningful in the equality case
     scale = integrate_scalar(ops.M, (NDIM * hbar * hbar + fields.sigma_sq) * np.abs(u)) + \
         integrate_scalar(ops.B_all, (abs(hbar) + np.abs(fields.sigma_nn)) * np.abs(w))
-    return _report("special_function", lhs, rhs, ops.area, scale, resolution, info)
+    return _report("special_function", lhs, rhs, ops.area, scale, info)
 
 
-def check_boundary_sigma_relation(mesh, fields, walls, wall, operators=None, resolution=""):
+def check_boundary_sigma_relation(mesh, fields, walls, wall):
     """Pointwise boundary relation sigma(nu, nu) = n H + (n-1) sin(theta) H_bdry."""
-    ops = operators or assemble_operators(mesh)
     verts = np.flatnonzero(mesh.vertex_wall == wall)
     if len(verts) == 0:
-        return IdentityReport(
-            f"sigma_relation_wall{wall}", None, None, None, None, resolution, {"skipped": "no boundary on wall"}
-        )
+        return _skipped(f"sigma_relation_wall{wall}", "no boundary on wall")
     theta = walls.angles[wall]
     lhs_v = fields.sigma_nn[verts]
     rhs_v = NDIM * fields.mean_curv[verts] + (NDIM - 1) * math.sin(theta) * fields.bdry_curv[verts]
     resid = np.abs(lhs_v - rhs_v)
-    scale = max(np.abs(lhs_v).max(), np.abs(rhs_v).max(), SCALE_FLOOR_FACTOR * ops.area)
+    scale = max(np.abs(lhs_v).max(), np.abs(rhs_v).max(), SCALE_FLOOR_FACTOR * mesh.operators.area)
     return IdentityReport(
         name=f"sigma_relation_wall{wall}",
         lhs=float(lhs_v.mean()),
         rhs=float(rhs_v.mean()),
         abs_residual=float(resid.max()),
         rel_residual=float(resid.max() / scale),
-        resolution=resolution,
         info={"mean_abs_residual": float(resid.mean())},
     )
 
 
-def check_laplacian_position(mesh, fields, walls=None, operators=None, resolution=""):
+def check_laplacian_position(mesh, fields, walls=None):
     """Integrated form of Delta psi = n H N, plus its wall decomposition.
 
     First report: boundary integral of nu against n H * integral of N.
     Second (walls present): n H * integral of N against the sum of
     sin(theta_i) |Gamma_i| n_i; requires every boundary component labeled.
     """
-    ops = operators or assemble_operators(mesh)
+    ops = mesh.operators
     hbar, spread = _mean_curvature_stats(fields, ops)
     info = {"mean_H": hbar, "H_rel_spread": spread}
     lhs = integrate_vector(ops.B_all, fields.conormal)
@@ -233,7 +225,7 @@ def check_laplacian_position(mesh, fields, walls=None, operators=None, resolutio
     rhs = NDIM * hbar * n_int
     boundary_len = float(ops.B_all.sum())
     scale = boundary_len + NDIM * abs(hbar) * ops.area
-    reports = [_report("laplacian_position", lhs, rhs, ops.area, scale, resolution, info)]
+    reports = [_report("laplacian_position", lhs, rhs, ops.area, scale, info)]
     if walls is not None:
         decomposition = np.zeros(3)
         mag = 0.0
@@ -250,7 +242,6 @@ def check_laplacian_position(mesh, fields, walls=None, operators=None, resolutio
                 decomposition,
                 ops.area,
                 mag + NDIM * abs(hbar) * ops.area,
-                resolution,
                 info,
             )
         )
@@ -262,7 +253,7 @@ def _dual_norm(residual, interior, lumped):
     return float(np.sqrt((r * r / lumped[interior]).sum()))
 
 
-def check_jacobi_fields(mesh, fields, operators=None, a=None, resolution="", direction=None):
+def check_jacobi_fields(mesh, fields, a=None, direction=None):
     """Weak residuals of the structure equations of the support functions.
 
     For u = <psi, N>, the normal component v = <N, direction> (the direction
@@ -273,7 +264,7 @@ def check_jacobi_fields(mesh, fields, operators=None, a=None, resolution="", dir
     lumped-mass dual norm; the strong equations need no boundary condition so
     boundary rows are excluded.
     """
-    ops = operators or assemble_operators(mesh)
+    ops = mesh.operators
     hbar, spread = _mean_curvature_stats(fields, ops)
     interior = np.ones(mesh.nv, dtype=bool)
     interior[mesh.boundary_vertices] = False
@@ -299,11 +290,10 @@ def check_jacobi_fields(mesh, fields, operators=None, a=None, resolution="", dir
         # weak form of Delta f + |sigma|^2 f = source against interior hats;
         # the coefficient functional |sigma|^2 sets the scale when f itself is
         # the near-zero equality-case function
-        residual = -(ops.K @ f) + ops.M @ (sig * f) - ops.M @ source
+        terms = (ops.K @ f, ops.M @ (sig * f), ops.M @ source)
+        residual = -terms[0] + terms[1] - terms[2]
         term_scale = max(
-            _dual_norm(ops.K @ f, interior, lumped),
-            _dual_norm(ops.M @ (sig * f), interior, lumped),
-            _dual_norm(ops.M @ source, interior, lumped),
+            *(_dual_norm(t, interior, lumped) for t in terms),
             coeff_scale,
             1e-9 * (1.0 + ops.area),
         )
@@ -315,16 +305,16 @@ def check_jacobi_fields(mesh, fields, operators=None, a=None, resolution="", dir
                 rhs=0.0,
                 abs_residual=r,
                 rel_residual=r / term_scale,
-                resolution=resolution,
                 info={"mean_H": hbar, "H_rel_spread": spread},
             )
         )
     return out
 
 
-def _claim_reports(mesh, fields, walls, ops, resolution):
+def _claim_reports(mesh, fields, walls):
     """Derived line: the per-wall claim combining the Minkowski formula with
     the wall decomposition, integral of (H + sin(theta) H_bdry) <psi, nu-bar>."""
+    ops = mesh.operators
     hbar, _ = _mean_curvature_stats(fields, ops)
     out = []
     for i in range(len(walls)):
@@ -338,7 +328,7 @@ def _claim_reports(mesh, fields, walls, ops, resolution):
         scale = integrate_scalar(ops.B_wall[i], np.abs(integrand)) + abs(hbar) * ops.boundary_lengths[i]
         out.append(
             _report(
-                f"claim_wall{i}", val, 0.0, ops.area, scale, resolution, {"derived": True}
+                f"claim_wall{i}", val, 0.0, ops.area, scale, {"derived": True}
             )
         )
     return out
@@ -375,7 +365,7 @@ def _normals_independent(walls):
     return np.linalg.cond(g) < 1e12
 
 
-def run_suite(mesh, walls, fields, operators=None, resolution="", capillary_vector=None):
+def run_suite(mesh, walls, fields, resolution="", capillary_vector=None):
     """Run every applicable identity check in declaration order.
 
     Checks that need contact-angle structure are skipped (with a marker
@@ -384,61 +374,35 @@ def run_suite(mesh, walls, fields, operators=None, resolution="", capillary_vect
     to be independent, are skipped when those preconditions fail.
     ``capillary_vector`` overrides the vector used in the test-function
     residual; by default it is zero, the identity-mode choice valid for any
-    capillary family.
+    capillary family. Every report returned, skipped ones included, carries
+    the ``resolution`` tag, by default ``nv=<vertex count>``.
     """
     if mesh.nv == 0 or mesh.nf == 0:
         raise InvalidMeshError("cannot run the identity suite on an empty mesh")
-    ops = operators or assemble_operators(mesh)
-    resolution = resolution or f"nv={mesh.nv}"
-    capillary = _is_capillary(mesh, walls)
-
-    reports = [
-        check_normal_integral(mesh, fields, ops, resolution),
-        check_first_integral(mesh, fields, ops, resolution),
-    ]
-
-    def skip(name, why):
-        reports.append(IdentityReport(name, None, None, None, None, resolution, {"skipped": why}))
-
-    if not capillary:
-        for name in (
-            "minkowski_boundary",
-            "special_function",
-            "sigma_relation",
-            "laplacian_position",
-            "jacobi_fields",
-            "claim",
-        ):
-            skip(name, "not capillary")
-        return reports
-
-    genuine = _angles_genuine(mesh, walls, fields)
-    independent = _normals_independent(walls)
-
-    for i in range(len(walls)):
-        reports.append(check_minkowski_boundary(mesh, fields, walls, i, ops, resolution))
-    reports.append(check_special_function(mesh, fields, ops, resolution))
-    if genuine:
-        for i in range(len(walls)):
-            reports.append(
-                check_boundary_sigma_relation(mesh, fields, walls, i, ops, resolution)
-            )
-        reports.extend(check_laplacian_position(mesh, fields, walls, ops, resolution))
+    reports = [check_normal_integral(mesh, fields), check_first_integral(mesh, fields)]
+    if not _is_capillary(mesh, walls):
+        names = "minkowski_boundary special_function sigma_relation laplacian_position jacobi_fields claim"
+        reports += [_skipped(name, "not capillary") for name in names.split()]
     else:
-        skip("sigma_relation", "measured angle differs from configured angle")
-        reports.extend(check_laplacian_position(mesh, fields, None, ops, resolution))
-        skip("laplacian_position_wedge", "measured angle differs from configured angle")
-    reports.extend(
-        check_jacobi_fields(
-            mesh, fields, ops, capillary_vector, resolution, direction=walls.walls[0].normal
-        )
-    )
-    if genuine and independent:
-        reports.extend(_claim_reports(mesh, fields, walls, ops, resolution))
-    elif not independent:
-        skip("claim", "dependent wall normals")
-    else:
-        skip("claim", "measured angle differs from configured angle")
+        genuine = _angles_genuine(mesh, walls, fields)
+        independent = _normals_independent(walls)
+        different = "measured angle differs from configured angle"
+        reports += [check_minkowski_boundary(mesh, fields, walls, i) for i in range(len(walls))]
+        reports.append(check_special_function(mesh, fields))
+        if genuine:
+            reports += [check_boundary_sigma_relation(mesh, fields, walls, i) for i in range(len(walls))]
+            reports += check_laplacian_position(mesh, fields, walls)
+        else:
+            reports.append(_skipped("sigma_relation", different))
+            reports += check_laplacian_position(mesh, fields)
+            reports.append(_skipped("laplacian_position_wedge", different))
+        reports += check_jacobi_fields(mesh, fields, capillary_vector, direction=walls.walls[0].normal)
+        if genuine and independent:
+            reports += _claim_reports(mesh, fields, walls)
+        else:
+            reports.append(_skipped("claim", different if independent else "dependent wall normals"))
+    for r in reports:
+        r.resolution = resolution or f"nv={mesh.nv}"
     return reports
 
 

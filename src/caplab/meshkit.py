@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -65,10 +66,13 @@ class Hyperplane:
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float).reshape(3).copy()
+        offset = float(self.offset)
+        if not (np.all(np.isfinite(n)) and math.isfinite(offset)):
+            raise ValueError("hyperplane normal and offset must be finite")
         if abs(np.linalg.norm(n) - 1.0) > 1e-12:
             raise ValueError("hyperplane normal must have unit length (within 1e-12)")
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
 
     def signed_distance(self, points):
         return np.asarray(points, dtype=float) @ self.normal - self.offset
@@ -122,12 +126,41 @@ class WallSet:
 
     @classmethod
     def from_document(cls, doc):
+        """The wall set of a list of {"normal", "offset", "angle_rad"} entries.
+
+        ParseError names the first entry, and its key, that is not an object
+        or holds anything but finite numbers (three for the normal).
+        """
         walls = []
         angles = []
-        for entry in doc:
-            walls.append(Hyperplane(np.asarray(entry["normal"], float), entry["offset"]))
-            angles.append(float(entry["angle_rad"]))
+        for i, entry in enumerate(doc):
+            if not isinstance(entry, dict):
+                raise ParseError(f"wall entry {i}: expected an object, got {json.dumps(entry)}")
+            normal = _finite(entry, i, "normal", 3)
+            offset = _finite(entry, i, "offset")
+            try:
+                walls.append(Hyperplane(normal, offset))
+            except ValueError as exc:
+                raise ParseError(f"wall entry {i}: {exc}") from None
+            angles.append(_finite(entry, i, "angle_rad"))
         return cls(tuple(walls), tuple(angles))
+
+
+def _finite(entry, i, key, size=None):
+    """entry[key]: a list of ``size`` finite numbers, or one number if ``size`` is None."""
+    if key not in entry:
+        raise ParseError(f'wall entry {i}: missing "{key}"')
+    value = entry[key]
+    items = value if size else [value]
+    # a bool is no number, and NaN fails the comparison
+    if not (
+        isinstance(items, list)
+        and len(items) == (size or 1)
+        and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in items)
+    ):
+        what = f"{size} finite numbers" if size else "a finite number"
+        raise ParseError(f'wall entry {i}: "{key}" must be {what}, got {json.dumps(value)}')
+    return [float(x) for x in items] if size else float(value)
 
 
 def save_walls(walls: WallSet, path):
@@ -138,7 +171,10 @@ def load_walls(path) -> WallSet:
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, list):
         raise ParseError(f"wall-set document must be a JSON list: {path}")
-    return WallSet.from_document(doc)
+    try:
+        return WallSet.from_document(doc)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _read_only(array):
@@ -214,14 +250,16 @@ class LabeledTriMesh:
     ``vertex_wall`` holds the same labels as one array (-1: no wall). The
     edges, the pair pattern, the adjacency and the boundary edges, loops and
     vertices are built once, on first use, and shared by every copy
-    ``with_positions`` makes. All are read-only: instances are immutable and
-    operations return new meshes. A triangle that repeats a vertex is
-    rejected.
+    ``with_positions`` makes. The operator set (``operators``) is assembled
+    once, on first use, and stays with this mesh. All are read-only, as are
+    ``positions`` and ``triangles`` (copies of the arrays passed in):
+    instances are immutable and operations return new meshes. A triangle
+    that repeats a vertex is rejected.
     """
 
     def __init__(self, positions, triangles, boundary_labels=None):
-        positions = np.asarray(positions, dtype=float)
-        triangles = np.asarray(triangles, dtype=np.int64)
+        positions = np.array(positions, dtype=float)
+        triangles = np.array(triangles, dtype=np.int64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise InvalidMeshError("positions must have shape (nv, 3)")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
@@ -234,8 +272,8 @@ class LabeledTriMesh:
         repeated = np.flatnonzero((a == b) | (b == c) | (c == a))
         if len(repeated):
             raise InvalidMeshError(f"triangle {repeated[0]} repeats a vertex")
-        self.positions = positions
-        self.triangles = triangles
+        self.positions = _read_only(positions)
+        self.triangles = _read_only(triangles)
         self.boundary_labels = {int(k): int(v) for k, v in (boundary_labels or {}).items()}
         vertices, wall = np.array(list(self.boundary_labels.items()), dtype=np.int64).reshape(-1, 2).T
         out = vertices[(vertices < 0) | (vertices >= len(positions))]
@@ -398,6 +436,19 @@ class LabeledTriMesh:
                 v = succ[v]
             loops.append(_read_only(np.array(loop, dtype=np.int64)))
         return tuple(loops)
+
+    # -- operators -------------------------------------------------------------
+
+    @cached_property
+    def operators(self):
+        """The mass, stiffness and boundary matrices (``caplab.discops.OperatorSet``).
+
+        They depend on the positions, so ``with_positions`` copies do not
+        share them.
+        """
+        from . import discops  # discops imports this module
+
+        return discops.assemble_operators(self)
 
     # -- geometry helpers ----------------------------------------------------
 
@@ -747,4 +798,13 @@ def load(path, walls_path=None):
 
     wp = Path(walls_path) if walls_path else default_walls_path(path)
     walls = load_walls(wp) if wp.exists() else None
+    if walls is not None:
+        # a label past the wall set would drop that boundary's terms
+        wall = np.fromiter(labels.values(), np.int64, len(labels))
+        past = np.flatnonzero(wall >= len(walls))
+        if len(past):
+            i = int(past[0])
+            raise ParseError(
+                f"label names wall {wall[i]}, but {wp} holds walls 0..{len(walls) - 1}", 3 + nv + nf + i
+            )
     return mesh, walls

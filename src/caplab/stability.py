@@ -54,14 +54,7 @@ from scipy.linalg.lapack import dstev
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import splu
 
-from .discops import (
-    NDIM,
-    GeometryFields,
-    assemble_operators,
-    estimate_fields,
-    integrate_scalar,
-    weighted_mass,
-)
+from .discops import NDIM, GeometryFields, estimate_fields, integrate_scalar, weighted_mass
 from .errors import (
     ConstraintViolationError,
     FitFailureError,
@@ -202,14 +195,12 @@ def _cot(theta):
     return c / s
 
 
-def assemble_index_form(
-    mesh: LabeledTriMesh, walls: WallSet, fields: GeometryFields, operators=None
-) -> IndexFormSystem:
+def assemble_index_form(mesh: LabeledTriMesh, walls: WallSet, fields: GeometryFields) -> IndexFormSystem:
     """A = K - M_{|sigma|^2} - sum_i cot(theta_i) sigma(nu,nu) B_i and c = M 1."""
-    ops = operators or assemble_operators(mesh)
+    ops = mesh.operators
     # K, M and the weighted mass share the mesh's pair pattern, and A is
     # formed on it: exactly symmetric, since each entry pair sums alike
-    data = ops.K.data - weighted_mass(ops, fields.sigma_sq).data
+    data = ops.K.data - weighted_mass(mesh, fields.sigma_sq).data
     diagonal = mesh.pair_pattern.diagonal
     for i, theta in enumerate(walls.angles):
         if i not in ops.B_wall:
@@ -663,12 +654,7 @@ def _mean_curvature_bar(fields, ops):
 
 
 def build_test_function(
-    mesh: LabeledTriMesh,
-    walls: WallSet,
-    fields: GeometryFields,
-    a=None,
-    operators=None,
-    system=None,
+    mesh: LabeledTriMesh, walls: WallSet, fields: GeometryFields, a=None
 ) -> TestFunctionReport:
     """Build phi = 1 + H <psi, N> + <a, N> and validate its three properties.
 
@@ -679,8 +665,8 @@ def build_test_function(
     |d(phi)/d(nu) - q phi|, and the agreement between the quadratic form value
     and the closed-form integral -int (|sigma|^2 - n H^2) phi.
     """
-    ops = operators or assemble_operators(mesh)
-    sys_ = system or assemble_index_form(mesh, walls, fields, ops)
+    ops = mesh.operators
+    system = assemble_index_form(mesh, walls, fields)
     if a is None:
         a = np.zeros(3)
         psi = mesh.positions
@@ -695,7 +681,7 @@ def build_test_function(
     phi = 1.0 + hbar * u + fields.normal @ a
 
     area = ops.area
-    mean_residual = abs(float(sys_.c @ phi)) / area
+    mean_residual = abs(float(system.c @ phi)) / area
 
     # weak Robin defect: (K phi)_v carries the conormal flux plus the volume
     # term, which is removed through the structure equation for Delta phi
@@ -710,7 +696,7 @@ def build_test_function(
     denom = np.maximum(b_diag[bverts], 1e-300)
     robin = np.abs(flux[bverts] - q_full[bverts] * b_diag[bverts] * phi[bverts]) / denom
 
-    quad = float(phi @ (sys_.A @ phi))
+    quad = float(phi @ (system.A @ phi))
     closed = -integrate_scalar(ops.M, (fields.sigma_sq - NDIM * hbar * hbar) * phi)
     floor = 1e-12 * area
     match = abs(quad - closed) / max(abs(quad), abs(closed), floor)
@@ -727,7 +713,7 @@ def build_test_function(
             "a": a,
             "identity_mode": identity_mode,
             "area": area,
-            "max_sigma_sq": sys_.meta.get("max_sigma_sq"),
+            "max_sigma_sq": system.meta.get("max_sigma_sq"),
         },
     )
 
@@ -770,7 +756,7 @@ def capillary_energy(mesh: LabeledTriMesh, walls: WallSet | None) -> float:
     return e
 
 
-def first_variation_energy(mesh, walls, f, h, fields=None, operators=None):
+def first_variation_energy(mesh, walls, f, h, fields=None):
     """Central difference of E(psi + t f N) at t = 0 with step h.
 
     Requires mean-zero f (volume-preserving direction to first order); for
@@ -780,7 +766,7 @@ def first_variation_energy(mesh, walls, f, h, fields=None, operators=None):
     f = np.asarray(f, float)
     if f.shape != (mesh.nv,):
         raise ConstraintViolationError("need one value per vertex")
-    ops = operators or assemble_operators(mesh)
+    ops = mesh.operators
     c = np.asarray(ops.M @ np.ones(mesh.nv))
     fscale = float(np.abs(f).max())
     if fscale == 0:

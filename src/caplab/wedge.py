@@ -153,7 +153,7 @@ class ClassificationReport:
         )
 
 
-def classify(mesh: LabeledTriMesh, walls: WallSet, fields, verdict) -> ClassificationReport:
+def classify(mesh: LabeledTriMesh, walls: WallSet, verdict) -> ClassificationReport:
     """Check the rigidity hypotheses numerically and measure sphericity.
 
     Hypotheses: independent wall normals, boundary labels that avoid the

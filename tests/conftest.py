@@ -98,6 +98,20 @@ def factorizations(monkeypatch):
 
 
 @pytest.fixture
+def assemblies(monkeypatch):
+    """Vertex counts of the meshes whose operators are assembled, one entry per assembly."""
+    counts = []
+    assemble = discops.assemble_operators
+
+    def counted(mesh):
+        counts.append(mesh.nv)
+        return assemble(mesh)
+
+    monkeypatch.setattr(discops, "assemble_operators", counted)
+    return counts
+
+
+@pytest.fixture
 def lanczos_rounds(monkeypatch):
     """Steps of each Lanczos round the eigensolver runs, one entry per round."""
     steps = []

@@ -233,7 +233,7 @@ def test_criterion_7_verdict_pipeline(hemisphere_spectrum, long_cylinder_spectru
     )
     system = stability.assemble_index_form(mesh, walls, fields)
     verdict = stability.stability_verdict(system)
-    report = wedge.classify(mesh, walls, fields, verdict)
+    report = wedge.classify(mesh, walls, verdict)
     if not report.hypotheses_met:
         failures.append(f"wedge cap hypotheses {report.checks}")
     elif report.sphericity_residual > 1e-2:

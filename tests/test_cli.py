@@ -466,6 +466,103 @@ class TestReports:
                 )
 
 
+class TestOneOperatorSetPerMesh:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stability", "--family", "cap", "--res", "16"],
+            ["testfn", "--family", "cap", "--res", "16"],
+            ["testfn", "--family", "cylinder", "--res", "16", "--identity-mode"],
+        ],
+    )
+    def test_command_assembles_once(self, argv, tmp_path, assemblies):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert len(assemblies) == 1
+
+
+def relabeled_cap(tmp_path, wall):
+    """A generated 60-degree cap whose boundary labels name ``wall``; (mesh, walls, first label line)."""
+    assert main(["gen", "cap", "--angle-deg", "60", "--res", "24", "--out", str(tmp_path)]) == 0
+    mesh = tmp_path / "cap_r1_a60_res24.capmesh"
+    lines = mesh.read_text().splitlines()
+    nv, nf, nb = (int(x) for x in lines[1].split())
+    first = 3 + nv + nf
+    lines[first - 1 :] = [f"{line.split()[0]} {wall}" for line in lines[first - 1 :]]
+    mesh.write_text("\n".join(lines) + "\n")
+    return mesh, mesh.with_suffix(".walls.json"), first
+
+
+WALL_DOCUMENTS = {
+    "missing-offset": ('[{"normal": [0, 0, -1]}]', 'wall entry 0: missing "offset"'),
+    "not-an-object": ("[1]", "wall entry 0: expected an object, got 1"),
+    "null-offset": (
+        '[{"normal": [0, 0, -1], "offset": null, "angle_rad": 1.0}]',
+        'wall entry 0: "offset" must be a finite number, got null',
+    ),
+    "infinite-offset": (
+        '[{"normal": [0, 0, -1], "offset": Infinity, "angle_rad": 1.0}]',
+        'wall entry 0: "offset" must be a finite number, got Infinity',
+    ),
+    "nan-normal": (
+        '[{"normal": [NaN, 0, -1], "offset": 0, "angle_rad": 1.0}]',
+        'wall entry 0: "normal" must be 3 finite numbers, got [NaN, 0, -1]',
+    ),
+}
+
+
+class TestInputDocuments:
+    """Bad wall documents and labels end in exit 2 and a named error before any report."""
+
+    @pytest.mark.parametrize("command", ["stability", "testfn", "identities", "wedge"])
+    def test_label_past_the_wall_set_exits_2(self, command, tmp_path, capsys):
+        # before, the boundary term of wall 1 was dropped without a word
+        mesh, walls, first = relabeled_cap(tmp_path, 1)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        argv = [command, "--mesh", str(mesh), "--out", str(out)]
+        if command == "wedge":
+            argv += ["--walls", str(walls)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {first}: label names wall 1, but ")
+        assert err.rstrip().endswith("holds walls 0..0")
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("case", list(WALL_DOCUMENTS))
+    def test_bad_wall_document_exits_2(self, case, tmp_path, capsys):
+        text, message = WALL_DOCUMENTS[case]
+        walls = tmp_path / "walls.json"
+        walls.write_text(text)
+        out = tmp_path / "run"
+        assert main(["wedge", "--walls", str(walls), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {walls}: {message}\n"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_infinite_offset_never_reaches_a_test_function(self, tmp_path, capsys):
+        # it used to write NaN into six fields of testfn.json
+        mesh, walls, _ = relabeled_cap(tmp_path, 0)
+        walls.write_text(WALL_DOCUMENTS["infinite-offset"][0])
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["testfn", "--mesh", str(mesh), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {walls}: wall entry 0: \"offset\"")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_gen_builds_no_fields(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("gen built exact fields")
+
+        monkeypatch.setattr(families, "exact_fields", refuse)
+        assert main(["gen", "cap", "--angle-deg", "60", "--res", "32", "--out", str(tmp_path)]) == 0
+        spec = families.Cap(R=1.0, theta=math.radians(60), resolution=32)
+        want = meshkit.LabeledTriMesh(*spec.build())
+        got, walls = meshkit.load(tmp_path / "cap_r1_a60_res32.capmesh")
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.triangles, want.triangles)
+        assert got.boundary_labels == want.boundary_labels
+        assert walls.angles == spec.walls().angles
+
+
 class TestDeterminism:
     def test_reports_byte_identical_across_runs(self, tmp_path):
         # loose gate: determinism of the bytes is what is under test here

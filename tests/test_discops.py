@@ -84,6 +84,38 @@ class TestOperators:
         with pytest.raises(TypeError):
             ops.boundary_lengths[0] = 0.0
 
+    def test_mesh_owns_one_operator_set(self, topology_builds):
+        spec = families.Cap(R=1.0, theta=math.pi / 3, resolution=16)
+        mesh = meshkit.LabeledTriMesh(*spec.build())
+        assert mesh.operators is mesh.operators
+        moved = mesh.scaled(1.5)
+        assert moved.operators is not mesh.operators
+        again = discops.assemble_operators(moved)
+        for name in ("M", "K", "B_all"):
+            assert (getattr(moved.operators, name) != getattr(again, name)).nnz == 0
+        assert moved.operators.B_wall.keys() == again.B_wall.keys()
+        assert np.array_equal(moved.operators.areas, again.areas)
+        # the copy reuses the topology: no pair pattern or boundary is built twice
+        assert max(topology_builds.values()) == 1
+
+    def test_mesh_and_operator_arrays_are_read_only(self, cap_pi3):
+        _, mesh, _ = cap_pi3[16]
+        ops = mesh.operators
+        for array in (mesh.positions, mesh.triangles, ops.M.data, ops.K.data, ops.B_all.data, ops.areas):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            ops.B_wall[0].data[0] = 0.0
+
+    def test_mesh_copies_the_arrays_it_is_given(self):
+        positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        triangles = np.array([[0, 1, 2]])
+        mesh = meshkit.LabeledTriMesh(positions, triangles)
+        positions[0, 0] = 5.0
+        triangles[0, 0] = 1
+        assert positions.flags.writeable and triangles.flags.writeable
+        assert mesh.positions[0, 0] == 0.0 and mesh.triangles[0, 0] == 0
+
     def test_degenerate_triangle_named(self):
         positions = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, 0.0], [0.5, 0.5, 1e-20]]
         tris = [[0, 1, 2], [1, 3, 4]]
@@ -95,14 +127,14 @@ class TestOperators:
     def test_weighted_mass_matches_plain_for_unit_weight(self, cap_pi3):
         _, mesh, _ = cap_pi3[16]
         ops = discops.assemble_operators(mesh)
-        W = discops.weighted_mass(ops, np.ones(mesh.nv))
+        W = discops.weighted_mass(mesh, np.ones(mesh.nv))
         assert abs(W - ops.M).max() <= 1e-14
 
     def test_weighted_mass_linear_exactness(self, flat_disk):
         # oracle: integral of z * x^2 over the unit disk for z = 1 + x
         _, mesh, _ = flat_disk
         w = 1.0 + mesh.positions[:, 0]
-        W = discops.weighted_mass(discops.assemble_operators(mesh), w)
+        W = discops.weighted_mass(mesh, w)
         f = mesh.positions[:, 0]
         got = f @ (W @ f)
         exact = integrate.dblquad(

@@ -299,6 +299,27 @@ class TestRunSuite:
             if not r0.skipped:
                 assert abs(r0.rel_residual - r1.rel_residual) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "spec, resolution, tag, skips",
+        [
+            # no walls: every check past the first two is skipped
+            (families.MongePatch(amplitude=0.1, R=1.0, resolution=16), "", "nv=65", 6),
+            # flat in its wall: the angle-dependent checks are skipped
+            (families.FlatDisk(R=1.0, resolution=16), "16", "16", 3),
+        ],
+    )
+    def test_tag_on_every_report_and_one_assembly(self, spec, resolution, tag, skips, assemblies):
+        mesh, fields = families.generate_mesh(spec)
+        reports = identities.run_suite(mesh, spec.walls(), fields, resolution=resolution)
+        assert sum(r.skipped for r in reports) == skips
+        assert {r.resolution for r in reports} == {tag}
+        assert assemblies == [mesh.nv]
+
+    def test_checks_alone_carry_no_tag(self, cap_pi3):
+        spec, mesh, fields = cap_pi3[16]
+        assert identities.check_normal_integral(mesh, fields).resolution == ""
+        assert all(r.resolution == "" for r in identities.check_jacobi_fields(mesh, fields))
+
     def test_csv_and_document(self, cap_pi3, tmp_path):
         spec, mesh, fields = cap_pi3[16]
         reports = identities.run_suite(mesh, spec.walls(), fields, resolution="16")

@@ -123,6 +123,12 @@ class TestHyperplane:
         with pytest.raises(ValueError):
             meshkit.Hyperplane(np.array([0.0, 0.0, 2.0]), 0.0)
 
+    @pytest.mark.parametrize("normal, offset", [([math.nan, 0.0, 1.0], 0.0), ([0.0, 0.0, 1.0], math.inf)])
+    def test_requires_finite_normal_and_offset(self, normal, offset):
+        # abs(nan - 1) > 1e-12 is False: the unit-length check alone let a NaN normal through
+        with pytest.raises(ValueError, match="must be finite"):
+            meshkit.Hyperplane(np.array(normal), offset)
+
     def test_projection(self):
         plane = meshkit.Hyperplane(np.array([0.0, 0.0, 1.0]), 2.0)
         q = plane.project(np.array([1.0, 1.0, 5.0]))

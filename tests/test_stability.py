@@ -87,22 +87,22 @@ class TestAssembly:
     def test_free_boundary_term_vanishes(self, hemisphere):
         spec, mesh, fields = hemisphere[32]
         ops = discops.assemble_operators(mesh)
-        system = stability.assemble_index_form(mesh, spec.walls(), fields, ops)
-        expected = ops.K - discops.weighted_mass(ops, fields.sigma_sq)
+        system = stability.assemble_index_form(mesh, spec.walls(), fields)
+        expected = ops.K - discops.weighted_mass(mesh, fields.sigma_sq)
         assert abs(system.A - expected).max() == 0.0
 
     def test_cylinder_form_is_stiffness_minus_weighted_mass(self, cylinder_l2):
         spec, mesh, fields = cylinder_l2[32]
         ops = discops.assemble_operators(mesh)
-        system = stability.assemble_index_form(mesh, spec.walls(), fields, ops)
-        expected = ops.K - discops.weighted_mass(ops, np.ones(mesh.nv))
+        system = stability.assemble_index_form(mesh, spec.walls(), fields)
+        expected = ops.K - discops.weighted_mass(mesh, np.ones(mesh.nv))
         assert abs(system.A - expected).max() <= 1e-14
 
     def test_cap_boundary_coefficient(self, cap_pi3):
         spec, mesh, fields = cap_pi3[32]
         ops = discops.assemble_operators(mesh)
-        system = stability.assemble_index_form(mesh, spec.walls(), fields, ops)
-        base = ops.K - discops.weighted_mass(ops, fields.sigma_sq)
+        system = stability.assemble_index_form(mesh, spec.walls(), fields)
+        base = ops.K - discops.weighted_mass(mesh, fields.sigma_sq)
         # umbilical sigma(nu, nu) = 1/R: the boundary term is cot(pi/3) B
         expected = base - (1.0 / math.tan(math.pi / 3)) * ops.B_wall[0]
         assert abs(system.A - expected).max() <= 1e-13
@@ -693,6 +693,12 @@ class TestTestFunction:
         assert maxphi[1] < maxphi[0]
         assert quads[1] < quads[0]
 
+    def test_one_assembly_for_the_function_and_its_index_form(self, assemblies):
+        spec = families.Cylinder(r=1.0, L=2.0, resolution=16)
+        mesh, fields = families.generate_mesh(spec)
+        stability.build_test_function(mesh, spec.walls(), fields)
+        assert assemblies == [mesh.nv]
+
     def test_parallel_walls_have_no_common_origin(self, cylinder_l2):
         spec, mesh, fields = cylinder_l2[16]
         with pytest.raises(NoCommonOriginError):
@@ -747,12 +753,12 @@ class TestFirstVariation:
         # reuse the boundary loops the mesh has built (2 rebuilds before)
         spec = families.Cap(R=1.0, theta=math.pi / 3, resolution=32)
         mesh, fields = families.generate_mesh(spec)
-        ops = discops.assemble_operators(mesh)
+        mesh.operators
         mesh.boundary_loops
         built = dict(topology_builds)
-        system = stability.assemble_index_form(mesh, spec.walls(), fields, ops)
+        system = stability.assemble_index_form(mesh, spec.walls(), fields)
         _, f = stability.min_constrained_eigenpair(system)
-        stability.first_variation_energy(mesh, spec.walls(), f, 1e-4, fields, ops)
+        stability.first_variation_energy(mesh, spec.walls(), f, 1e-4, fields)
         assert topology_builds == built
 
     def test_cap_energy_matches_closed_form(self, cap_pi3):

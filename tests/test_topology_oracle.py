@@ -279,4 +279,4 @@ def test_assembly_matches_corner_by_corner(name):
     wt = w[mesh.triangles]
     local = (wt[:, :, None] + wt[:, None, :]) / 30.0 + wt[:, discops._THIRD] / 60.0
     local[:, [0, 1, 2], [0, 1, 2]] = wt / 10.0 + (wt.sum(axis=1)[:, None] - wt) / 30.0
-    assert_same_csr(discops.weighted_mass(ops, w), pattern.assemble(ref_areas[:, None, None] * local))
+    assert_same_csr(discops.weighted_mass(mesh, w), pattern.assemble(ref_areas[:, None, None] * local))

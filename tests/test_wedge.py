@@ -203,7 +203,7 @@ class TestClassify:
         assert meshkit.validate(mesh, walls).ok
         system = stability.assemble_index_form(mesh, walls, fields)
         verdict = stability.stability_verdict(system)
-        report = wedge.classify(mesh, walls, fields, verdict)
+        report = wedge.classify(mesh, walls, verdict)
         assert report.hypotheses_met, report.checks
         assert report.sphericity_residual <= 1e-2
         assert not report.planar_excluded
@@ -214,7 +214,7 @@ class TestClassify:
         far = meshkit.WallSet(walls.walls, (math.pi / 2 + 1.0, walls.angles[1]))
         system = stability.assemble_index_form(mesh, far, fields)
         verdict = stability.stability_verdict(system)
-        report = wedge.classify(mesh, far, fields, verdict)
+        report = wedge.classify(mesh, far, verdict)
         assert not report.hypotheses_met
         assert not report.checks["angles_in_window"]
         assert report.checks["independent_normals"]
@@ -223,7 +223,7 @@ class TestClassify:
         spec, mesh, fields = cylinder_l2[16]
         system = stability.assemble_index_form(mesh, spec.walls(), fields)
         verdict = stability.stability_verdict(system)
-        report = wedge.classify(mesh, spec.walls(), fields, verdict)
+        report = wedge.classify(mesh, spec.walls(), verdict)
         assert not report.hypotheses_met
         assert not report.checks["independent_normals"]
 
@@ -231,7 +231,7 @@ class TestClassify:
         spec, mesh, fields = flat_disk
         system = stability.assemble_index_form(mesh, spec.walls(), fields)
         verdict = stability.stability_verdict(system)
-        report = wedge.classify(mesh, spec.walls(), fields, verdict)
+        report = wedge.classify(mesh, spec.walls(), verdict)
         assert report.hypotheses_met  # k=1: window is all of (0, pi)
         assert report.planar_excluded
         assert report.sphericity_residual is None
@@ -240,7 +240,7 @@ class TestClassify:
         spec, mesh, fields, walls = wedge_supported_cap(resolution=24)
         system = stability.assemble_index_form(mesh, walls, fields)
         verdict = stability.stability_verdict(system)
-        doc = wedge.classify(mesh, walls, fields, verdict).to_document()
+        doc = wedge.classify(mesh, walls, verdict).to_document()
         assert doc["kind"] == "classification"
         assert set(doc["checks"]) == {
             "independent_normals",
