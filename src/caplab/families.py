@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,21 +85,43 @@ def _fan(apex, ring, reverse=False):
     return np.column_stack([np.full(n, apex), ring[ln], ring[lp]])
 
 
-def _disk_grid(R, n):
+def _revolution(n, m, ring, top=None, bottom=None):
+    """Surface of revolution about the z axis from m meridian samples.
+
+    ``ring(j) -> (rho_j, z_j)`` places ring j < m at the n points
+    (rho_j cos a, rho_j sin a, z_j), a = 2 pi i / n. The poles, at heights
+    ``top`` and ``bottom`` on the axis, come before and after the rings. Returns
+    the positions, the triangles (top fan, strips, bottom fan) and the (m, n)
+    ring indices; each family flips the winding it needs.
+    """
+    poles = (top is not None) + (bottom is not None)
+    _check_vertices(m * n + poles)
+    alphas = 2.0 * math.pi * np.arange(n) / n
+    rho, z = np.array([ring(j) for j in range(m)], float).T
+    start = int(top is not None)
+    rings = start + np.arange(m * n).reshape(m, n)
+    positions = np.empty((m * n + poles, 3))
+    positions[start : start + m * n] = np.column_stack(
+        [np.outer(rho, np.cos(alphas)).ravel(), np.outer(rho, np.sin(alphas)).ravel(), np.repeat(z, n)]
+    )
+    tris = []
+    if top is not None:
+        positions[0] = 0.0, 0.0, top
+        tris.append(_fan(0, rings[0], reverse=True))
+    tris.append(_strips(rings))
+    if bottom is not None:
+        positions[-1] = 0.0, 0.0, bottom
+        tris.append(_fan(len(positions) - 1, rings[-1]))
+    return positions, np.vstack(tris), rings
+
+
+def _disk(R, n):
     """Polar grid of the disk of radius R in z = 0: n azimuths, rings to match.
 
     Triangles wind counterclockwise around +e3.
     """
     m = max(2, round(n / (2.0 * math.pi)) + 1)
-    _check_vertices(1 + m * n)
-    alphas = 2.0 * math.pi * np.arange(n) / n
-    rows = []
-    for j in range(1, m + 1):
-        rho = R * j / m
-        rows.append(np.column_stack([rho * np.cos(alphas), rho * np.sin(alphas), np.zeros(n)]))
-    positions = np.vstack([[0.0, 0.0, 0.0], *rows])
-    rings = 1 + np.arange(m * n).reshape(m, n)
-    tris = np.vstack([_fan(0, rings[0], reverse=True), _strips(rings)])
+    positions, tris, rings = _revolution(n, m, lambda j: (R * (j + 1) / m, 0.0), top=0.0)
     return positions, tris[:, [0, 2, 1]], rings
 
 
@@ -132,9 +155,14 @@ class FamilySpec:
     """
 
     def _check_numbers(self):
-        """Reject a resolution off the integers 3 to MAX_VERTICES, and any non-finite field."""
-        if not isinstance(self.resolution, int) or self.resolution < 3:
-            raise InvalidSpecError(f"resolution must be an integer >= 3, got {self.resolution}")
+        """Reject a resolution off the integers 3 to MAX_VERTICES, and any non-finite field.
+
+        An integral resolution of another type, such as ``np.int64``, is kept as an int.
+        """
+        res = self.resolution
+        if isinstance(res, bool) or not isinstance(res, numbers.Integral) or res < 3:
+            raise InvalidSpecError(f"resolution must be an integer >= 3, got {res}")
+        object.__setattr__(self, "resolution", int(res))
         _check_vertices(self.resolution)
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
@@ -185,27 +213,15 @@ class Cap(FamilySpec):
         n = self.resolution
         # meridian subdivisions balancing the equatorial azimuthal spacing
         m = max(2, round(n * self.theta / (2.0 * math.pi * math.sin(self.theta))))
-        _check_vertices(1 + m * n)
         R, theta = self.R, self.theta
-        c = self.center
-        alphas = 2.0 * math.pi * np.arange(n) / n
-        pts = [c + np.array([0.0, 0.0, R])]
-        for j in range(1, m + 1):
-            phi = theta * j / m
-            ring = np.column_stack(
-                [
-                    R * math.sin(phi) * np.cos(alphas),
-                    R * math.sin(phi) * np.sin(alphas),
-                    np.full(n, R * math.cos(phi) + c[2]),
-                ]
-            )
-            pts.append(ring)
-        positions = np.vstack([pts[0][None, :], *pts[1:]])
-        # the last ring sits exactly on z = 0: R cos(theta) - R cos(theta)
-        positions[1 + (m - 1) * n :, 2] = R * math.cos(theta) + c[2]
+        c2 = -R * math.cos(theta)
 
-        rings = 1 + np.arange(m * n).reshape(m, n)
-        tris = np.vstack([_fan(0, rings[0], reverse=True), _strips(rings)])
+        def ring(j):
+            phi = theta * (j + 1) / m
+            # the last ring sits exactly on z = 0: R cos(theta) - R cos(theta)
+            return R * math.sin(phi), R * math.cos(theta if j == m - 1 else phi) + c2
+
+        positions, tris, rings = _revolution(n, m, ring, top=c2 + R)
         return positions, tris, {int(v): 0 for v in rings[-1]}
 
     def exact(self, p, b):
@@ -260,17 +276,7 @@ class Cylinder(FamilySpec):
         n = self.resolution
         # clipped: an infinite L / r then stays an integer and fails the check
         m = max(2, round(min(n * self.L / (2.0 * math.pi * self.r), MAX_VERTICES)))
-        _check_vertices((m + 1) * n)
-        alphas = 2.0 * math.pi * np.arange(n) / n
-        rows = []
-        for j in range(m + 1):
-            z = self.L * j / m
-            rows.append(
-                np.column_stack([self.r * np.cos(alphas), self.r * np.sin(alphas), np.full(n, z)])
-            )
-        positions = np.vstack(rows)
-        rings = np.arange((m + 1) * n).reshape(m + 1, n)
-        tris = _strips(rings)
+        positions, tris, rings = _revolution(n, m + 1, lambda j: (self.r, self.L * j / m))
         labels = {int(v): 0 for v in rings[0]}
         labels.update({int(v): 1 for v in rings[-1]})
         # the strips wind around the outward normal; the tube's is inward
@@ -318,7 +324,7 @@ class FlatDisk(FamilySpec):
         return WallSet((Hyperplane(-E3, 0.0),), (math.pi / 2,))
 
     def build(self):
-        positions, tris, rings = _disk_grid(self.R, self.resolution)
+        positions, tris, rings = _disk(self.R, self.resolution)
         return positions, tris, {int(v): 0 for v in rings[-1]}
 
     def exact(self, p, b):
@@ -360,25 +366,13 @@ class ClosedSphere(FamilySpec):
     def build(self):
         n = self.resolution
         m = max(3, round(n / 2))
-        _check_vertices(2 + (m - 1) * n)
         R = self.R
-        alphas = 2.0 * math.pi * np.arange(n) / n
-        rows = []
-        for j in range(1, m):
-            phi = math.pi * j / m
-            rows.append(
-                np.column_stack(
-                    [
-                        R * math.sin(phi) * np.cos(alphas),
-                        R * math.sin(phi) * np.sin(alphas),
-                        np.full(n, R * math.cos(phi)),
-                    ]
-                )
-            )
-        positions = np.vstack([[0.0, 0.0, R], *rows, [0.0, 0.0, -R]])
-        south = positions.shape[0] - 1
-        rings = 1 + np.arange((m - 1) * n).reshape(m - 1, n)
-        tris = np.vstack([_fan(0, rings[0], reverse=True), _strips(rings), _fan(south, rings[-1])])
+
+        def ring(j):
+            phi = math.pi * (j + 1) / m
+            return R * math.sin(phi), R * math.cos(phi)
+
+        positions, tris, _ = _revolution(n, m - 1, ring, top=R, bottom=-R)
         return positions, tris, {}
 
     def exact(self, p, b):
@@ -440,19 +434,8 @@ class MongePatch(FamilySpec):
         K = (fxx * fyy - fxy * fxy) / (w2 * w2)
         return H, 4.0 * H * H - 2.0 * K
 
-    def _sigma_nn(self, x, y, nu):
-        """sigma(nu, nu) for a tangent direction nu expressed in ambient coordinates."""
-        fx, fy = self.gradient(x, y)
-        fxx, fxy, fyy = self.hessian(x, y)
-        w = math.sqrt(1.0 + fx * fx + fy * fy)
-        # tangent basis (1,0,fx), (0,1,fy): in-plane components of nu are its xy parts
-        a, b = nu[0], nu[1]
-        m1 = (1.0 + fx * fx) * a * a + 2.0 * fx * fy * a * b + (1.0 + fy * fy) * b * b
-        m2 = (fxx * a * a + 2.0 * fxy * a * b + fyy * b * b) / w
-        return m2 / m1 if m1 > 0 else float("nan")
-
     def build(self):
-        positions, tris, _ = _disk_grid(self.R, self.resolution)
+        positions, tris, _ = _disk(self.R, self.resolution)
         positions[:, 2] = self.height(positions[:, 0], positions[:, 1])
         return positions, tris, {}
 
@@ -474,7 +457,14 @@ class MongePatch(FamilySpec):
         outward = np.column_stack([np.cos(t), np.sin(t), np.zeros(len(b))])
         flip = np.einsum("ij,ij->i", nu, outward) < 0
         nu[flip] = -nu[flip]
-        sigma_nn = np.array([self._sigma_nn(q[i, 0], q[i, 1], nu[i]) for i in range(len(b))])
+        # sigma(nu, nu) in the tangent basis (1,0,fx), (0,1,fy): nu's in-plane
+        # components are its xy parts
+        fxx, fxy, fyy = self.hessian(q[:, 0], q[:, 1])
+        w = np.sqrt(1.0 + fx * fx + fy * fy)
+        nx, ny = nu[:, 0], nu[:, 1]
+        m1 = (1.0 + fx * fx) * nx * nx + 2.0 * fx * fy * nx * ny + (1.0 + fy * fy) * ny * ny
+        m2 = (fxx * nx * nx + 2.0 * fxy * nx * ny + fyy * ny * ny) / w
+        sigma_nn = np.divide(m2, m1, out=np.full(len(b), np.nan), where=m1 > 0)
         return normal, H, sigma_sq, {"conormal": nu, "sigma_nn": sigma_nn}
 
     def project(self, points, labels):

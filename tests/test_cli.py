@@ -103,8 +103,15 @@ class TestInputErrors:
             (["--family", "cylinder", "--r", "1e-320", "--res", "12"], "at most 2000000 are allowed"),
             (["--family", "cylinder", "--res", "100000000"], "at most 2000000 are allowed"),
             (["--family", "cap", "--angle-deg", "179.9999", "--res", "32"], "at most 2000000 are allowed"),
+            # 2,552,001, 2,202,902 and 2,552,001 vertices
+            (["--family", "disk", "--res", "4000"], "at most 2000000 are allowed"),
+            (["--family", "sphere", "--res", "2100"], "at most 2000000 are allowed"),
+            (["--family", "monge", "--res", "4000"], "at most 2000000 are allowed"),
         ],
-        ids=["length-inf", "radius-nan", "length-1e300", "r-1e-320", "res-1e8", "angle-179.9999"],
+        ids=[
+            "length-inf", "radius-nan", "length-1e300", "r-1e-320", "res-1e8", "angle-179.9999",
+            "disk-res-4000", "sphere-res-2100", "monge-res-4000",
+        ],
     )
     def test_family_flags_exit_2_before_any_array(self, argv, message, tmp_path, capsys, monkeypatch):
         # these ended in an OverflowError, ran past a minute, or were killed
@@ -548,19 +555,32 @@ class TestInputDocuments:
         assert capsys.readouterr().err.startswith(f"error: {walls}: wall entry 0: \"offset\"")
         assert not out.exists() or not any(out.iterdir())
 
-    def test_gen_builds_no_fields(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv, spec",
+        [
+            (["cap", "--angle-deg", "60"], families.Cap(R=1.0, theta=math.radians(60), resolution=32)),
+            (["cylinder", "--length", "3"], families.Cylinder(r=1.0, L=3.0, resolution=32)),
+            (["disk"], families.FlatDisk(R=1.0, resolution=32)),
+            (["sphere"], families.ClosedSphere(R=1.0, resolution=32)),
+            (["monge", "--amplitude", "0.2"], families.MongePatch(amplitude=0.2, R=1.0, resolution=32)),
+        ],
+        ids=["cap", "cylinder", "disk", "sphere", "monge"],
+    )
+    def test_gen_builds_no_fields(self, argv, spec, tmp_path, monkeypatch):
         def refuse(*args):
             raise AssertionError("gen built exact fields")
 
         monkeypatch.setattr(families, "exact_fields", refuse)
-        assert main(["gen", "cap", "--angle-deg", "60", "--res", "32", "--out", str(tmp_path)]) == 0
-        spec = families.Cap(R=1.0, theta=math.radians(60), resolution=32)
+        assert main(["gen", *argv, "--res", "32", "--out", str(tmp_path)]) == 0
         want = meshkit.LabeledTriMesh(*spec.build())
-        got, walls = meshkit.load(tmp_path / "cap_r1_a60_res32.capmesh")
+        got, walls = meshkit.load(tmp_path / f"{spec.slug}.capmesh")
         assert np.array_equal(got.positions, want.positions)
         assert np.array_equal(got.triangles, want.triangles)
         assert got.boundary_labels == want.boundary_labels
-        assert walls.angles == spec.walls().angles
+        # the sphere and the Monge patch meet no wall, so gen writes no wall document
+        assert (walls is None) == (spec.walls() is None)
+        if walls is not None:
+            assert walls.angles == spec.walls().angles
 
 
 class TestDeterminism:

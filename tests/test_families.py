@@ -153,13 +153,19 @@ class TestGenerateMesh:
     @pytest.mark.parametrize(
         "spec",
         [
-            families.Cap(R=1.0, theta=2.2, resolution=12),
-            families.Cylinder(r=1.0, L=3.0, resolution=12),
-            families.FlatDisk(R=1.0, resolution=12),
-            families.ClosedSphere(R=1.0, resolution=12),
-            families.MongePatch(amplitude=0.1, R=1.0, resolution=12),
+            pytest.param(families.Cap(R=1.0, theta=2.2, resolution=12), id="Cap"),
+            pytest.param(families.Cylinder(r=1.0, L=3.0, resolution=12), id="Cylinder"),
+            pytest.param(families.FlatDisk(R=1.0, resolution=12), id="FlatDisk"),
+            pytest.param(families.ClosedSphere(R=1.0, resolution=12), id="ClosedSphere"),
+            pytest.param(families.MongePatch(amplitude=0.1, R=1.0, resolution=12), id="MongePatch"),
+            # the smallest ring counts, and a cap whose rings crowd toward its apex
+            pytest.param(families.Cap(R=1.0, theta=1.0, resolution=3), id="Cap-res3"),
+            pytest.param(families.Cylinder(r=1.0, L=0.5, resolution=3), id="Cylinder-res3"),
+            pytest.param(families.FlatDisk(R=1.0, resolution=3), id="FlatDisk-res3"),
+            pytest.param(families.ClosedSphere(R=1.0, resolution=3), id="ClosedSphere-res3"),
+            pytest.param(families.MongePatch(amplitude=0.1, R=1.0, resolution=3), id="MongePatch-res3"),
+            pytest.param(families.Cap(R=1.0, theta=math.radians(175), resolution=12), id="Cap-175deg"),
         ],
-        ids=lambda spec: type(spec).__name__,
     )
     def test_vertex_limit_is_the_exact_count(self, spec, monkeypatch):
         # the count each build checks is the count it builds
@@ -169,6 +175,32 @@ class TestGenerateMesh:
         monkeypatch.setattr(families, "MAX_VERTICES", nv - 1)
         with pytest.raises(InvalidSpecError, match=f"{nv} or more vertices"):
             families.generate_mesh(spec)
+
+    @pytest.mark.parametrize(
+        "cls, values",
+        [
+            (families.Cap, {"R": 1.0, "theta": math.pi / 3}),
+            (families.Cylinder, {"r": 1.0, "L": 2.0}),
+            (families.FlatDisk, {"R": 1.0}),
+            (families.ClosedSphere, {"R": 1.0}),
+            (families.MongePatch, {"amplitude": 0.1, "R": 1.0}),
+        ],
+    )
+    def test_numpy_integer_resolution(self, cls, values):
+        # a library loop such as `for res in 16 * 2 ** np.arange(3)` hands
+        # numpy integers to the spec
+        want = cls(**values, resolution=32)
+        for res in (np.int64(32), np.int32(32)):
+            spec = cls(**values, resolution=res)
+            assert type(spec.resolution) is int and spec.slug == want.slug and spec == want
+            for got, ref in zip(spec.build(), want.build()):
+                if isinstance(ref, dict):
+                    assert got == ref
+                else:
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        for bad in (True, 32.0, np.float64(32.0)):
+            with pytest.raises(InvalidSpecError, match=f"resolution must be an integer >= 3, got {bad}"):
+                cls(**values, resolution=bad)
 
     def test_validates_against_induced_walls(self):
         for spec in (
@@ -237,6 +269,29 @@ class TestMongeExactFields:
             H_exact, sig_exact = spec.curvatures(np.array([x]), np.array([y]))
             assert H_exact[0] == pytest.approx(H_fd, abs=5e-5)
             assert sig_exact[0] == pytest.approx(sig_fd, abs=5e-5)
+
+    @pytest.mark.parametrize("res", [8, 16, 33, 64, 128, 256])
+    @pytest.mark.parametrize("amplitude", [0.0, 0.05, 0.13, 0.5, 2.0])
+    def test_boundary_sigma_nn_matches_vertex_by_vertex(self, res, amplitude):
+        """The rim's sigma(nu, nu), bit for bit, against one vertex at a time."""
+        spec = families.MongePatch(amplitude=amplitude, R=1.2, resolution=res)
+
+        def sigma_nn(x, y, nu):
+            fx, fy = spec.gradient(x, y)
+            fxx, fxy, fyy = spec.hessian(x, y)
+            w = math.sqrt(1.0 + fx * fx + fy * fy)
+            a, b = nu[0], nu[1]
+            m1 = (1.0 + fx * fx) * a * a + 2.0 * fx * fy * a * b + (1.0 + fy * fy) * b * b
+            m2 = (fxx * a * a + 2.0 * fxy * a * b + fyy * b * b) / w
+            return m2 / m1 if m1 > 0 else float("nan")
+
+        mesh, fields = families.generate_mesh(spec)
+        b = mesh.boundary_vertices
+        p, nu = mesh.positions[b], fields.conormal[b]
+        want = np.array([sigma_nn(p[i, 0], p[i, 1], nu[i]) for i in range(len(b))])
+        got = fields.sigma_nn[b]
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_amplitude_zero_reduces_to_disk(self):
         spec = families.MongePatch(amplitude=0.0, R=1.0, resolution=16)

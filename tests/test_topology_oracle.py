@@ -4,11 +4,12 @@ The references below are the former builders: the pair pattern from one
 stable argsort of all 9 nf (corner, corner) keys, the adjacency matrices as
 COO -> CSR builds, the boundary edges looked up in the directed adjacency,
 refinement numbered through the upper triangle of the adjacency, the family
-strips built one ring pair at a time, and the element matrices formed corner
-by corner with the B matrices as ``sparse.diags(...).tocsr()``. The mesh now
-sorts its vertex pairs once (``LabeledTriMesh.edges``) and reads everything
-else off that sort, and assembly gathers the corners once; the arithmetic is
-the same, so every array must be equal, dtypes included.
+meshes built one ring and one ring pair at a time, and the element matrices
+formed corner by corner with the B matrices as ``sparse.diags(...).tocsr()``.
+The mesh now sorts its vertex pairs once (``LabeledTriMesh.edges``) and reads
+everything else off that sort, assembly gathers the corners once, and one
+ring builder lays out every family mesh; the arithmetic is the same, so every
+array must be equal, dtypes included.
 """
 
 import math
@@ -44,6 +45,29 @@ def _cap_variants():
 
 
 MESHES = {name: families.generate_mesh(spec)[0] for name, spec in SPECS.items()} | _cap_variants()
+
+
+def _build_grid():
+    """Family specs over the ring counts from the smallest to nearly 100k vertices."""
+    grid = {}
+    for res in (3, 4, 12, 33, 64, 128):
+        # at 42 degrees and res 64 or 128, theta * m / m is not theta: the
+        # last ring must take its height from theta itself
+        for deg in (5, 10, 42, 45, 60, 90, 120, 150, 170, 175):
+            grid[f"cap{deg}-r1.3-{res}"] = families.Cap(R=1.3, theta=math.radians(deg), resolution=res)
+        for R in (0.5, 1.904):
+            for deg in (45, 120):
+                grid[f"cap{deg}-r{R}-{res}"] = families.Cap(R=R, theta=math.radians(deg), resolution=res)
+        for L in (0.01, 0.5, 4.0, 40.0):
+            grid[f"cylinder-l{L}-{res}"] = families.Cylinder(r=1.0, L=L, resolution=res)
+        grid[f"disk-r1.3-{res}"] = families.FlatDisk(R=1.3, resolution=res)
+        grid[f"sphere-r0.5-{res}"] = families.ClosedSphere(R=0.5, resolution=res)
+        grid[f"monge-a0.13-{res}"] = families.MongePatch(amplitude=0.13, R=1.2, resolution=res)
+    return grid
+
+
+# the build references alone run on the wider grid; MESHES stays small
+BUILD_SPECS = SPECS | _build_grid()
 
 # triangle lists that break one mesh invariant each, on 7 random points
 INVALID = {
@@ -150,12 +174,42 @@ def _strip(ring_a, ring_b):
     return np.vstack([np.column_stack([a, b, c]), np.column_stack([a, c, d])])
 
 
-def reference_triangles(spec, nv):
-    """The family's triangles built one ring pair at a time."""
+def _ring(alphas, rho, z):
+    n = len(alphas)
+    return np.column_stack([rho * np.cos(alphas), rho * np.sin(alphas), np.full(n, z)])
+
+
+def reference_build(spec):
+    """The family's mesh built one ring, and one ring pair, at a time."""
     n = spec.resolution
+    alphas = 2.0 * math.pi * np.arange(n) / n
     if isinstance(spec, families.Cylinder):
-        rings = [j * n + np.arange(n) for j in range(nv // n)]
-        return np.vstack([_strip(rings[j], rings[j + 1]) for j in range(len(rings) - 1)])[:, [0, 2, 1]]
+        m = max(2, round(min(n * spec.L / (2.0 * math.pi * spec.r), families.MAX_VERTICES)))
+        positions = np.vstack([_ring(alphas, spec.r, spec.L * j / m) for j in range(m + 1)])
+        rings = [j * n + np.arange(n) for j in range(m + 1)]
+        tris = np.vstack([_strip(rings[j], rings[j + 1]) for j in range(m)])[:, [0, 2, 1]]
+        return positions, tris, {**dict.fromkeys(rings[0].tolist(), 0), **dict.fromkeys(rings[-1].tolist(), 1)}
+    if isinstance(spec, families.Cap):
+        R, theta = spec.R, spec.theta
+        m = max(2, round(n * theta / (2.0 * math.pi * math.sin(theta))))
+        c = spec.center
+        rows = [
+            _ring(alphas, R * math.sin(theta * j / m), R * math.cos(theta * j / m) + c[2]) for j in range(1, m + 1)
+        ]
+        positions = np.vstack([(c + np.array([0.0, 0.0, R]))[None, :], *rows])
+        positions[1 + (m - 1) * n :, 2] = R * math.cos(theta) + c[2]
+    elif isinstance(spec, families.ClosedSphere):
+        R = spec.R
+        m = max(3, round(n / 2))
+        rows = [_ring(alphas, R * math.sin(math.pi * j / m), R * math.cos(math.pi * j / m)) for j in range(1, m)]
+        positions = np.vstack([[0.0, 0.0, R], *rows, [0.0, 0.0, -R]])
+    else:
+        # the polar grid of the flat disk and of the Monge patch
+        m = max(2, round(n / (2.0 * math.pi)) + 1)
+        positions = np.vstack([[0.0, 0.0, 0.0], *[_ring(alphas, spec.R * j / m, 0.0) for j in range(1, m + 1)]])
+        if isinstance(spec, families.MongePatch):
+            positions[:, 2] = spec.height(positions[:, 0], positions[:, 1])
+    nv = len(positions)
     closed = isinstance(spec, families.ClosedSphere)
     rings = [1 + j * n + np.arange(n) for j in range((nv - 1 - closed) // n)]
     tris = [families._fan(0, rings[0], reverse=True)]
@@ -163,7 +217,10 @@ def reference_triangles(spec, nv):
     if closed:
         tris.append(families._fan(nv - 1, rings[-1]))
     tris = np.vstack(tris)
-    return tris[:, [0, 2, 1]] if isinstance(spec, (families.FlatDisk, families.MongePatch)) else tris
+    if isinstance(spec, (families.FlatDisk, families.MongePatch)):
+        tris = tris[:, [0, 2, 1]]
+    walled = isinstance(spec, (families.Cap, families.FlatDisk))
+    return positions, tris, dict.fromkeys(rings[-1].tolist(), 0) if walled else {}
 
 
 def reference_geometry(mesh):
@@ -245,11 +302,18 @@ def test_refine_matches_former_numbering(name):
     assert fine.boundary_labels == labels
 
 
-@pytest.mark.parametrize("name", list(SPECS))
+@pytest.mark.parametrize("name", list(BUILD_SPECS))
 def test_family_strips_match_ring_by_ring(name):
-    spec = SPECS[name]
-    positions, triangles, _ = spec.build()
-    assert_identical(triangles, reference_triangles(spec, len(positions)))
+    spec = BUILD_SPECS[name]
+    positions, triangles, labels = spec.build()
+    ref_positions, ref_triangles, ref_labels = reference_build(spec)
+    assert positions.dtype == ref_positions.dtype == np.float64
+    assert_identical(positions.view(np.uint64), ref_positions.view(np.uint64))
+    assert_identical(triangles, ref_triangles)
+    assert labels == ref_labels
+    assert all(type(v) is int and type(w) is int for v, w in labels.items())
+    if isinstance(spec, families.Cap):
+        assert np.all(positions[list(labels), 2] == 0.0)
 
 
 @pytest.mark.parametrize("name", list(MESHES))
