@@ -13,6 +13,8 @@ per-matrix COO build or index sort, one shared set of index arrays, and
 exact symmetry. The triangle areas and cotangents come from one gather of
 the triangle corners; the weighted mass reuses the areas of the mesh's
 ``operators``. The boundary measures are diagonal CSR matrices built directly.
+Field estimation takes its 1-ring, the mesh's one adjacency, from the same
+pattern without its diagonal, and its face geometry from one corner gather.
 """
 
 from __future__ import annotations
@@ -134,17 +136,23 @@ class OperatorSet:
         return lumped
 
 
-def _element_geometry(mesh):
-    """Triangle areas and the half-cotangents of their corners, from one gather.
-
-    ``half_cot[:, c]`` is <u, w> / (4 A) for the edges u, w leaving corner c:
-    half the cotangent of its angle.
-    """
+def _corner_edges(mesh):
+    """Edges u[:, c] and w[:, c] from triangle corner c to corners c + 1 and c + 2, from one gather."""
     corners = np.take(mesh.positions, mesh.triangles, axis=0)
     u = np.take(corners, _NEXT, axis=1)
     u -= corners
     w = np.take(corners, _PREV, axis=1)
     w -= corners
+    return u, w
+
+
+def _element_geometry(mesh):
+    """Triangle areas and the half-cotangents of their corners.
+
+    ``half_cot[:, c]`` is <u, w> / (4 A) for the edges u, w leaving corner c:
+    half the cotangent of its angle.
+    """
+    u, w = _corner_edges(mesh)
     areas = 0.5 * np.linalg.norm(np.cross(u[:, 0], w[:, 0]), axis=1)
     if len(areas):
         floor = 1e-14 * areas.mean()
@@ -258,34 +266,38 @@ def integrate_vector(matrix, values) -> np.ndarray:
 
 
 def _vertex_normals(mesh):
-    """Angle-weighted average of incident triangle normals."""
-    p = mesh.positions
-    t = mesh.triangles
-    fn = mesh.triangle_normals()
-    ang = np.empty((3, mesh.nf))
-    for corner in range(3):
-        a = p[t[:, (corner + 1) % 3]] - p[t[:, corner]]
-        b = p[t[:, (corner + 2) % 3]] - p[t[:, corner]]
-        na = np.linalg.norm(a, axis=1)
-        nb = np.linalg.norm(b, axis=1)
-        cosang = np.clip(np.einsum("ij,ij->i", a, b) / np.maximum(na * nb, 1e-300), -1, 1)
-        ang[corner] = np.arccos(cosang)
+    """Angle-weighted average of incident triangle normals, and the triangle areas."""
+    u, w = _corner_edges(mesh)
+    cr = np.cross(u[:, 0], w[:, 0])
+    nrm = np.linalg.norm(cr, axis=1)
+    areas = 0.5 * nrm
+    fn = cr / np.where(nrm == 0, 1.0, nrm)[:, None]
+    lengths = np.linalg.norm(u, axis=2) * np.linalg.norm(w, axis=2)
+    cosang = np.einsum("fcj,fcj->fc", u, w) / np.maximum(lengths, 1e-300)
+    ang = np.arccos(np.clip(cosang, -1, 1)).T
     # each vertex sums its corners in a fixed order: corner 0 of every triangle, then 1, then 2
-    corners = t.T.ravel()
+    corners = mesh.triangles.T.ravel()
     acc = np.column_stack(
         [np.bincount(corners, weights=(ang * fn[:, j]).ravel(), minlength=mesh.nv) for j in range(3)]
     )
     nrm = np.linalg.norm(acc, axis=1)
     nrm[nrm == 0] = 1.0
-    return acc / nrm[:, None]
+    return acc / nrm[:, None], areas
 
 
-def _two_rings(mesh):
-    adj = mesh.adj_sym.copy()
-    adj.data[:] = 1
-    ring2 = (adj + adj @ adj).tocsr()
-    ring2.data[:] = 1
-    return ring2
+def _one_ring(mesh):
+    """Edge adjacency: the pair pattern without its diagonal, every entry 1."""
+    pattern = mesh.pair_pattern
+    data = np.ones(len(pattern.indices))
+    data[pattern.diagonal[pattern.diagonal >= 0]] = 0.0
+    adj = pattern.csr(data).copy()
+    adj.eliminate_zeros()
+    return adj
+
+
+def _two_rings(adj):
+    """The 2-ring of each vertex, itself included, as the pattern of adj + adj^2."""
+    return adj + adj @ adj
 
 
 # vertices per batched fit: bounds the (block, stencil, 6) design arrays, so a
@@ -366,8 +378,8 @@ def _quadric_pass(d, w, n):
     return t1, t2, coef, cond
 
 
-def _fit_quadrics(mesh, verts, normals, passes):
-    """Quadric fits over the 2-ring stencils of ``verts``.
+def _fit_quadrics(mesh, adj, verts, normals, passes):
+    """Quadric fits over the 2-ring stencils of ``verts`` in the 1-ring ``adj``.
 
     The first pass works in the tangent plane of ``normals``; each further
     pass uses the plane regressed by the one before, which removes the
@@ -375,7 +387,7 @@ def _fit_quadrics(mesh, verts, normals, passes):
     by size and fitted FIT_BLOCK vertices at a time, so nothing is padded.
     """
     # stencil of v: its 2-ring without v, as cols[starts[v] : starts[v] + counts[v]]
-    rings = _two_rings(mesh)
+    rings = _two_rings(adj)
     rows = np.repeat(np.arange(mesh.nv), np.diff(rings.indptr))
     keep = rings.indices != rows
     cols = rings.indices[keep]
@@ -389,6 +401,10 @@ def _fit_quadrics(mesh, verts, normals, passes):
             f"vertex {v} has a stencil of {int(counts[v])} points, too small for a "
             "quadric fit (valence too low)"
         )
+    # incident triangles that fold back can cancel an angle-weighted normal
+    flat = np.flatnonzero(~normals.any(axis=1))
+    if len(flat):
+        raise FitFailureError(f"vertex {int(verts[flat[0]])} has no normal: its triangle normals cancel")
     p = mesh.positions
     scale = mesh.bbox_diameter()
     k = len(verts)
@@ -447,15 +463,15 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
     p = mesh.positions
     nv = mesh.nv
     scale = mesh.bbox_diameter()
-    fits = _fit_quadrics(mesh, np.arange(nv), _vertex_normals(mesh), passes=2)
+    adj = _one_ring(mesh)
+    normals, areas = _vertex_normals(mesh)
+    fits = _fit_quadrics(mesh, adj, np.arange(nv), normals, passes=2)
     normals = fits.normal
     k1, k2 = _pencil_curvatures(fits.m1, fits.m2)
     H = 0.5 * (k1 + k2)
     sigma_sq = k1 * k1 + k2 * k2
 
-    areas_lumped = np.bincount(
-        mesh.triangles.ravel(), weights=np.repeat(mesh.triangle_areas() / 3.0, 3), minlength=nv
-    )
+    areas_lumped = np.bincount(mesh.triangles.ravel(), weights=np.repeat(areas / 3.0, 3), minlength=nv)
     mean_H = float(H @ areas_lumped / areas_lumped.sum())
     # a mean H at rounding level has no sign to follow: keep the winding
     winding = abs(mean_H) * scale < 1e-8
@@ -490,9 +506,7 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
         keep = nrm != 0
         v, prev, nxt, T, N = v[keep], prev[keep], nxt[keep], T[keep], N[keep]
         nu = nu[keep] / nrm[keep, None]
-        adj = mesh.adj_sym
-        ring1 = sparse.csr_matrix((np.ones(adj.nnz), adj.indices, adj.indptr), shape=adj.shape)[v]
-        interior_dir = ring1 @ p / np.diff(adj.indptr)[v][:, None] - p[v]
+        interior_dir = adj[v] @ p / np.diff(adj.indptr)[v][:, None] - p[v]
         nu[_dot(nu, interior_dir) > 0] *= -1.0
         conormal[v] = nu
 
@@ -565,7 +579,7 @@ def principal_direction_residual(mesh: LabeledTriMesh, walls: WallSet | None = N
     v = b[np.isfinite(fields.conormal[b]).all(axis=1)]
     if not len(v):
         return out
-    fits = _fit_quadrics(mesh, v, fields.normal[v], passes=1)
+    fits = _fit_quadrics(mesh, _one_ring(mesh), v, fields.normal[v], passes=1)
     m2 = -fits.m2 if fields.info["flipped"] else fits.m2
 
     def square(m):

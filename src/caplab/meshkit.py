@@ -9,8 +9,10 @@ map is a bare immersion (no supporting walls); plane-incidence checks then do
 not apply.
 
 A mesh sorts the vertex pairs of its triangle sides once (``edges``). The
-sparsity pattern of assembled matrices, the adjacency matrices, the boundary,
-validation and refinement all read that sort and sort no pairs again.
+pair pattern, the boundary, validation and refinement all read that sort and
+sort no pairs again. The pair pattern, the sparsity of every assembled
+matrix, is the mesh's one adjacency: edge neighbours are its off-diagonal
+entries.
 """
 
 from __future__ import annotations
@@ -187,7 +189,6 @@ _NEXT = np.array([1, 2, 0])
 # pattern slots of a triangle's (corner, corner) pairs, row-major, as columns of
 # [diagonal (k, k) | along side k (k, k + 1) | against it (k + 1, k)], k = 0, 1, 2
 _PAIR_COLUMNS = np.array([0, 3, 8, 6, 1, 4, 5, 7, 2])
-_CORNERS = np.arange(3)
 
 
 class Edges(NamedTuple):
@@ -248,8 +249,8 @@ class LabeledTriMesh:
         Empty for bare immersions without supporting walls.
 
     ``vertex_wall`` holds the same labels as one array (-1: no wall). The
-    edges, the pair pattern, the adjacency and the boundary edges, loops and
-    vertices are built once, on first use, and shared by every copy
+    edges, the pair pattern and the boundary edges, loops and vertices are
+    built once, on first use, and shared by every copy
     ``with_positions`` makes. The operator set (``operators``) is assembled
     once, on first use, and stays with this mesh. All are read-only, as are
     ``positions`` and ``triangles`` (copies of the arrays passed in):
@@ -302,7 +303,7 @@ class LabeledTriMesh:
         """The one sort of vertex pairs a mesh makes (see Edges).
 
         Every other topology property reads it: the pair pattern, the
-        adjacency matrices, the boundary and refinement.
+        boundary and refinement.
         """
         a = self.triangles.T
         b = a[_NEXT]
@@ -361,27 +362,6 @@ class LabeledTriMesh:
         return PairPattern(
             *(_read_only(x) for x in (indptr.astype(np.int32), indices, slots.reshape(-1, 3, 3), diagonal))
         )
-
-    def _pair_counts(self, rows, cols):
-        """CSR of the pattern entries that the triangles' (rows, cols) corner pairs hit, counted."""
-        pattern = self.pair_pattern
-        counts = np.bincount(pattern.slots[:, rows, cols].ravel(), minlength=len(pattern.indices))
-        hit = counts > 0
-        kept = np.zeros(len(hit) + 1, dtype=np.int32)
-        np.cumsum(hit, out=kept[1:])
-        return sparse.csr_matrix(
-            (counts[hit], pattern.indices[hit], kept[pattern.indptr]), shape=(self.nv, self.nv)
-        )
-
-    @cached_property
-    def adj_dir(self):
-        """Directed edge adjacency; entry counts occurrences of edge (i, j)."""
-        return self._pair_counts(_CORNERS, _NEXT)
-
-    @cached_property
-    def adj_sym(self):
-        """Undirected edge adjacency; entry counts incident triangles."""
-        return self._pair_counts(np.r_[_CORNERS, _NEXT], np.r_[_NEXT, _CORNERS])
 
     def is_manifold(self):
         return not np.any(self.edges.count > 2)
@@ -465,14 +445,6 @@ class LabeledTriMesh:
         cr = np.cross(p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]])
         return 0.5 * np.linalg.norm(cr, axis=1)
 
-    def triangle_normals(self):
-        p = self.positions
-        t = self.triangles
-        cr = np.cross(p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]])
-        nrm = np.linalg.norm(cr, axis=1)
-        nrm[nrm == 0] = 1.0
-        return cr / nrm[:, None]
-
     def area(self):
         return float(self.triangle_areas().sum())
 
@@ -502,9 +474,7 @@ class LabeledTriMesh:
 
 
 # cached properties that depend on the triangles and labels only
-_TOPOLOGY = frozenset(
-    ("edges", "adj_dir", "adj_sym", "pair_pattern", "boundary_edges", "boundary_vertices", "boundary_loops")
-)
+_TOPOLOGY = frozenset(("edges", "pair_pattern", "boundary_edges", "boundary_vertices", "boundary_loops"))
 
 
 @dataclass
@@ -528,7 +498,7 @@ class ValidationReport:
         return "; ".join(f"{i.check}: {i.message}" for i in self.issues)
 
 
-def validate(mesh: LabeledTriMesh, walls: WallSet | None = None, plane_tol=None) -> ValidationReport:
+def validate(mesh: LabeledTriMesh, walls: WallSet | None = None) -> ValidationReport:
     """Check every mesh invariant, reporting all violations with offending indices.
 
     With ``walls`` the full capillary invariants apply (label coverage and
@@ -591,7 +561,7 @@ def validate(mesh: LabeledTriMesh, walls: WallSet | None = None, plane_tol=None)
             issues.append(
                 ValidationIssue("label-wall-range", f"labels reference walls outside 0..{k - 1}", tuple(out_of_range.tolist()))
             )
-        tol = plane_tol if plane_tol is not None else PLANE_TOL_FACTOR * mesh.bbox_diameter()
+        tol = PLANE_TOL_FACTOR * mesh.bbox_diameter()
         off = []
         for w, plane in enumerate(walls.walls):
             v = np.flatnonzero(wall == w)
@@ -656,7 +626,7 @@ def refine(mesh: LabeledTriMesh, projector=None, walls: WallSet | None = None) -
 #   nb lines: v w             (boundary vertex v supported by wall w, one line per v)
 
 
-def save(mesh: LabeledTriMesh, walls: WallSet | None, path, walls_path=None):
+def save(mesh: LabeledTriMesh, walls: WallSet | None, path):
     """Write mesh to ``path`` and, if given, walls to the sibling document."""
     path = Path(path)
     labels = sorted(mesh.boundary_labels.items())
@@ -668,7 +638,7 @@ def save(mesh: LabeledTriMesh, walls: WallSet | None, path, walls_path=None):
     )
     path.write_text(text)
     if walls is not None:
-        save_walls(walls, walls_path or default_walls_path(path))
+        save_walls(walls, default_walls_path(path))
     return path
 
 

@@ -195,6 +195,25 @@ def _cot(theta):
     return c / s
 
 
+def _robin_coefficients(mesh, walls, fields):
+    """cot(theta_i) sigma(nu, nu) at each vertex of wall i: 0 on a free wall (cot 0) and off
+    the walls; a non-finite sigma(nu, nu) or conormal on any other wall is a FitFailureError."""
+    q = np.zeros(mesh.nv)
+    for i, theta in enumerate(walls.angles):
+        cot = _cot(theta)
+        if cot == 0.0:
+            continue
+        on = mesh.vertex_wall == i
+        bad = ~np.isfinite(fields.sigma_nn[on]) | ~np.isfinite(fields.conormal[on]).all(axis=1)
+        if bad.any():
+            raise FitFailureError(
+                f"{int(bad.sum())} vertices on wall {i} have a non-finite sigma(nu, nu) "
+                "or conormal; the boundary term of the index form is undefined"
+            )
+        q[on] = cot * fields.sigma_nn[on]
+    return q
+
+
 def assemble_index_form(mesh: LabeledTriMesh, walls: WallSet, fields: GeometryFields) -> IndexFormSystem:
     """A = K - M_{|sigma|^2} - sum_i cot(theta_i) sigma(nu,nu) B_i and c = M 1."""
     ops = mesh.operators
@@ -202,22 +221,11 @@ def assemble_index_form(mesh: LabeledTriMesh, walls: WallSet, fields: GeometryFi
     # formed on it: exactly symmetric, since each entry pair sums alike
     data = ops.K.data - weighted_mass(mesh, fields.sigma_sq).data
     diagonal = mesh.pair_pattern.diagonal
-    for i, theta in enumerate(walls.angles):
-        if i not in ops.B_wall:
-            continue
-        cot = _cot(theta)
-        if cot == 0.0:
-            continue
-        b = ops.B_wall[i].diagonal()
+    q = _robin_coefficients(mesh, walls, fields)
+    for B in ops.B_wall.values():
+        b = B.diagonal()
         on_wall = b != 0.0
-        bad = ~np.isfinite(fields.sigma_nn[on_wall]) | ~np.isfinite(fields.conormal[on_wall]).all(axis=1)
-        if bad.any():
-            raise FitFailureError(
-                f"{int(bad.sum())} vertices on wall {i} have a non-finite sigma(nu, nu) "
-                "or conormal; the boundary term of the index form is undefined"
-            )
-        q = cot * fields.sigma_nn[on_wall]
-        data[diagonal[on_wall]] -= q * b[on_wall]
+        data[diagonal[on_wall]] -= q[on_wall] * b[on_wall]
     A = mesh.pair_pattern.csr(data)
     M = ops.M
     c = np.asarray(M @ np.ones(mesh.nv))
@@ -688,10 +696,7 @@ def build_test_function(
     lap_model = -fields.sigma_sq * phi + (fields.sigma_sq - NDIM * hbar * hbar)
     flux = ops.K @ phi + ops.M @ lap_model
     bverts = mesh.boundary_vertices
-    q_full = np.zeros(mesh.nv)
-    for i, theta in enumerate(walls.angles):
-        on = mesh.vertex_wall == i
-        q_full[on] = _cot(theta) * fields.sigma_nn[on]
+    q_full = _robin_coefficients(mesh, walls, fields)
     b_diag = np.asarray(ops.B_all.diagonal())
     denom = np.maximum(b_diag[bverts], 1e-300)
     robin = np.abs(flux[bverts] - q_full[bverts] * b_diag[bverts] * phi[bverts]) / denom

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from caplab import discops, families, meshkit, stability
 from caplab.meshkit import _TOPOLOGY as TOPOLOGY
@@ -150,3 +151,12 @@ def rotate_walls(walls, R):
     return WallSet(
         tuple(Hyperplane(R @ w.normal, w.offset) for w in walls.walls), walls.angles
     )
+
+
+def edge_adjacency(mesh):
+    """Edge neighbours from the triangles: a COO -> CSR build over both directions of every side."""
+    t = mesh.triangles
+    i, j = t.ravel(), t[:, [1, 2, 0]].ravel()
+    adj = sparse.csr_matrix((np.ones(2 * len(i)), (np.r_[i, j], np.r_[j, i])), shape=(mesh.nv, mesh.nv))
+    adj.data[:] = 1
+    return adj

@@ -7,8 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from caplab import families, meshkit
+from caplab import families, meshkit, stability
 from caplab.cli import main
+from caplab.errors import SolverFailureError
 
 
 def read_json(path):
@@ -145,7 +146,6 @@ class TestIdentities:
         assert topology_builds["edges"] == 3
         assert topology_builds["pair_pattern"] == 3
         assert topology_builds["boundary_edges"] == 3
-        assert topology_builds["adj_dir"] == topology_builds["adj_sym"] == 0
 
     def test_cap_three_levels_exit_0_and_decreasing(self, tmp_path):
         rc = main(
@@ -263,6 +263,16 @@ class TestStability:
         assert solver["certificate"]["count_below"] >= len(doc["eigenvalues"])
         assert solver["lanczos_tol"] == 1e-10
 
+    def test_solver_failure_exits_3_without_a_verdict(self, tmp_path, capsys, monkeypatch):
+        def fail(system, k=10, cut=None):
+            raise SolverFailureError("spectrum not certified")
+
+        monkeypatch.setattr(stability, "solve_spectrum", fail)
+        argv = ["stability", "--family", "cap", "--angle-deg", "60", "--res", "12", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "solver failure: spectrum not certified\n"
+        assert not (tmp_path / "verdict.json").exists()
+
     def test_mesh_verdict_records_field_estimation(self, tmp_path):
         assert main(["gen", "cap", "--angle-deg", "60", "--res", "24", "--out", str(tmp_path)]) == 0
         args = ["stability", "--mesh", str(tmp_path / "cap_r1_a60_res24.capmesh")]
@@ -352,6 +362,24 @@ class TestWedge:
         assert main(["wedge", *inputs, "--out", str(tmp_path / "w")]) == 0
         classification = read_json(tmp_path / "w" / "wedge.json")["classification"]
         assert classification["stable"] == read_json(tmp_path / "s" / "verdict.json")["stable"]
+
+    def test_mesh_touching_a_domain_edge_fails_the_hypotheses(self, tmp_path):
+        # rim vertices with y < 0 carry wall 1, the plane y = 0, so boundary
+        # edges join two walls: the surface touches the edge of the domain
+        assert main(["gen", "cap", "--angle-deg", "60", "--res", "24", "--out", str(tmp_path)]) == 0
+        stem = tmp_path / "cap_r1_a60_res24"
+        mesh, walls = meshkit.load(stem.with_suffix(".capmesh"))
+        labels = {v: int(mesh.positions[v, 1] < 0) for v in mesh.boundary_labels}
+        meshkit.save(meshkit.LabeledTriMesh(mesh.positions, mesh.triangles, labels), None, stem.with_suffix(".capmesh"))
+        doc = [*walls.to_document(), {"normal": [0, -1, 0], "offset": 0.0, "angle_rad": math.pi / 2}]
+        path = tmp_path / "two.walls.json"
+        path.write_text(json.dumps(doc))
+        argv = ["wedge", "--walls", str(path), "--mesh", str(stem.with_suffix(".capmesh"))]
+        assert main([*argv, "--out", str(tmp_path / "w")]) == 0
+        classification = read_json(tmp_path / "w" / "wedge.json")["classification"]
+        assert classification["checks"]["labels_avoid_edges"] is False
+        assert classification["hypotheses_met"] is False
+        assert "mixed-boundary-edge" in classification["info"]["labels_avoid_edges"]
 
     def test_dependent_normals_exit_2(self, tmp_path):
         walls_doc = [
@@ -515,6 +543,56 @@ WALL_DOCUMENTS = {
         'wall entry 0: "normal" must be 3 finite numbers, got [NaN, 0, -1]',
     ),
 }
+
+
+def folded_tube(tmp_path, jitter=False):
+    """A res-16 tube with boundary vertex 14 moved onto vertex 0, saved with its walls.
+
+    The mesh passes ``validate`` and ``load``, but vertex 15, between the
+    two on the loop, is left with triangles that fold back on each other.
+    With ``jitter`` the interior vertices move by 0.05 N(0, 1) (seed 1).
+    """
+    spec = families.Cylinder(r=1.0, L=2.0, resolution=16)
+    mesh = meshkit.LabeledTriMesh(*spec.build())
+    loop = mesh.boundary_loops[0]
+    p = mesh.positions.copy()
+    p[loop[2]] = p[loop[0]]
+    if jitter:
+        interior = np.setdiff1d(np.arange(mesh.nv), mesh.boundary_vertices)
+        p[interior] += 0.05 * np.random.default_rng(1).standard_normal((len(interior), 3))
+    mesh = mesh.with_positions(p)
+    assert meshkit.validate(mesh, spec.walls()).ok
+    return meshkit.save(mesh, spec.walls(), tmp_path / "folded.capmesh")
+
+
+class TestDegenerateMeshes:
+    """Meshes that pass validation but leave a field undefined end in a named error, never NaN."""
+
+    @pytest.mark.parametrize("command", ["stability", "identities", "testfn"])
+    def test_vertex_without_normal_exits_2(self, command, tmp_path, capsys):
+        # the zero normal used to reach the fits as NaN, and numpy's RuntimeWarning
+        # and "error: SVD did not converge" followed
+        mesh = folded_tube(tmp_path)
+        meshkit.load(mesh)
+        out = tmp_path / "run"
+        argv = [command, "--mesh", str(mesh), "--out", str(out)]
+        assert main(argv + (["--identity-mode"] if command == "testfn" else [])) == 2
+        assert capsys.readouterr().err.startswith("error: vertex 15 has no normal")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_free_wall_robin_residual_is_finite(self, tmp_path):
+        # vertex 15's conormal is undefined, but its walls are free (cot 0);
+        # max_robin_residual used to be written as NaN
+        mesh = str(folded_tube(tmp_path, jitter=True))
+        assert main(["stability", "--mesh", mesh, "--out", str(tmp_path / "s")]) == 0
+        assert read_json(tmp_path / "s" / "verdict.json")["info"]["meta"]["fields"]["nonfinite_boundary"] == 1
+        assert main(["testfn", "--mesh", mesh, "--identity-mode", "--out", str(tmp_path / "t")]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"testfn.json holds {constant}")
+
+        doc = json.loads((tmp_path / "t" / "testfn.json").read_text(), parse_constant=refuse)
+        assert math.isfinite(doc["max_robin_residual"])
 
 
 class TestInputDocuments:

@@ -211,9 +211,10 @@ class TestEstimateFields:
         assert abs(est.info["mean_H"]) * mesh.bbox_diameter() < 1e-8
         assert est.info["flipped"] is False
         assert est.info["orientation"] == "winding"
-        n, t = est.normal, mesh.triangles
+        n, p, t = est.normal, mesh.positions, mesh.triangles
         corner_sum = n[t[:, 0]] + n[t[:, 1]] + n[t[:, 2]]
-        assert np.einsum("ij,ij->i", mesh.triangle_normals(), corner_sum).min() > 0
+        face = np.cross(p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]])
+        assert np.einsum("ij,ij->i", face, corner_sum).min() > 0
 
     def test_convergence_to_exact_fields(self, cap_pi3):
         errs_H, errs_ang = [], []

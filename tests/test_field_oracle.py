@@ -17,6 +17,7 @@ import pytest
 
 from caplab import discops, families, meshkit
 from caplab.errors import FitFailureError
+from conftest import edge_adjacency
 
 TOL = 1e-10
 FIELDS = (
@@ -73,8 +74,9 @@ def reference_fields(mesh, walls=None):
     p = mesh.positions
     nv = mesh.nv
     scale = mesh.bbox_diameter()
-    normals = discops._vertex_normals(mesh)
-    rings = discops._two_rings(mesh)
+    normals, _ = discops._vertex_normals(mesh)
+    adj = edge_adjacency(mesh)
+    rings = discops._two_rings(adj)
     H = np.zeros(nv)
     sigma_sq = np.zeros(nv)
     fits = {}
@@ -102,7 +104,6 @@ def reference_fields(mesh, walls=None):
     sigma_nn = np.full(nv, np.nan)
     bdry_curv = np.full(nv, np.nan)
     angle = np.full(nv, np.nan)
-    adj = mesh.adj_sym
     labels = mesh.boundary_labels
     for loop in loops:
         m = len(loop)
@@ -175,7 +176,7 @@ def reference_principal_residual(mesh, walls=None):
     fields = reference_fields(mesh, walls)
     p = mesh.positions
     scale = mesh.bbox_diameter()
-    rings = discops._two_rings(mesh)
+    rings = discops._two_rings(edge_adjacency(mesh))
     out = np.full(mesh.nv, np.nan)
     for v in sorted({v for loop in mesh.boundary_loops for v in loop}):
         nu = fields.conormal[v]
@@ -264,7 +265,7 @@ def test_family_meshes_match_reference(kind, res):
 
 def test_block_boundary_is_crossed():
     mesh, _ = families.generate_mesh(_family("cylinder", 64))
-    counts = np.diff(discops._two_rings(mesh).indptr) - 1
+    counts = np.diff(discops._two_rings(edge_adjacency(mesh)).indptr) - 1
     assert np.bincount(counts).max() > discops.FIT_BLOCK
 
 
@@ -275,7 +276,7 @@ def test_unprojected_refinement_matches_reference():
     walls = spec.walls()
     for _ in range(2):
         mesh = meshkit.refine(mesh, walls=walls)
-    assert len(np.unique(np.diff(mesh.adj_sym.indptr))) >= 3
+    assert len(np.unique(np.diff(edge_adjacency(mesh).indptr))) >= 3
     assert_fields_match(mesh, walls)
 
 

@@ -16,6 +16,7 @@ import pytest
 from scipy import sparse
 
 from caplab import discops, families, stability
+from conftest import edge_adjacency
 
 TOL = 1e-14
 
@@ -101,11 +102,11 @@ def family_mesh(request):
 def test_pattern_is_the_adjacency_with_its_diagonal(family_mesh):
     _, mesh, _ = family_mesh
     pattern = mesh.pair_pattern
-    expected = (mesh.adj_sym + sparse.identity(mesh.nv, format="csr")).tocsr()
+    t = mesh.triangles
+    expected = (edge_adjacency(mesh) + sparse.identity(mesh.nv, format="csr")).tocsr()
     expected.sort_indices()
     assert np.array_equal(pattern.indptr, expected.indptr)
     assert np.array_equal(pattern.indices, expected.indices)
-    t = mesh.triangles
     rows = np.searchsorted(pattern.indptr, pattern.slots, side="right") - 1
     assert np.array_equal(rows, np.broadcast_to(t[:, :, None], pattern.slots.shape))
     assert np.array_equal(pattern.indices[pattern.slots], np.broadcast_to(t[:, None, :], pattern.slots.shape))
