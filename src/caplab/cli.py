@@ -159,8 +159,10 @@ def _cmd_identities(args):
     write_report(out / "identities.json", idn.suite_to_document(rows, {"tolerance": args.tol}))
     print(csv_path)
 
+    # a NaN residual fails the gate: it is not within any tolerance
     failing = [
-        r for r in final_reports if not r.skipped and r.rel_residual is not None and r.rel_residual > args.tol
+        r for r in final_reports
+        if not r.skipped and r.rel_residual is not None and not r.rel_residual <= args.tol
     ]
     if failing:
         for r in failing:

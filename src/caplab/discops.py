@@ -13,8 +13,10 @@ per-matrix COO build or index sort, one shared set of index arrays, and
 exact symmetry. The triangle areas and cotangents come from one gather of
 the triangle corners; the weighted mass reuses the areas of the mesh's
 ``operators``. The boundary measures are diagonal CSR matrices built directly.
+``OperatorSet.mean`` is the one mean of a vertex field, and so the one H-bar.
 Field estimation takes its 1-ring, the mesh's one adjacency, from the same
-pattern without its diagonal, and its face geometry from one corner gather.
+pattern without its diagonal, its normals from one corner gather, and its
+curvatures from one two-pass quadric fit per vertex.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "estimate_fields",
     "integrate_scalar",
     "integrate_vector",
-    "principal_direction_residual",
     "export_fields_csv",
 ]
 
@@ -134,6 +135,11 @@ class OperatorSet:
         lumped = np.asarray(self.M.sum(axis=1)).ravel()
         lumped.flags.writeable = False
         return lumped
+
+    def mean(self, values):
+        """Mean of per-vertex ``values`` under the lumped-mass weights."""
+        lumped = self.lumped_mass
+        return float(values @ (lumped / lumped.sum()))
 
 
 def _corner_edges(mesh):
@@ -266,11 +272,10 @@ def integrate_vector(matrix, values) -> np.ndarray:
 
 
 def _vertex_normals(mesh):
-    """Angle-weighted average of incident triangle normals, and the triangle areas."""
+    """Angle-weighted average of incident triangle normals."""
     u, w = _corner_edges(mesh)
     cr = np.cross(u[:, 0], w[:, 0])
     nrm = np.linalg.norm(cr, axis=1)
-    areas = 0.5 * nrm
     fn = cr / np.where(nrm == 0, 1.0, nrm)[:, None]
     lengths = np.linalg.norm(u, axis=2) * np.linalg.norm(w, axis=2)
     cosang = np.einsum("fcj,fcj->fc", u, w) / np.maximum(lengths, 1e-300)
@@ -282,7 +287,7 @@ def _vertex_normals(mesh):
     )
     nrm = np.linalg.norm(acc, axis=1)
     nrm[nrm == 0] = 1.0
-    return acc / nrm[:, None], areas
+    return acc / nrm[:, None]
 
 
 def _one_ring(mesh):
@@ -310,7 +315,7 @@ _COND_LIMIT = 1.0 / math.sqrt(np.finfo(float).eps)
 
 
 class _Fits(NamedTuple):
-    """Quadric fits at a list of vertices, one row each.
+    """Quadric fits, one row per vertex.
 
     ``m1`` and ``m2`` are the first and second fundamental forms as symmetric
     2x2 entries (xx, xy, yy) in the tangent frame ``(t1, t2)``; sigma(X, X) =
@@ -378,25 +383,25 @@ def _quadric_pass(d, w, n):
     return t1, t2, coef, cond
 
 
-def _fit_quadrics(mesh, adj, verts, normals, passes):
-    """Quadric fits over the 2-ring stencils of ``verts`` in the 1-ring ``adj``.
+def _fit_quadrics(mesh, adj, normals):
+    """Quadric fits over the 2-ring stencil of every vertex in the 1-ring ``adj``.
 
-    The first pass works in the tangent plane of ``normals``; each further
-    pass uses the plane regressed by the one before, which removes the
-    one-sided bias of averaged normals at the boundary. Stencils are grouped
-    by size and fitted FIT_BLOCK vertices at a time, so nothing is padded.
+    The first pass works in the tangent plane of ``normals``; the second
+    uses the plane regressed by the first, which removes the one-sided bias
+    of averaged normals at the boundary. Stencils are grouped by size and
+    fitted FIT_BLOCK vertices at a time, so nothing is padded.
     """
+    nv = mesh.nv
     # stencil of v: its 2-ring without v, as cols[starts[v] : starts[v] + counts[v]]
     rings = _two_rings(adj)
-    rows = np.repeat(np.arange(mesh.nv), np.diff(rings.indptr))
+    rows = np.repeat(np.arange(nv), np.diff(rings.indptr))
     keep = rings.indices != rows
     cols = rings.indices[keep]
-    counts = np.bincount(rows[keep], minlength=mesh.nv)
+    counts = np.bincount(rows[keep], minlength=nv)
     starts = np.cumsum(counts) - counts
-    size = counts[verts]
-    small = np.flatnonzero(size < 5)
+    small = np.flatnonzero(counts < 5)
     if len(small):
-        v = int(verts[small[0]])
+        v = int(small[0])
         raise FitFailureError(
             f"vertex {v} has a stencil of {int(counts[v])} points, too small for a "
             "quadric fit (valence too low)"
@@ -404,30 +409,28 @@ def _fit_quadrics(mesh, adj, verts, normals, passes):
     # incident triangles that fold back can cancel an angle-weighted normal
     flat = np.flatnonzero(~normals.any(axis=1))
     if len(flat):
-        raise FitFailureError(f"vertex {int(verts[flat[0]])} has no normal: its triangle normals cancel")
+        raise FitFailureError(f"vertex {int(flat[0])} has no normal: its triangle normals cancel")
     p = mesh.positions
     scale = mesh.bbox_diameter()
-    k = len(verts)
-    m1, m2 = np.empty((k, 3)), np.empty((k, 3))
-    t1, t2, normal = np.empty((k, 3)), np.empty((k, 3)), np.empty((k, 3))
-    cond = np.empty(k)
-    for c in np.unique(size):
-        group = np.flatnonzero(size == c)
+    m1, m2 = np.empty((nv, 3)), np.empty((nv, 3))
+    t1, t2, normal = np.empty((nv, 3)), np.empty((nv, 3)), np.empty((nv, 3))
+    cond = np.empty(nv)
+    for c in np.unique(counts):
+        group = np.flatnonzero(counts == c)
         for lo in range(0, len(group), FIT_BLOCK):
-            sel = group[lo : lo + FIT_BLOCK]
-            v = verts[sel]
+            v = group[lo : lo + FIT_BLOCK]
             d = p[cols[starts[v][:, None] + np.arange(c)]] - p[v][:, None, :]
             w = 1.0 / (np.linalg.norm(d, axis=2) + 1e-8 * scale)
-            n = normals[sel]
-            for _ in range(passes):
+            n = normals[v]
+            for _ in range(2):
                 f1, f2, coef, kappa = _quadric_pass(d, w, n)
                 p1, p2 = coef[:, 0], coef[:, 1]
                 W = np.sqrt(1.0 + p1 * p1 + p2 * p2)
                 n = (n - p1[:, None] * f1 - p2[:, None] * f2) / W[:, None]
-            m1[sel] = np.column_stack([1.0 + p1 * p1, p1 * p2, 1.0 + p2 * p2])
-            m2[sel] = coef[:, 2:] / W[:, None]
-            t1[sel], t2[sel], normal[sel], cond[sel] = f1, f2, n, kappa
-    return _Fits(m1, m2, t1, t2, normal, size, cond)
+            m1[v] = np.column_stack([1.0 + p1 * p1, p1 * p2, 1.0 + p2 * p2])
+            m2[v] = coef[:, 2:] / W[:, None]
+            t1[v], t2[v], normal[v], cond[v] = f1, f2, n, kappa
+    return _Fits(m1, m2, t1, t2, normal, counts, cond)
 
 
 def _pencil_curvatures(m1, m2):
@@ -448,15 +451,17 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
     works in the tangent plane regressed by the first, and its normal is the
     vertex normal. The fits are batched: stencils of equal size are solved
     together, at most ``FIT_BLOCK`` at a time, by a QR of the weighted design
-    matrix. Normals are flipped globally if the mean H comes out negative,
-    unless |mean H| * diameter < 1e-8: that sign is rounding, so the normals
-    keep the mesh winding and ``info`` gains ``orientation: "winding"``.
-    Boundary quantities come from each boundary loop and the wall data.
+    matrix. Normals are flipped globally if the mean H (``OperatorSet.mean``
+    of the fitted H) comes out negative, unless |mean H| * diameter < 1e-8:
+    that sign is rounding, so the normals keep the mesh winding and ``info``
+    gains ``orientation: "winding"``. Boundary quantities come from each
+    boundary loop and the wall data.
 
-    ``info`` records ``flipped`` and ``mean_H``, and where estimation
-    struggled: ``min_stencil`` (fewest fit points), ``max_fit_cond`` (worst
-    max/min |R_ii| of the second fits) and ``nonfinite_boundary`` (boundary
-    vertices whose conormal or sigma(nu, nu) is undefined).
+    ``info`` records ``flipped`` and ``mean_H`` (before any flip), and where
+    estimation struggled: ``min_stencil`` (fewest fit points),
+    ``max_fit_cond`` (worst max/min |R_ii| of the second fits) and
+    ``nonfinite_boundary`` (boundary vertices whose conormal or sigma(nu, nu)
+    is undefined).
     """
     if mesh.nv == 0 or mesh.nf == 0:
         raise InvalidMeshError("cannot estimate fields on an empty mesh")
@@ -464,15 +469,13 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
     nv = mesh.nv
     scale = mesh.bbox_diameter()
     adj = _one_ring(mesh)
-    normals, areas = _vertex_normals(mesh)
-    fits = _fit_quadrics(mesh, adj, np.arange(nv), normals, passes=2)
+    fits = _fit_quadrics(mesh, adj, _vertex_normals(mesh))
     normals = fits.normal
     k1, k2 = _pencil_curvatures(fits.m1, fits.m2)
     H = 0.5 * (k1 + k2)
     sigma_sq = k1 * k1 + k2 * k2
 
-    areas_lumped = np.bincount(mesh.triangles.ravel(), weights=np.repeat(areas / 3.0, 3), minlength=nv)
-    mean_H = float(H @ areas_lumped / areas_lumped.sum())
+    mean_H = mesh.operators.mean(H)
     # a mean H at rounding level has no sign to follow: keep the winding
     winding = abs(mean_H) * scale < 1e-8
     flipped = mean_H < 0 and not winding
@@ -563,40 +566,6 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
             **({"orientation": "winding"} if winding else {}),
         },
     )
-
-
-def principal_direction_residual(mesh: LabeledTriMesh, walls: WallSet | None = None):
-    """Check that the conormal is a principal direction at the boundary.
-
-    Returns ||S nu - (nu^T S nu) nu|| / ||S|| per vertex, NaN off the
-    boundary and where the conormal is undefined, measured in the frame of a
-    quadric fitted about the estimated normal; small values confirm the
-    boundary principal direction property of capillary immersions.
-    """
-    fields = estimate_fields(mesh, walls)
-    out = np.full(mesh.nv, np.nan)
-    b = mesh.boundary_vertices
-    v = b[np.isfinite(fields.conormal[b]).all(axis=1)]
-    if not len(v):
-        return out
-    fits = _fit_quadrics(mesh, _one_ring(mesh), v, fields.normal[v], passes=1)
-    m2 = -fits.m2 if fields.info["flipped"] else fits.m2
-
-    def square(m):
-        return np.stack([m[:, :2], m[:, 1:]], axis=1)
-
-    # shape operator in the frame: S = M1^{-1} M2
-    S = np.linalg.solve(square(fits.m1), square(m2))
-    nu = fields.conormal[v]
-    q = np.column_stack([_dot(nu, fits.t1), _dot(nu, fits.t2)])
-    qn = np.linalg.norm(q, axis=1)
-    keep = qn != 0
-    S, q = S[keep], q[keep] / qn[keep, None]
-    Sq = np.einsum("bij,bj->bi", S, q)
-    resid = np.linalg.norm(Sq - _dot(q, Sq)[:, None] * q, axis=1)
-    norm_S = np.linalg.norm(S, 2, axis=(1, 2))
-    out[v[keep]] = np.divide(resid, norm_S, out=np.zeros(len(S)), where=norm_S > 0)
-    return out
 
 
 def export_fields_csv(mesh: LabeledTriMesh, fields: GeometryFields, path):

@@ -26,6 +26,7 @@ import numpy as np
 from .discops import NDIM, integrate_scalar, integrate_vector
 from .errors import InvalidMeshError
 from .reports import document, to_jsonable
+from .wedge import COND_LIMIT
 
 __all__ = [
     "IdentityReport",
@@ -98,16 +99,20 @@ def _skipped(name, why):
 
 
 def _mean_curvature_stats(fields, ops):
-    lumped = ops.lumped_mass
-    w = lumped / lumped.sum()
-    mean = float(fields.mean_curv @ w)
-    var = float(((fields.mean_curv - mean) ** 2) @ w)
+    mean = ops.mean(fields.mean_curv)
+    var = ops.mean((fields.mean_curv - mean) ** 2)
     spread = math.sqrt(max(var, 0.0)) / max(abs(mean), 1e-300)
     return mean, spread
 
 
 def _position_dot_normal(mesh, fields):
     return np.einsum("ij,ij->i", mesh.positions, fields.normal)
+
+
+def _wall_support(mesh, fields, plane):
+    """<psi, nu-bar> with the origin translated into the wall ``plane``."""
+    shifted = mesh.positions - plane.offset * plane.normal
+    return np.einsum("ij,ij->i", shifted, fields.wall_conormal)
 
 
 def check_normal_integral(mesh, fields):
@@ -155,9 +160,7 @@ def check_minkowski_boundary(mesh, fields, walls, wall):
     ops = mesh.operators
     if wall not in ops.B_wall:
         return _skipped(f"minkowski_wall{wall}", "no boundary on wall")
-    plane = walls.walls[wall]
-    shifted = mesh.positions - plane.offset * plane.normal
-    w = np.einsum("ij,ij->i", shifted, fields.wall_conormal)
+    w = _wall_support(mesh, fields, walls.walls[wall])
     B = ops.B_wall[wall]
     lhs = float(B.sum())
     integrand = fields.bdry_curv * w
@@ -320,9 +323,7 @@ def _claim_reports(mesh, fields, walls):
     for i in range(len(walls)):
         if i not in ops.B_wall:
             continue
-        plane = walls.walls[i]
-        shifted = mesh.positions - plane.offset * plane.normal
-        w = np.einsum("ij,ij->i", shifted, fields.wall_conormal)
+        w = _wall_support(mesh, fields, walls.walls[i])
         integrand = (hbar + math.sin(walls.angles[i]) * fields.bdry_curv) * w
         val = integrate_scalar(ops.B_wall[i], integrand)
         scale = integrate_scalar(ops.B_wall[i], np.abs(integrand)) + abs(hbar) * ops.boundary_lengths[i]
@@ -362,7 +363,7 @@ def _angles_genuine(mesh, walls, fields):
 
 def _normals_independent(walls):
     g = walls.normals @ walls.normals.T
-    return np.linalg.cond(g) < 1e12
+    return np.linalg.cond(g) < COND_LIMIT
 
 
 def run_suite(mesh, walls, fields, resolution="", capillary_vector=None):

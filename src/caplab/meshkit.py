@@ -35,6 +35,7 @@ from .errors import (
     MeshValidationError,
     ParseError,
 )
+from .reports import write_report
 
 # plane-incidence tolerance per unit of bounding-box diameter
 PLANE_TOL_FACTOR = 1e-9
@@ -166,7 +167,7 @@ def _finite(entry, i, key, size=None):
 
 
 def save_walls(walls: WallSet, path):
-    Path(path).write_text(json.dumps(walls.to_document(), indent=2, sort_keys=True) + "\n")
+    write_report(path, walls.to_document())
 
 
 def load_walls(path) -> WallSet:

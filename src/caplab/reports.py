@@ -1,7 +1,7 @@
-"""The one writer of caplab's JSON reports.
+"""The one writer of caplab's JSON files: its reports and wall documents.
 
-Every report opens with the same header (``format``, ``version``, ``kind``)
-and is written with sorted keys, so identical inputs give identical bytes.
+Every report opens with the same header (``format``, ``version``, ``kind``).
+Every file is written with sorted keys, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations

@@ -88,6 +88,7 @@ LANCZOS_TOL = 1e-2 * RESIDUAL_BOUND
 # repeated, as ARPACK's is
 DGKS_RATIO = 1.0 / math.sqrt(2.0)
 MAX_SHIFT_DOUBLINGS = 60
+ENERGY_STEP = 1e-4  # first_variation_energy's central-difference step
 # SuperLU's supernode relaxation and panel size (Demmel, Eisenstat, Gilbert,
 # Li and Liu, SIAM J. Matrix Anal. Appl. 20, 1999). The defaults merge small
 # subtrees into relaxed supernodes and update in wide panels, which on these
@@ -656,11 +657,6 @@ def common_wall_point(walls: WallSet):
     return x0
 
 
-def _mean_curvature_bar(fields, ops):
-    lumped = ops.lumped_mass
-    return float(fields.mean_curv @ lumped / lumped.sum())
-
-
 def build_test_function(
     mesh: LabeledTriMesh, walls: WallSet, fields: GeometryFields, a=None
 ) -> TestFunctionReport:
@@ -684,7 +680,7 @@ def build_test_function(
         psi = mesh.positions - common_wall_point(walls)
         identity_mode = False
 
-    hbar = _mean_curvature_bar(fields, ops)
+    hbar = ops.mean(fields.mean_curv)
     u = np.einsum("ij,ij->i", psi, fields.normal)
     phi = 1.0 + hbar * u + fields.normal @ a
 
@@ -761,8 +757,8 @@ def capillary_energy(mesh: LabeledTriMesh, walls: WallSet | None) -> float:
     return e
 
 
-def first_variation_energy(mesh, walls, f, h, fields=None):
-    """Central difference of E(psi + t f N) at t = 0 with step h.
+def first_variation_energy(mesh, walls, f, fields=None):
+    """Central difference of E(psi + t f N) at t = 0 with step ``ENERGY_STEP``.
 
     Requires mean-zero f (volume-preserving direction to first order); for
     capillary equilibria this tends to zero as mesh size and step shrink
@@ -782,10 +778,10 @@ def first_variation_energy(mesh, walls, f, h, fields=None):
         )
     if fields is None:
         fields = estimate_fields(mesh, walls)
-    step = f[:, None] * fields.normal
-    e_plus = capillary_energy(mesh.with_positions(mesh.positions + h * step), walls)
-    e_minus = capillary_energy(mesh.with_positions(mesh.positions - h * step), walls)
-    return (e_plus - e_minus) / (2.0 * h)
+    step = ENERGY_STEP * (f[:, None] * fields.normal)
+    e_plus = capillary_energy(mesh.with_positions(mesh.positions + step), walls)
+    e_minus = capillary_energy(mesh.with_positions(mesh.positions - step), walls)
+    return (e_plus - e_minus) / (2.0 * ENERGY_STEP)
 
 
 # -- serialization helpers -----------------------------------------------------------

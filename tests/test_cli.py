@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from caplab import families, meshkit, stability
+from caplab import families, identities, meshkit, stability
 from caplab.cli import main
 from caplab.errors import SolverFailureError
 
@@ -204,6 +204,23 @@ class TestIdentities:
             ]
         )
         assert rc == 1
+
+    def test_nan_residual_fails_the_gate(self, tmp_path, capsys, monkeypatch):
+        # NaN > tol is false, so a NaN residual used to pass and the run exited 0
+        run_suite = identities.run_suite
+
+        def with_nan(*args, **kwargs):
+            reports = run_suite(*args, **kwargs)
+            for r in reports:
+                if r.name == "normal_integral":
+                    r.rel_residual = math.nan
+            return reports
+
+        monkeypatch.setattr(identities, "run_suite", with_nan)
+        argv = ["identities", "--family", "cap", "--angle-deg", "60", "--res", "16", "--levels", "3"]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "TOLERANCE FAILURE normal_integral: rel_residual nan > 0.02\n"
 
     def test_mesh_file_mode(self, tmp_path):
         assert main(["gen", "cap", "--res", "24", "--out", str(tmp_path)]) == 0

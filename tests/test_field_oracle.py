@@ -74,7 +74,7 @@ def reference_fields(mesh, walls=None):
     p = mesh.positions
     nv = mesh.nv
     scale = mesh.bbox_diameter()
-    normals, _ = discops._vertex_normals(mesh)
+    normals = discops._vertex_normals(mesh)
     adj = edge_adjacency(mesh)
     rings = discops._two_rings(adj)
     H = np.zeros(nv)
@@ -169,34 +169,6 @@ def reference_fields(mesh, walls=None):
         angle=angle,
         info={"flipped": flipped, "mean_H": mean_H},
     )
-
-
-def reference_principal_residual(mesh, walls=None):
-    """Per-vertex refit of every boundary vertex about its estimated normal."""
-    fields = reference_fields(mesh, walls)
-    p = mesh.positions
-    scale = mesh.bbox_diameter()
-    rings = discops._two_rings(edge_adjacency(mesh))
-    out = np.full(mesh.nv, np.nan)
-    for v in sorted({v for loop in mesh.boundary_loops for v in loop}):
-        nu = fields.conormal[v]
-        if not np.all(np.isfinite(nu)):
-            continue
-        idx = _stencil(rings, v)
-        M1, M2, t1, t2, _ = _fit_shape(p[idx], p[v], fields.normal[v], scale)
-        if fields.info["flipped"]:
-            M2 = -M2
-        S = np.linalg.solve(M1, M2)
-        q = np.array([nu @ t1, nu @ t2])
-        qn = np.linalg.norm(q)
-        if qn == 0:
-            continue
-        q /= qn
-        Sq = S @ q
-        resid = Sq - (q @ Sq) * q
-        norm_S = np.linalg.norm(S, 2)
-        out[v] = np.linalg.norm(resid) / norm_S if norm_S > 0 else 0.0
-    return out
 
 
 def assert_same(got, want, tol=TOL):
@@ -310,15 +282,3 @@ def test_rank_deficient_strip_matches_reference():
     assert np.isfinite(got.sigma_sq).all() and np.isfinite(got.normal).all()
     assert got.info["max_fit_cond"] > 1e15
     assert got.info["min_stencil"] == 5
-
-
-@pytest.mark.parametrize("kind", ["cap60", "cylinder"])
-def test_principal_residual_matches_reference(kind):
-    for res in (16, 32, 64):
-        spec = _family(kind, res)
-        mesh, _ = families.generate_mesh(spec)
-        got = discops.principal_direction_residual(mesh, spec.walls())
-        want = reference_principal_residual(mesh, spec.walls())
-        assert got.shape == want.shape
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        assert np.nanmax(np.abs(got - want)) <= TOL

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from caplab import discops, families, identities, meshkit
+from caplab import discops, families, identities, meshkit, stability
 from caplab.errors import InvalidMeshError
 from conftest import decreasing_with_floor, rotate_walls, rotation_matrix
 
@@ -331,3 +331,31 @@ class TestRunSuite:
         doc = identities.suite_to_document(reports)
         assert doc["version"] == 1
         assert len(doc["reports"]) == len(reports)
+
+
+class TestOneMeanCurvature:
+    """The suite, the test function and field estimation read one H-bar: the operator set's mean."""
+
+    @pytest.mark.parametrize("source", ["exact", "estimated"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            families.Cap(R=1.0, theta=math.pi / 3, resolution=48),
+            families.Cylinder(r=1.0, L=2.0, resolution=48),
+        ],
+        ids=["cap60", "tube"],
+    )
+    def test_every_mean_is_bit_equal(self, spec, source):
+        # the suite and the test function once rounded one mean two ways:
+        # 1.0000000000000002 against 1.0 on this cap's exact fields
+        mesh, fields = families.generate_mesh(spec)
+        walls = spec.walls()
+        if source == "estimated":
+            fields = discops.estimate_fields(mesh, walls)
+            sign = -1.0 if fields.info["flipped"] else 1.0
+            assert sign * fields.info["mean_H"] == mesh.operators.mean(fields.mean_curv)
+        hbar = mesh.operators.mean(fields.mean_curv)
+        means = [r.info["mean_H"] for r in identities.run_suite(mesh, walls, fields) if "mean_H" in r.info]
+        assert len(means) >= 4
+        assert means == [hbar] * len(means)
+        assert stability.build_test_function(mesh, walls, fields).info["mean_H"] == hbar

@@ -732,20 +732,20 @@ class TestFirstVariation:
         spec, mesh, fields = hemisphere[32]
         system = stability.assemble_index_form(mesh, spec.walls(), fields)
         _, f = stability.min_constrained_eigenpair(system)
-        de = stability.first_variation_energy(mesh, spec.walls(), f, 1e-4, fields)
+        de = stability.first_variation_energy(mesh, spec.walls(), f, fields)
         assert abs(de) <= 1e-2
 
     def test_flat_disk_any_mean_zero_direction(self, flat_disk):
         spec, mesh, fields = flat_disk
         f = mesh.positions[:, 0].copy()
-        de = stability.first_variation_energy(mesh, spec.walls(), f, 1e-4, fields)
+        de = stability.first_variation_energy(mesh, spec.walls(), f, fields)
         assert abs(de) <= 1e-2
 
     def test_constant_violates_constraint(self, flat_disk):
         spec, mesh, fields = flat_disk
         with pytest.raises(ConstraintViolationError):
             stability.first_variation_energy(
-                mesh, spec.walls(), np.ones(mesh.nv), 1e-4, fields
+                mesh, spec.walls(), np.ones(mesh.nv), fields
             )
 
     def test_perturbed_copies_build_no_topology(self, topology_builds):
@@ -758,7 +758,7 @@ class TestFirstVariation:
         built = dict(topology_builds)
         system = stability.assemble_index_form(mesh, spec.walls(), fields)
         _, f = stability.min_constrained_eigenpair(system)
-        stability.first_variation_energy(mesh, spec.walls(), f, 1e-4, fields)
+        stability.first_variation_energy(mesh, spec.walls(), f, fields)
         assert topology_builds == built
 
     def test_cap_energy_matches_closed_form(self, cap_pi3):

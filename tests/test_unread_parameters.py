@@ -72,12 +72,13 @@ def test_the_walk_finds_an_unread_parameter(tmp_path):
     assert unread_parameters(path) == [("sample.py", "f", "b"), ("sample.py", "C.m", "unused")]
 
 
-def defaulted_parameters(path):
-    """(file, qualified name, callee, parameter, position) of every parameter with a default.
+def signatures(path):
+    """(file, qualified name, callee, parameter, position, default) of every parameter.
 
     ``callee`` is the name a call uses: the function's, or the class's for
     ``__init__``. ``position`` counts the positional parameters before it,
     ``self`` and ``cls`` left out, and is None for a keyword-only one.
+    ``default`` is the default's expression, or None.
     """
     found = []
 
@@ -89,15 +90,17 @@ def defaulted_parameters(path):
                 name = f"{prefix}{child.name}"
                 callee = cls if cls and child.name == "__init__" else child.name
                 args = child.args
-                positional = [p.arg for p in (*args.posonlyargs, *args.args)]
-                if cls and positional and positional[0] in ("self", "cls"):
+                positional = [*args.posonlyargs, *args.args]
+                if cls and positional and positional[0].arg in ("self", "cls"):
                     positional = positional[1:]
-                first = len(positional) - len(args.defaults)
-                found.extend((path.name, name, callee, p, i) for i, p in enumerate(positional) if i >= first)
+                defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
                 found.extend(
-                    (path.name, name, callee, p.arg, None)
+                    (path.name, name, callee, p.arg, i, default)
+                    for i, (p, default) in enumerate(zip(positional, defaults))
+                )
+                found.extend(
+                    (path.name, name, callee, p.arg, None, default)
                     for p, default in zip(args.kwonlyargs, args.kw_defaults)
-                    if default is not None
                 )
                 visit(child, f"{name}.", None)
             else:
@@ -107,6 +110,33 @@ def defaulted_parameters(path):
     return found
 
 
+def calls_by_name(callers):
+    """Every call in ``callers``, by the last name of its callee."""
+    calls = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                calls.setdefault(getattr(node.func, "id", None) or node.func.attr, []).append(node)
+    return calls
+
+
+UNKNOWN = object()
+
+
+def argument(call, parameter, position, default):
+    """The expression ``call`` passes for the parameter: ``default`` if it passes none,
+    UNKNOWN if a ``*args`` or ``**kwargs`` may carry it."""
+    for keyword in call.keywords:
+        if keyword.arg == parameter:
+            return keyword.value
+    starred = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)), len(call.args))
+    if position is not None and position < starred:
+        return call.args[position]
+    if (position is not None and starred < len(call.args)) or any(k.arg is None for k in call.keywords):
+        return UNKNOWN
+    return default
+
+
 def unpassed_defaults(definitions, callers):
     """(file, qualified name, parameter) of each defaulted parameter that no call passes.
 
@@ -114,33 +144,53 @@ def unpassed_defaults(definitions, callers):
     of any function of the same name counts; one with ``*args`` passes
     every positional parameter and one with ``**kwargs`` every parameter.
     """
-    calls = {}
-    for path in callers:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
-                name = getattr(node.func, "id", None) or node.func.attr
-                starred = any(isinstance(a, ast.Starred) for a in node.args)
-                calls.setdefault(name, []).append(
-                    (math.inf if starred else len(node.args), {k.arg for k in node.keywords})
-                )
-
-    def passed(callee, parameter, position):
-        return any(
-            parameter in keywords or None in keywords or (position is not None and count > position)
-            for count, keywords in calls.get(callee, ())
-        )
-
+    calls = calls_by_name(callers)
     return [
         (file, name, parameter)
         for path in definitions
-        for file, name, callee, parameter, position in defaulted_parameters(path)
-        if not passed(callee, parameter, position)
+        for file, name, callee, parameter, position, default in signatures(path)
+        if default is not None
+        and all(argument(call, parameter, position, default) is default for call in calls.get(callee, ()))
     ]
+
+
+def literal_value(node):
+    """(type, value) of a literal expression, or None for any other."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return None
+    return type(value), value
+
+
+def literal_parameters(definitions, callers):
+    """(file, qualified name, parameter, value) of each parameter for which every
+    call passes the same literal; an omitted argument passes the default.
+
+    Calls match definitions as in ``unpassed_defaults``; a function that no
+    call reaches is not flagged.
+    """
+    calls = calls_by_name(callers)
+    found = []
+    for path in definitions:
+        for file, name, callee, parameter, position, default in signatures(path):
+            passed = [argument(call, parameter, position, default) for call in calls.get(callee, ())]
+            if not passed or any(node is None or node is UNKNOWN for node in passed):
+                continue
+            values = [literal_value(node) for node in passed]
+            if values[0] is not None and all(value == values[0] for value in values):
+                found.append((file, name, parameter, values[0][1]))
+    return found
 
 
 def test_every_default_is_passed_somewhere():
     callers = [path for root in CALLERS for path in sorted(root.rglob("*.py"))]
     assert unpassed_defaults(sorted(SOURCE.glob("*.py")), callers) == []
+
+
+def test_no_parameter_has_one_value():
+    callers = [path for root in CALLERS for path in sorted(root.rglob("*.py"))]
+    assert literal_parameters(sorted(SOURCE.glob("*.py")), callers) == []
 
 
 def test_the_walk_finds_an_unpassed_default(tmp_path):
@@ -162,4 +212,35 @@ def test_the_walk_finds_an_unpassed_default(tmp_path):
         ("sample.py", "f", "c"),
         ("sample.py", "C.__init__", "y"),
         ("sample.py", "C.m", "q"),
+    ]
+
+
+def test_the_walk_finds_a_parameter_with_one_value(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def f(a, h, *, k=2, t=-1.0):\n"
+        "    return a, h, k, t\n"
+        "class C:\n"
+        "    def __init__(self, x, y=0):\n"
+        "        self.z = x + y\n"
+        "    def m(self, p, q):\n"
+        "        return p, q\n"
+        "def g(u, v, w):\n"
+        "    return u, v, w\n"
+    )
+    calls = tmp_path / "calls.py"
+    calls.write_text(
+        "f(1, 1e-4, k=2)\nf(2, 1e-4, t=-1.0)\n"
+        "C(1, y=3)\nC(1)\nc.m('s', 2)\nc.m('s', 2.0)\n"
+        "g(1, *rest)\ng(1, None, w=x)\n"
+    )
+    # k: 2 passed once and defaulted once; x: 1 both times; y: 3 and the default 0;
+    # q: 2 and 2.0 differ in type; g's v and w reach a *rest, a None or a name
+    assert literal_parameters([sample], [sample, calls]) == [
+        ("sample.py", "f", "h", 1e-4),
+        ("sample.py", "f", "k", 2),
+        ("sample.py", "f", "t", -1.0),
+        ("sample.py", "C.__init__", "x", 1),
+        ("sample.py", "C.m", "p", "s"),
+        ("sample.py", "g", "u", 1),
     ]
