@@ -23,9 +23,9 @@ from . import identities as idn
 from . import meshkit as mk
 from . import stability as st
 from . import wedge as wg
-from .discops import estimate_fields, export_fields_csv
+from .discops import FIELD_COLUMNS, estimate_fields, field_rows
 from .errors import CapLabError, SolverFailureError
-from .reports import document, write_report
+from .reports import document, write_report, write_table
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -153,9 +153,10 @@ def _cmd_identities(args):
         final_reports = idn.run_suite(mesh, walls, fields, resolution=tag, capillary_vector=a)
         rows.extend(final_reports)
 
-    header = {"tol": args.tol, "levels": n_levels}
     csv_path = out / "identities.csv"
-    idn.suite_to_csv(rows, csv_path, header)
+    write_table(
+        csv_path, idn.SUITE_COLUMNS, [r.row() for r in rows], {"levels": n_levels, "tol": args.tol}
+    )
     write_report(out / "identities.json", idn.suite_to_document(rows, {"tolerance": args.tol}))
     print(csv_path)
 
@@ -166,8 +167,9 @@ def _cmd_identities(args):
     ]
     if failing:
         for r in failing:
+            reason = f"> {args.tol}" if math.isfinite(r.rel_residual) else "is not finite"
             print(
-                f"TOLERANCE FAILURE {r.name}: rel_residual {r.rel_residual:.3e} > {args.tol}",
+                f"TOLERANCE FAILURE {r.name}: rel_residual {r.rel_residual:.3e} {reason}",
                 file=sys.stderr,
             )
         return EXIT_TOLERANCE
@@ -186,12 +188,9 @@ def _cmd_stability(args):
     system = st.assemble_index_form(mesh, walls, fields)
     verdict = st.stability_verdict(system, tol=args.tol)
     write_report(out / "verdict.json", verdict.to_document())
-    lines = ["index,lambda"] + [
-        f"{i},{v:.17g}" for i, v in enumerate(verdict.eigenvalues)
-    ]
-    (out / "eigenvalues.csv").write_text("\n".join(lines) + "\n")
-    st.export_eigenfunction_csv(verdict.eigenfunction, out / "eigenfunction.csv")
-    export_fields_csv(mesh, fields, out / "fields.csv")
+    write_table(out / "eigenvalues.csv", ("index", "lambda"), enumerate(verdict.eigenvalues.tolist()))
+    write_table(out / "eigenfunction.csv", ("vertex", "value"), enumerate(verdict.eigenfunction.tolist()))
+    write_table(out / "fields.csv", FIELD_COLUMNS, field_rows(mesh, fields))
     print(out / "verdict.json")
     print(f"lambda_min = {verdict.lambda_min:.6g} stable = {verdict.stable}")
     return EXIT_OK
@@ -210,7 +209,7 @@ def _cmd_testfn(args):
         a = wg.solve_a(walls.normals, walls.angles).a
     report = st.build_test_function(mesh, walls, fields, a=a)
     write_report(out / "testfn.json", report.to_document())
-    st.export_eigenfunction_csv(report.phi, out / "phi.csv")
+    write_table(out / "phi.csv", ("vertex", "value"), enumerate(report.phi.tolist()))
     print(out / "testfn.json")
     print(
         f"max|phi| = {np.abs(report.phi).max():.6g} "
@@ -229,8 +228,8 @@ def _cmd_wedge(args):
     sol = wg.solve_a(walls.normals, walls.angles)
     delta = wg.delta_max(walls.normals)
     body = {
-        "a": [float(x) for x in sol.a],
-        "coefficients": [float(x) for x in sol.coefficients],
+        "a": sol.a,
+        "coefficients": sol.coefficients,
         "norm_a": sol.norm_a,
         "umbilical_conclusion": sol.umbilical_conclusion,
         "delta_max_rad": delta,
@@ -301,10 +300,11 @@ def _cmd_sweep(args):
             bracket = [l0, l1]
             break
 
-    lines = [f"# r={args.r:g} res={args.res} onset_tol={onset_tol:g}", "parameter,lambda_min"]
-    lines += [f"{L:.17g},{lam:.17g}" for L, lam in results]
     csv_path = out / "sweep.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
+    write_table(
+        csv_path, ("parameter", "lambda_min"), results,
+        {"r": f"{args.r:g}", "res": args.res, "onset_tol": f"{onset_tol:g}"},
+    )
     body = {
         "family": "cylinder",
         "r": args.r,

@@ -17,6 +17,9 @@ the triangle corners; the weighted mass reuses the areas of the mesh's
 Field estimation takes its 1-ring, the mesh's one adjacency, from the same
 pattern without its diagonal, its normals from one corner gather, and its
 curvatures from one two-pass quadric fit per vertex.
+The columns of the per-vertex fields table are chosen here, as
+``FIELD_COLUMNS`` and the rows of ``field_rows``; ``reports.write_table``
+formats and writes it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -50,7 +52,8 @@ __all__ = [
     "estimate_fields",
     "integrate_scalar",
     "integrate_vector",
-    "export_fields_csv",
+    "FIELD_COLUMNS",
+    "field_rows",
 ]
 
 
@@ -568,13 +571,16 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
     )
 
 
-def export_fields_csv(mesh: LabeledTriMesh, fields: GeometryFields, path):
-    """Per-vertex CSV of every field (boundary columns empty off-boundary).
+FIELD_COLUMNS = (
+    "vertex", "x", "y", "z", "normal_x", "normal_y", "normal_z", "mean_curv", "sigma_sq",
+    "conormal_x", "conormal_y", "conormal_z", "wall_conormal_x", "wall_conormal_y", "wall_conormal_z",
+    "sigma_nn", "bdry_curv", "angle",
+)
 
-    Numbers are written with ``%.17g`` and lines end in CRLF, the csv
-    module's default dialect.
-    """
-    path = Path(path)
+
+def field_rows(mesh: LabeledTriMesh, fields: GeometryFields):
+    """One row of ``FIELD_COLUMNS`` per vertex, made as it is read; an interior
+    row stops before the boundary columns."""
     table = np.column_stack(
         [
             mesh.positions, fields.normal, fields.mean_curv, fields.sigma_sq,
@@ -583,14 +589,7 @@ def export_fields_csv(mesh: LabeledTriMesh, fields: GeometryFields, path):
     )
     on_boundary = np.zeros(mesh.nv, dtype=bool)
     on_boundary[mesh.boundary_vertices] = True
-    boundary_row = "%d" + ",%.17g" * 17
-    interior_row = "%d" + ",%.17g" * 8 + "," * 9
-    lines = [
-        "vertex,x,y,z,normal_x,normal_y,normal_z,mean_curv,sigma_sq,"
-        "conormal_x,conormal_y,conormal_z,wall_conormal_x,wall_conormal_y,wall_conormal_z,"
-        "sigma_nn,bdry_curv,angle"
-    ]
-    for v, (row, full) in enumerate(zip(table.tolist(), on_boundary.tolist())):
-        lines.append(boundary_row % (v, *row) if full else interior_row % (v, *row[:8]))
-    path.write_text("\r\n".join(lines) + "\r\n", newline="")
-    return path
+    return (
+        (v, *row) if full else (v, *row[:8])
+        for v, (row, full) in enumerate(zip(table.tolist(), on_boundary.tolist()))
+    )

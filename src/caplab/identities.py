@@ -12,20 +12,21 @@ Identities that assume a constant mean curvature or an origin on the wall
 plane translate coordinates internally and attach the H dispersion of the
 input, so a failure can be attributed to non-CMC data rather than to the
 identity itself.
+
+A suite is reported as a table, one ``IdentityReport.row`` per report under
+``SUITE_COLUMNS``, and as ``suite_to_document``; ``reports`` formats both.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .discops import NDIM, integrate_scalar, integrate_vector
 from .errors import InvalidMeshError
-from .reports import document, to_jsonable
+from .reports import document
 from .wedge import COND_LIMIT
 
 __all__ = [
@@ -38,16 +39,18 @@ __all__ = [
     "check_laplacian_position",
     "check_jacobi_fields",
     "run_suite",
-    "suite_to_csv",
+    "SUITE_COLUMNS",
     "suite_to_document",
 ]
 
 SCALE_FLOOR_FACTOR = 1e-12
+SUITE_COLUMNS = ("identity", "lhs", "rhs", "abs_residual", "rel_residual", "resolution")
 
 
 @dataclass
 class IdentityReport:
-    """One verified identity: both sides and their residuals."""
+    """One verified identity: both sides and their residuals. Its entry in the
+    suite's document holds every field."""
 
     name: str
     lhs: object
@@ -62,19 +65,8 @@ class IdentityReport:
         return bool(self.info.get("skipped"))
 
     def row(self):
-        def fmt(v):
-            if isinstance(v, (list, tuple, np.ndarray)):
-                return ";".join(f"{float(x):.17g}" for x in np.ravel(v))
-            return f"{float(v):.17g}" if v is not None else ""
-
-        return [
-            self.name,
-            fmt(self.lhs),
-            fmt(self.rhs),
-            f"{self.abs_residual:.17g}" if self.abs_residual is not None else "",
-            f"{self.rel_residual:.17g}" if self.rel_residual is not None else "",
-            self.resolution,
-        ]
+        """The report's cells under ``SUITE_COLUMNS``."""
+        return self.name, self.lhs, self.rhs, self.abs_residual, self.rel_residual, self.resolution
 
 
 def _norm(v):
@@ -407,32 +399,9 @@ def run_suite(mesh, walls, fields, resolution="", capillary_vector=None):
     return reports
 
 
-def suite_to_csv(reports, path, header_info=None):
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        if header_info:
-            fh.write("# " + " ".join(f"{k}={v}" for k, v in sorted(header_info.items())) + "\n")
-        w = csv.writer(fh)
-        w.writerow(["identity", "lhs", "rhs", "abs_residual", "rel_residual", "resolution"])
-        for r in reports:
-            w.writerow(r.row())
-    return path
-
-
 def suite_to_document(reports, extra=None):
     body = {
-        "reports": [
-            {
-                "name": r.name,
-                "lhs": np.asarray(r.lhs, float).tolist() if r.lhs is not None else None,
-                "rhs": np.asarray(r.rhs, float).tolist() if r.rhs is not None else None,
-                "abs_residual": r.abs_residual,
-                "rel_residual": r.rel_residual,
-                "resolution": r.resolution,
-                "info": {k: to_jsonable(v) for k, v in r.info.items()},
-            }
-            for r in reports
-        ],
+        "reports": [vars(r) for r in reports],
         **(extra or {}),
     }
     return document("identity-suite", body)

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +62,7 @@ from .errors import (
     SolverFailureError,
 )
 from .meshkit import LabeledTriMesh, WallSet
-from .reports import document, to_jsonable
+from .reports import document
 
 __all__ = [
     "IndexFormSystem",
@@ -103,7 +102,8 @@ class IndexFormSystem:
     """Matrices realizing the index form on the discrete function space.
 
     A and M are held as CSR matrices on one pattern, so that every shifted
-    matrix A + tM the solver factors is a sum of their data arrays.
+    matrix A + tM the solver factors is a sum of their data arrays; a pair
+    on two patterns is refused.
     """
 
     A: sparse.csr_matrix
@@ -114,12 +114,9 @@ class IndexFormSystem:
     def __post_init__(self):
         A, M = sparse.csr_matrix(self.A), sparse.csr_matrix(self.M)
         if not (np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices)):
-            # both on the union of their entries, each padded with zeros
-            A, M = A.tocoo(), M.tocoo()
-            at = (np.concatenate([A.row, M.row]), np.concatenate([A.col, M.col]))
-            A, M = (
-                sparse.csr_matrix((np.concatenate([a, m]), at), shape=A.shape)
-                for a, m in ((A.data, np.zeros(M.nnz)), (np.zeros(A.nnz), M.data))
+            raise ValueError(
+                f"A ({A.nnz} entries) and M ({M.nnz} entries) are not on one CSR pattern; "
+                "build both on the mesh's pair_pattern"
             )
         self.A, self.M = A, M
 
@@ -150,11 +147,11 @@ class StabilityVerdict:
         return document(
             "stability-verdict",
             {
-                "lambda_min": float(self.lambda_min),
-                "stable": bool(self.stable),
-                "tol_used": float(self.tol_used),
-                "eigenvalues": [float(v) for v in self.eigenvalues],
-                "info": {k: to_jsonable(v) for k, v in self.info.items()},
+                "lambda_min": self.lambda_min,
+                "stable": self.stable,
+                "tol_used": self.tol_used,
+                "eigenvalues": self.eigenvalues,
+                "info": self.info,
             },
         )
 
@@ -174,13 +171,13 @@ class TestFunctionReport:
         return document(
             "test-function",
             {
-                "mean_residual": float(self.mean_residual),
-                "max_robin_residual": float(np.max(robin)) if len(robin) else 0.0,
-                "index_quadratic": float(self.index_quadratic),
-                "index_closed": float(self.index_closed),
-                "match_residual": float(self.match_residual),
-                "max_abs_phi": float(np.abs(self.phi).max()),
-                "info": {k: to_jsonable(v) for k, v in self.info.items()},
+                "mean_residual": self.mean_residual,
+                "max_robin_residual": np.max(robin) if len(robin) else 0.0,
+                "index_quadratic": self.index_quadratic,
+                "index_closed": self.index_closed,
+                "match_residual": self.match_residual,
+                "max_abs_phi": np.abs(self.phi).max(),
+                "info": self.info,
             },
         )
 
@@ -782,14 +779,3 @@ def first_variation_energy(mesh, walls, f, fields=None):
     e_plus = capillary_energy(mesh.with_positions(mesh.positions + step), walls)
     e_minus = capillary_energy(mesh.with_positions(mesh.positions - step), walls)
     return (e_plus - e_minus) / (2.0 * ENERGY_STEP)
-
-
-# -- serialization helpers -----------------------------------------------------------
-
-
-def export_eigenfunction_csv(values, path):
-    path = Path(path)
-    lines = ["vertex,value"]
-    lines += [f"{i},{v:.17g}" for i, v in enumerate(np.asarray(values, float))]
-    path.write_text("\n".join(lines) + "\n")
-    return path

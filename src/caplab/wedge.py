@@ -119,7 +119,8 @@ def _fit_plane_rms(points):
 
 @dataclass
 class ClassificationReport:
-    """Outcome of the numerical hypotheses of the wedge rigidity statement."""
+    """Outcome of the numerical hypotheses of the wedge rigidity statement; its
+    document holds every field."""
 
     checks: dict
     hypotheses_met: bool
@@ -134,23 +135,7 @@ class ClassificationReport:
     info: dict = field(default_factory=dict)
 
     def to_document(self):
-        center = self.sphere_center
-        return document(
-            "classification",
-            {
-                "checks": {k: bool(v) for k, v in self.checks.items()},
-                "hypotheses_met": bool(self.hypotheses_met),
-                "delta": self.delta,
-                "norm_a": self.norm_a,
-                "sphericity_residual": self.sphericity_residual,
-                "planar_excluded": bool(self.planar_excluded),
-                "sphere_center": None if center is None else [float(x) for x in center],
-                "sphere_radius": self.sphere_radius,
-                "lambda_min": float(self.lambda_min),
-                "stable": bool(self.stable),
-                "info": self.info,
-            },
-        )
+        return document("classification", vars(self))
 
 
 def classify(mesh: LabeledTriMesh, walls: WallSet, verdict) -> ClassificationReport:

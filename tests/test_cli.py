@@ -220,7 +220,7 @@ class TestIdentities:
         argv = ["identities", "--family", "cap", "--angle-deg", "60", "--res", "16", "--levels", "3"]
         assert main(argv + ["--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err == "TOLERANCE FAILURE normal_integral: rel_residual nan > 0.02\n"
+        assert err == "TOLERANCE FAILURE normal_integral: rel_residual nan is not finite\n"
 
     def test_mesh_file_mode(self, tmp_path):
         assert main(["gen", "cap", "--res", "24", "--out", str(tmp_path)]) == 0
@@ -516,6 +516,30 @@ class TestReports:
                 assert (inner["format"], inner["version"], inner["kind"]) == (
                     "caplab-report", 1, "classification"
                 )
+
+    def test_no_table_holds_a_carriage_return(self, tmp_path):
+        gen = tmp_path / "gen"
+        assert main(["gen", "cap", "--angle-deg", "60", "--res", "16", "--out", str(gen)]) == 0
+        mesh = str(gen / "cap_r1_a60_res16.capmesh")
+        runs = {
+            "stability-family": ["stability", "--family", "cap", "--res", "16"],
+            "stability-mesh": ["stability", "--mesh", mesh],
+            "testfn": ["testfn", "--family", "cap", "--angle-deg", "60", "--res", "16"],
+            "identities-family": ["identities", "--family", "cap", "--res", "16", "--levels", "1"],
+            "identities-mesh": ["identities", "--mesh", mesh, "--levels", "1", "--tol", "1"],
+            "sweep": ["sweep", "cylinder", "--lmax", "2.2", "--res", "12"],
+        }
+        written, with_cr = set(), []
+        for name, argv in runs.items():
+            assert main([*argv, "--out", str(tmp_path / name)]) in (0, 1)
+            for path in sorted((tmp_path / name).glob("*.csv")):
+                written.add(path.name)
+                if b"\r" in path.read_bytes():
+                    with_cr.append(f"{name}/{path.name}")
+        assert with_cr == []
+        assert written == {
+            "eigenvalues.csv", "eigenfunction.csv", "fields.csv", "phi.csv", "identities.csv", "sweep.csv"
+        }
 
 
 class TestOneOperatorSetPerMesh:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from caplab import discops, families, meshkit
+from caplab import discops, families, meshkit, reports
 from caplab.errors import DegenerateElementError, FitFailureError, InvalidMeshError
 from conftest import decreasing_with_floor, rotate_walls, rotation_matrix
 
@@ -303,10 +303,10 @@ class TestEstimateFields:
 
 
 def reference_fields_csv(mesh, fields, path):
-    """The per-vertex csv.writer loop export_fields_csv replaced."""
+    """The per-vertex csv.writer loop the fields table replaced, with LF line ends."""
     bset = set(mesh.boundary_vertices.tolist())
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(
             [
                 "vertex", "x", "y", "z",
@@ -368,13 +368,17 @@ class TestExport:
         fields = fields_of(spec, mesh, exact)
         want = tmp_path / "reference.csv"
         reference_fields_csv(mesh, fields, want)
-        got = discops.export_fields_csv(mesh, fields, tmp_path / "fields.csv")
+        got = reports.write_table(
+            tmp_path / "fields.csv", discops.FIELD_COLUMNS, discops.field_rows(mesh, fields)
+        )
         assert got.read_bytes() == want.read_bytes()
         assert (b",nan," in want.read_bytes()) == boundary_nan
 
     def test_fields_csv(self, cap_pi3, tmp_path):
         spec, mesh, fields = cap_pi3[16]
-        path = discops.export_fields_csv(mesh, fields, tmp_path / "fields.csv")
+        path = reports.write_table(
+            tmp_path / "fields.csv", discops.FIELD_COLUMNS, discops.field_rows(mesh, fields)
+        )
         lines = path.read_text().splitlines()
         assert len(lines) == mesh.nv + 1
         assert lines[0].startswith("vertex,x,y,z,normal_x")

@@ -8,6 +8,7 @@ from scipy import integrate
 
 from caplab import discops, families, identities, meshkit, stability
 from caplab.errors import InvalidMeshError
+from caplab.reports import write_table
 from conftest import decreasing_with_floor, rotate_walls, rotation_matrix
 
 
@@ -323,7 +324,8 @@ class TestRunSuite:
     def test_csv_and_document(self, cap_pi3, tmp_path):
         spec, mesh, fields = cap_pi3[16]
         reports = identities.run_suite(mesh, spec.walls(), fields, resolution="16")
-        path = identities.suite_to_csv(reports, tmp_path / "suite.csv", {"tol": 0.02})
+        rows = [r.row() for r in reports]
+        path = write_table(tmp_path / "suite.csv", identities.SUITE_COLUMNS, rows, {"tol": 0.02})
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# tol=")
         assert lines[1] == "identity,lhs,rhs,abs_residual,rel_residual,resolution"

@@ -1,5 +1,6 @@
 """No function in caplab takes a parameter that its body never reads,
-or a defaulted parameter that no call passes."""
+or a defaulted parameter that no call passes; and no module but
+``reports`` writes a report file or picks the number format of one."""
 
 import ast
 import math
@@ -243,4 +244,95 @@ def test_the_walk_finds_a_parameter_with_one_value(tmp_path):
         ("sample.py", "C.__init__", "x", 1),
         ("sample.py", "C.m", "p", "s"),
         ("sample.py", "g", "u", 1),
+    ]
+
+
+# the CAPMESH writer, which meshkit keeps next to its reader
+CAPMESH_WRITER = ("meshkit.py", "save", "write_text")
+
+
+def _open_mode(call):
+    """The mode argument of a call of ``open`` (builtin) or ``.open`` (a path's), or None."""
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            return keyword.value
+    position = 1 if isinstance(call.func, ast.Name) else 0
+    return call.args[position] if len(call.args) > position else None
+
+
+def _write(node):
+    """What ``node`` does that only a report writer may: None if nothing."""
+    if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+        callee = getattr(node.func, "id", None) or node.func.attr
+        if callee in ("write_text", "write_bytes"):
+            return callee
+        if callee == "open":
+            mode = _open_mode(node)
+            if mode is not None and not (
+                isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+")
+            ):
+                return "open for writing"
+    if isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names):
+        return "import csv"
+    if isinstance(node, ast.ImportFrom) and node.module == "csv":
+        return "import csv"
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value:
+        return ".17g"
+    return None
+
+
+def writes(path):
+    """(file, qualified name of the enclosing function or class, what) of every write
+    ``_write`` names: a ``write_text``, an ``open`` for writing, an ``import csv``,
+    and the number format ``.17g`` in any string or format spec."""
+    found = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}" if name else child.name)
+                continue
+            what = _write(child)
+            if what:
+                found.append((path.name, name, what))
+            visit(child, name)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_reports_is_the_one_writer():
+    found = [entry for path in sorted(SOURCE.glob("*.py")) if path.name != "reports.py" for entry in writes(path)]
+    # meshkit formats its CAPMESH numbers itself
+    others = [e for e in found if e != CAPMESH_WRITER and (e[0], e[2]) != ("meshkit.py", ".17g")]
+    assert others == []
+    assert CAPMESH_WRITER in found
+
+
+def test_the_walk_finds_every_writer(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import csv\n"
+        "from csv import writer\n"
+        "def f(path, v):\n"
+        "    path.write_text(f'{v:.17g}')\n"
+        "    open(path).read()\n"
+        "    open(path, 'rb').read()\n"
+        "    path.open().read()\n"
+        "class C:\n"
+        "    def m(self, path, mode):\n"
+        "        with open(path, 'a') as fh, path.open(mode=mode) as gh:\n"
+        "            return fh, gh, path.open('w'), open(path, 'r+'), '%.17g' % 1.0\n"
+    )
+    assert writes(path) == [
+        ("sample.py", "", "import csv"),
+        ("sample.py", "", "import csv"),
+        ("sample.py", "f", "write_text"),
+        ("sample.py", "f", ".17g"),
+        ("sample.py", "C.m", "open for writing"),
+        ("sample.py", "C.m", "open for writing"),
+        ("sample.py", "C.m", "open for writing"),
+        ("sample.py", "C.m", "open for writing"),
+        ("sample.py", "C.m", ".17g"),
     ]
