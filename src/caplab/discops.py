@@ -10,13 +10,15 @@ rounding level leaves the orientation of the mesh winding.
 The mass, stiffness and weighted-mass matrices are summed from 3x3 element
 matrices with ``np.bincount`` into the mesh's cached ``pair_pattern``: no
 per-matrix COO build or index sort, one shared set of index arrays, and
-exact symmetry. The triangle areas and cotangents come from one gather of
-the triangle corners; the weighted mass reuses the areas of the mesh's
-``operators``. The boundary measures are diagonal CSR matrices built directly.
+exact symmetry. The triangle areas and cotangents come from the corner
+edges gathered one coordinate plane at a time; the weighted mass reuses the
+areas of the mesh's ``operators``. The boundary measures are diagonal CSR
+matrices built directly.
 ``OperatorSet.mean`` is the one mean of a vertex field, and so the one H-bar.
 Field estimation takes its 1-ring, the mesh's one adjacency, from the same
-pattern without its diagonal, its normals from one corner gather, and its
-curvatures from one two-pass quadric fit per vertex.
+pattern without its diagonal, its normals from the same corner edges, and
+its curvatures from one two-pass quadric fit per vertex, solved from the
+normal equations of an equilibrated design with a QR fallback.
 The columns of the per-vertex fields table are chosen here, as
 ``FIELD_COLUMNS`` and the rows of ``field_rows``; ``reports.write_table``
 formats and writes it.
@@ -146,13 +148,36 @@ class OperatorSet:
 
 
 def _corner_edges(mesh):
-    """Edges u[:, c] and w[:, c] from triangle corner c to corners c + 1 and c + 2, from one gather."""
-    corners = np.take(mesh.positions, mesh.triangles, axis=0)
-    u = np.take(corners, _NEXT, axis=1)
-    u -= corners
-    w = np.take(corners, _PREV, axis=1)
-    w -= corners
-    return u, w
+    """Triangle corner edges as coordinate planes, with their products.
+
+    ``u[i][:, c]`` and ``w[i][:, c]`` are coordinate i of the edges from
+    corner c to corners c + 1 and c + 2, each plane from one gather of that
+    coordinate of the positions. Also returns ``dots``, <u, w> at every
+    corner, and ``cross``, the three coordinates of u x w at corner 0 (twice
+    the area vector). Both are summed in the order ``einsum`` and
+    ``np.cross`` sum them on a (nf, 3, 3) corner array, so areas, angles and
+    normals keep every bit.
+    """
+    u, w = [], []
+    for coordinate in mesh.positions.T:
+        corners = coordinate[mesh.triangles]
+        u.append(corners[:, _NEXT])
+        u[-1] -= corners
+        w.append(corners[:, _PREV])
+        w[-1] -= corners
+    (ux, uy, uz), (wx, wy, wz) = u, w
+    dots = ux * wx
+    dots += uz * wz
+    dots += uy * wy
+    u0, w0 = [a[:, 0] for a in u], [a[:, 0] for a in w]
+    cross = [u0[(i + 1) % 3] * w0[(i + 2) % 3] - u0[(i + 2) % 3] * w0[(i + 1) % 3] for i in range(3)]
+    return u, w, dots, cross
+
+
+def _norm(planes):
+    """Euclidean length of vectors given as three coordinate planes."""
+    x, y, z = planes
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def _element_geometry(mesh):
@@ -161,8 +186,8 @@ def _element_geometry(mesh):
     ``half_cot[:, c]`` is <u, w> / (4 A) for the edges u, w leaving corner c:
     half the cotangent of its angle.
     """
-    u, w = _corner_edges(mesh)
-    areas = 0.5 * np.linalg.norm(np.cross(u[:, 0], w[:, 0]), axis=1)
+    _, _, dots, cross = _corner_edges(mesh)
+    areas = 0.5 * _norm(cross)
     if len(areas):
         floor = 1e-14 * areas.mean()
         bad = np.nonzero(areas < floor)[0]
@@ -170,7 +195,7 @@ def _element_geometry(mesh):
             raise DegenerateElementError(
                 f"triangle {int(bad[0])} has area {areas[bad[0]]:.3g} below {floor:.3g}"
             )
-    half_cot = np.einsum("fcj,fcj->fc", u, w) / (4.0 * areas)[:, None]
+    half_cot = dots / (4.0 * areas)[:, None]
     return areas, half_cot
 
 
@@ -276,17 +301,15 @@ def integrate_vector(matrix, values) -> np.ndarray:
 
 def _vertex_normals(mesh):
     """Angle-weighted average of incident triangle normals."""
-    u, w = _corner_edges(mesh)
-    cr = np.cross(u[:, 0], w[:, 0])
-    nrm = np.linalg.norm(cr, axis=1)
-    fn = cr / np.where(nrm == 0, 1.0, nrm)[:, None]
-    lengths = np.linalg.norm(u, axis=2) * np.linalg.norm(w, axis=2)
-    cosang = np.einsum("fcj,fcj->fc", u, w) / np.maximum(lengths, 1e-300)
+    u, w, dots, cross = _corner_edges(mesh)
+    nrm = _norm(cross)
+    nrm[nrm == 0] = 1.0
+    cosang = dots / np.maximum(_norm(u) * _norm(w), 1e-300)
     ang = np.arccos(np.clip(cosang, -1, 1)).T
     # each vertex sums its corners in a fixed order: corner 0 of every triangle, then 1, then 2
     corners = mesh.triangles.T.ravel()
     acc = np.column_stack(
-        [np.bincount(corners, weights=(ang * fn[:, j]).ravel(), minlength=mesh.nv) for j in range(3)]
+        [np.bincount(corners, weights=(ang * (c / nrm)).ravel(), minlength=mesh.nv) for c in cross]
     )
     nrm = np.linalg.norm(acc, axis=1)
     nrm[nrm == 0] = 1.0
@@ -308,13 +331,18 @@ def _two_rings(adj):
     return adj + adj @ adj
 
 
-# vertices per batched fit: bounds the (block, stencil, 6) design arrays, so a
-# large bucket of regular vertices costs no more memory than the cap apex
-FIT_BLOCK = 1024
+# vertices per batched fit: bounds the (6, stencil, block) design arrays, so
+# a large group of regular vertices costs no more memory than the cap apex
+FIT_BLOCK = 512
 
 # past this ratio of |R_ii| the triangle may hide a singular value that a
 # truncated-SVD least-squares solve drops; such stencils are solved that way
 _COND_LIMIT = 1.0 / math.sqrt(np.finfo(float).eps)
+
+# the normal equations lose cond^2 times the unit roundoff, 1e-11 at this
+# ratio of |R_ii| of the equilibrated design; a stencil past it, or with a
+# pivot that is not positive, is fitted by QR instead
+_GRAM_COND_LIMIT = 300.0
 
 
 class _Fits(NamedTuple):
@@ -323,9 +351,10 @@ class _Fits(NamedTuple):
     ``m1`` and ``m2`` are the first and second fundamental forms as symmetric
     2x2 entries (xx, xy, yy) in the tangent frame ``(t1, t2)``; sigma(X, X) =
     x^T M2 x / x^T M1 x for a tangent direction with frame coordinates x.
-    ``normal`` is the fitted surface normal, ``size`` the number of stencil
-    points and ``cond`` the ratio of the largest to the smallest |R_ii| of
-    the least-squares triangle.
+    ``normal`` is the fitted surface normal, ``cond`` the ratio of the
+    largest to the smallest |R_ii| of the least-squares triangle of the
+    second fit and ``size`` the number of stencil points. ``fallback``
+    counts the fits of both passes solved by QR.
     """
 
     m1: np.ndarray
@@ -333,8 +362,9 @@ class _Fits(NamedTuple):
     t1: np.ndarray
     t2: np.ndarray
     normal: np.ndarray
-    size: np.ndarray
     cond: np.ndarray
+    size: np.ndarray
+    fallback: int
 
 
 def _dot(a, b):
@@ -356,13 +386,12 @@ def _tangent_frames(n):
     return t1, np.cross(n, t1)
 
 
-def _quadric_pass(d, w, n):
-    """Weighted least-squares height fits over a block of equal-size stencils.
+def _qr_pass(d, w, n):
+    """Quadric fits of equal-size stencils by a QR of their weighted design.
 
     ``d`` holds (b, c, 3) offsets from the centers, ``w`` their weights and
-    ``n`` the normals fixing each tangent frame. Fits z = p1 x + p2 y +
-    (fxx x^2 + 2 fxy x y + fyy y^2) / 2 and returns (t1, t2, coef, cond) with
-    coef = (p1, p2, fxx, fxy, fyy).
+    ``n`` the normals fixing each tangent frame; returns (coef, cond) as
+    ``_fit_quadrics`` describes them, for the unscaled design.
     """
     t1, t2 = _tangent_frames(n)
     x = np.einsum("bcj,bj->bc", d, t1)
@@ -383,7 +412,69 @@ def _quadric_pass(d, w, n):
         bad = ~good
         cutoff = np.finfo(float).eps * A.shape[1]
         coef[bad] = (np.linalg.pinv(A[bad, :, :5], rcond=cutoff) @ A[bad, :, 5:])[:, :, 0]
-    return t1, t2, coef, cond
+    return coef, cond
+
+
+def _stencils(planes, cols, starts, v, c, scale):
+    """Offsets and weights of the ``c``-point stencils of the vertices ``v``.
+
+    Returns d, the (3, c, b) offsets of the stencil points from their
+    centers; w, their (c, b) weights; and h, the RMS distance of each
+    stencil from its center.
+    """
+    d = np.take(planes, np.take(cols, starts[v] + np.arange(c)[:, None]), axis=1)
+    d -= planes[:, None, v]
+    dist2 = np.einsum("jcb,jcb->cb", d, d)
+    w = 1.0 / (np.sqrt(dist2) + 1e-8 * scale)
+    return d, w, np.sqrt(dist2.sum(axis=0) / c)
+
+
+def _gram_rows(d, w, h, frames, gram):
+    """Gram entries of the weighted, equilibrated designs of a block of stencils.
+
+    ``frames`` holds the coordinates of (t1, t2, n) as (3, 3, b) rows. The
+    design columns are (x, y, x^2/2h, xy/h, y^2/2h, z), each times the
+    weights: dividing the quadratic columns by h brings every column to the
+    size of its weight times a length. ``gram[i, j]`` gets entry (i, j) for
+    i < 5 and j >= i, one row over the block.
+    """
+    A = np.empty((6,) + w.shape)
+    x, y = np.empty(w.shape), np.empty(w.shape)
+    for out, f in zip((x, y, A[5]), frames):
+        np.einsum("jb,jcb->cb", f, d, out=out)
+    A[5] *= w
+    np.multiply(w, x, out=A[0])
+    np.multiply(w, y, out=A[1])
+    s = w / (2.0 * h)
+    np.multiply(s, x, out=A[3])
+    np.multiply(A[3], x, out=A[2])
+    A[3] *= y
+    A[3] *= 2.0
+    s *= y
+    np.multiply(s, y, out=A[4])
+    for i in range(5):
+        np.einsum("cb,jcb->jb", A[i], A[i:], out=gram[i, i:])
+
+
+def _cholesky_solve(R):
+    """Least squares from the Gram entries ``R`` of ``_gram_rows``, in place.
+
+    Turns R into the first five rows of the Cholesky factor, the triangle a
+    QR of the design would give, one row at a time with every entry a row
+    over the vertices, and solves its leading 5x5 triangle against its last
+    column. Returns the (5, nv) solutions and whether every pivot was
+    positive.
+    """
+    ok = np.ones(R.shape[2], dtype=bool)
+    for i in range(5):
+        R[i, i:] -= (R[:i, i, None] * R[:i, i:]).sum(axis=0)
+        ok &= R[i, i] > 0
+        np.sqrt(R[i, i], out=R[i, i])
+        R[i, i + 1 :] /= R[i, i]
+    coef = np.empty((5, R.shape[2]))
+    for i in range(4, -1, -1):
+        np.divide(R[i, 5] - (R[i, i + 1 : 5] * coef[i + 1 :]).sum(axis=0), R[i, i], out=coef[i])
+    return coef, ok
 
 
 def _fit_quadrics(mesh, adj, normals):
@@ -391,8 +482,19 @@ def _fit_quadrics(mesh, adj, normals):
 
     The first pass works in the tangent plane of ``normals``; the second
     uses the plane regressed by the first, which removes the one-sided bias
-    of averaged normals at the boundary. Stencils are grouped by size and
-    fitted FIT_BLOCK vertices at a time, so nothing is padded.
+    of averaged normals at the boundary. Each pass fits z = p1 x + p2 y +
+    (fxx x^2 + 2 fxy x y + fyy y^2) / 2 by weighted least squares from the
+    normal equations of the design whose quadratic columns are divided by
+    h, the RMS distance of the stencil from its center. Their triangle is R
+    D with R the unscaled QR triangle and D = diag(1, 1, 1/h, 1/h, 1/h),
+    which gives the unscaled |R_ii| and the coefficients back.
+
+    The normal equations lose cond^2 times the unit roundoff, so a stencil
+    with a pivot that is not positive, or whose largest |R_ii| of the scaled
+    design is more than ``_GRAM_COND_LIMIT`` times its smallest, is fitted
+    by ``_qr_pass`` instead. The Gram entries are summed over stencils of equal size,
+    FIT_BLOCK vertices at a time, and the solve runs over every vertex at
+    once.
     """
     nv = mesh.nv
     # stencil of v: its 2-ring without v, as cols[starts[v] : starts[v] + counts[v]]
@@ -414,26 +516,49 @@ def _fit_quadrics(mesh, adj, normals):
     if len(flat):
         raise FitFailureError(f"vertex {int(flat[0])} has no normal: its triangle normals cancel")
     p = mesh.positions
+    planes = np.ascontiguousarray(p.T)
     scale = mesh.bbox_diameter()
-    m1, m2 = np.empty((nv, 3)), np.empty((nv, 3))
-    t1, t2, normal = np.empty((nv, 3)), np.empty((nv, 3)), np.empty((nv, 3))
-    cond = np.empty(nv)
-    for c in np.unique(counts):
-        group = np.flatnonzero(counts == c)
-        for lo in range(0, len(group), FIT_BLOCK):
-            v = group[lo : lo + FIT_BLOCK]
+    # the vertices by stencil size, cut into blocks [lo, hi) of equal size
+    order = np.argsort(counts, kind="stable")
+    size = counts[order]
+    cuts = [0, *(np.flatnonzero(np.diff(size)) + 1).tolist(), nv]
+    blocks = [
+        (lo, min(lo + FIT_BLOCK, end))
+        for start, end in zip(cuts, cuts[1:])
+        for lo in range(start, end, FIT_BLOCK)
+    ]
+    n = normals[order]
+    R, h = np.empty((5, 6, nv)), np.empty(nv)
+    fallback = 0
+    for _ in range(2):
+        t1, t2 = _tangent_frames(n)
+        frames = np.stack([t1, t2, n]).transpose(0, 2, 1).copy()
+        with np.errstate(all="ignore"):
+            for lo, hi in blocks:
+                d, w, h[lo:hi] = _stencils(planes, cols, starts, order[lo:hi], size[lo], scale)
+                _gram_rows(d, w, h[lo:hi], frames[:, :, lo:hi], R[:, :, lo:hi])
+            coef, ok = _cholesky_solve(R)
+            diag = R[range(5), range(5)]
+            qr = ~(ok & (diag.max(axis=0) <= _GRAM_COND_LIMIT * diag.min(axis=0)))
+            coef[2:] /= h
+            diag[2:] *= h
+            cond = diag.max(axis=0) / diag.min(axis=0)
+        coef = coef.T
+        for c in np.unique(size[qr]).tolist():
+            at = np.flatnonzero(qr & (size == c))
+            v = order[at]
             d = p[cols[starts[v][:, None] + np.arange(c)]] - p[v][:, None, :]
             w = 1.0 / (np.linalg.norm(d, axis=2) + 1e-8 * scale)
-            n = normals[v]
-            for _ in range(2):
-                f1, f2, coef, kappa = _quadric_pass(d, w, n)
-                p1, p2 = coef[:, 0], coef[:, 1]
-                W = np.sqrt(1.0 + p1 * p1 + p2 * p2)
-                n = (n - p1[:, None] * f1 - p2[:, None] * f2) / W[:, None]
-            m1[v] = np.column_stack([1.0 + p1 * p1, p1 * p2, 1.0 + p2 * p2])
-            m2[v] = coef[:, 2:] / W[:, None]
-            t1[v], t2[v], normal[v], cond[v] = f1, f2, n, kappa
-    return _Fits(m1, m2, t1, t2, normal, counts, cond)
+            coef[at], cond[at] = _qr_pass(d, w, n[at])
+        fallback += int(qr.sum())
+        p1, p2 = coef[:, 0], coef[:, 1]
+        W = np.sqrt(1.0 + p1 * p1 + p2 * p2)
+        n = (n - p1[:, None] * t1 - p2[:, None] * t2) / W[:, None]
+    m1 = np.column_stack([1.0 + p1 * p1, p1 * p2, 1.0 + p2 * p2])
+    m2 = coef[:, 2:] / W[:, None]
+    # back from block order to vertex order
+    back = np.argsort(order)
+    return _Fits(*(a[back] for a in (m1, m2, t1, t2, n, cond)), counts, fallback)
 
 
 def _pencil_curvatures(m1, m2):
@@ -452,17 +577,20 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
     operator comes from a weighted least-squares quadric fit over the 2-ring
     of each vertex (one-sided at the boundary), done twice: the second fit
     works in the tangent plane regressed by the first, and its normal is the
-    vertex normal. The fits are batched: stencils of equal size are solved
-    together, at most ``FIT_BLOCK`` at a time, by a QR of the weighted design
-    matrix. Normals are flipped globally if the mean H (``OperatorSet.mean``
-    of the fitted H) comes out negative, unless |mean H| * diameter < 1e-8:
-    that sign is rounding, so the normals keep the mesh winding and ``info``
+    vertex normal. The fits are batched over every vertex (see
+    ``_fit_quadrics``): each is solved from the normal equations of its
+    weighted design with the quadratic columns scaled by the stencil size,
+    or by a QR of that design where those equations are too ill-conditioned.
+    Normals are flipped globally if the mean H (``OperatorSet.mean`` of the
+    fitted H) comes out negative, unless |mean H| * diameter < 1e-8: that
+    sign is rounding, so the normals keep the mesh winding and ``info``
     gains ``orientation: "winding"``. Boundary quantities come from each
     boundary loop and the wall data.
 
     ``info`` records ``flipped`` and ``mean_H`` (before any flip), and where
     estimation struggled: ``min_stencil`` (fewest fit points),
-    ``max_fit_cond`` (worst max/min |R_ii| of the second fits) and
+    ``max_fit_cond`` (worst max/min |R_ii| of the unscaled design of the
+    second fits), ``fallback_fits`` (fits of either pass solved by QR) and
     ``nonfinite_boundary`` (boundary vertices whose conormal or sigma(nu, nu)
     is undefined).
     """
@@ -565,6 +693,7 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
             "mean_H": mean_H,
             "min_stencil": int(fits.size.min()),
             "max_fit_cond": float(fits.cond.max()),
+            "fallback_fits": fits.fallback,
             "nonfinite_boundary": int(nonfinite.sum()),
             **({"orientation": "winding"} if winding else {}),
         },

@@ -299,12 +299,13 @@ class TestStability:
         assert verdict.read_bytes() == (tmp_path / "b" / "verdict.json").read_bytes()
         record = read_json(verdict)["info"]["meta"]["fields"]
         assert set(record) == {
-            "flipped", "mean_H", "min_stencil", "max_fit_cond", "nonfinite_boundary"
+            "flipped", "mean_H", "min_stencil", "max_fit_cond", "fallback_fits", "nonfinite_boundary"
         }
         assert record["flipped"] is False
         assert record["mean_H"] == pytest.approx(1.0, abs=0.05)
         assert record["min_stencil"] == 11  # boundary vertices of the polar grid
         assert 1.0 < record["max_fit_cond"] < 1e3
+        assert record["fallback_fits"] == 0
         assert record["nonfinite_boundary"] == 0
 
 

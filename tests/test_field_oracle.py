@@ -3,13 +3,24 @@
 The reference below fits one vertex at a time: a tangent frame, the weighted
 quadric height fit solved by ``np.linalg.lstsq`` twice (the second pass in
 the plane regressed by the first), the curvature pencil, and a walk along
-every boundary loop vertex by vertex. ``estimate_fields`` does the same
-arithmetic batched over stencils of equal size, so only summation order
-differs and every field must agree to 1e-10 of its largest entry. Two cases
-are compared otherwise, each where it arises: a surface whose mean H is at
-rounding level, whose orientation is arbitrary, and a rank-deficient fit.
+every boundary loop vertex by vertex. ``estimate_fields`` solves the same
+least-squares problems another way: from the normal equations of the design
+whose quadratic columns are divided by the stencil's RMS distance h, by a
+Cholesky factor taken over all vertices at once, so the sums and their
+rounding differ. The normal equations lose cond^2 times the unit roundoff,
+where cond is the ratio of the largest to the smallest |R_ii| of that
+scaled design; any stencil with cond past 300 is fitted by QR instead, so
+that loss stays near 1e-11 and every field must still agree to 1e-10 of
+its largest entry. The meshes below span the conditioning seen so far: the
+60-degree cap at res 256 reaches 2,082 unscaled and 55 scaled, and a cap
+squashed to 1e-3 of its height is nearly flat; no family mesh takes the QR
+path, and a cap compressed 33-fold across does. Two cases are compared
+otherwise, each where it arises: a surface whose mean H is at rounding
+level, whose orientation is arbitrary, and a rank-deficient fit, which
+also takes the QR path.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -226,13 +237,60 @@ def _family(kind, res):
 
 
 # cylinder and sphere at res 64 have 1088 and 1728 vertices whose stencil has
-# 18 points, so their largest bucket spans two fitting blocks
+# 18 points, so their largest group spans several fitting blocks
 @pytest.mark.parametrize("res", [16, 32, 64])
 @pytest.mark.parametrize("kind", ["cap60", "cap120", "hemisphere", "cylinder", "sphere", "monge"])
 def test_family_meshes_match_reference(kind, res):
     spec = _family(kind, res)
     mesh, _ = families.generate_mesh(spec)
-    assert_fields_match(mesh, spec.walls())
+    got = assert_fields_match(mesh, spec.walls())
+    assert got.info["fallback_fits"] == 0
+
+
+@pytest.mark.parametrize("res", [128, 256])
+def test_fine_caps_match_reference(res):
+    # the finest stencils relative to the curvature: the unscaled design
+    # reaches cond 2,082 at res 256
+    spec = _family("cap60", res)
+    mesh, _ = families.generate_mesh(spec)
+    got = assert_fields_match(mesh, spec.walls())
+    assert got.info["fallback_fits"] == 0
+    if res == 256:
+        assert got.info["max_fit_cond"] > 2000
+
+
+def test_squashed_cap_matches_reference():
+    # heights 1e-3 of the cap's: the quadratic columns nearly vanish
+    spec = _family("cap60", 32)
+    mesh, _ = families.generate_mesh(spec)
+    flat = meshkit.LabeledTriMesh(mesh.positions * [1.0, 1.0, 1e-3], mesh.triangles, mesh.boundary_labels)
+    got = assert_fields_match(flat, spec.walls())
+    assert got.info["fallback_fits"] == 0
+
+
+def test_anisotropic_cap_takes_the_qr_path():
+    # x compressed 33-fold: the scaled design of some stencils reaches cond
+    # 3.6e3, past the 300 the normal equations are trusted to, so those fits
+    # go through QR and still match
+    spec = _family("cap60", 32)
+    mesh, _ = families.generate_mesh(spec)
+    thin = meshkit.LabeledTriMesh(mesh.positions * [0.03, 1.0, 1.0], mesh.triangles, mesh.boundary_labels)
+    got = assert_fields_match(thin, spec.walls())
+    assert got.info["fallback_fits"] > 0
+
+
+def test_projected_refinement_matches_reference():
+    # two midpoint refinements projected to the sphere: valences 4 to 6 and
+    # the apex give stencils of many sizes, some held by a few vertices
+    spec = _family("cap60", 16)
+    mesh, _ = families.generate_mesh(spec)
+    walls = spec.walls()
+    for _ in range(2):
+        mesh = meshkit.refine(mesh, families.surface_projector(spec), walls=walls)
+    sizes = np.diff(discops._two_rings(edge_adjacency(mesh)).indptr) - 1
+    assert len(np.unique(sizes)) >= 6 and np.bincount(sizes)[sizes].min() == 1
+    got = assert_fields_match(mesh, walls)
+    assert got.info["fallback_fits"] == 0
 
 
 def test_block_boundary_is_crossed():
@@ -261,12 +319,8 @@ def test_reversed_orientation_matches_reference():
     assert got.info["flipped"]
 
 
-def test_rank_deficient_strip_matches_reference():
-    # a bent strip two vertices wide: every stencil lies on the lines y = 0
-    # and y = h of its frame, so the columns y and y^2/2 are dependent and
-    # both fitters drop that singular value. The kept solution then carries
-    # the rounding of two different SVD routines, seen up to 2e-8 relative
-    # here; the triangle solved as is gives NaN and errors of 0.08.
+def _strip():
+    """A bent strip two vertices wide, 18 vertices in all."""
     n, h = 9, 0.5
     x = np.arange(n, dtype=float)
     z = 0.3 * x + 0.05 * x * x
@@ -277,8 +331,43 @@ def test_rank_deficient_strip_matches_reference():
             tris += [[i, i + 1, n + i + 1], [i, n + i + 1, n + i]]
         else:
             tris += [[i, i + 1, n + i], [i + 1, n + i + 1, n + i]]
-    mesh = meshkit.LabeledTriMesh(positions, tris)
-    got = assert_fields_match(mesh, None, tol=1e-6)
+    return meshkit.LabeledTriMesh(positions, tris)
+
+
+def test_rank_deficient_strip_matches_reference():
+    # every stencil of the strip lies on the lines y = 0 and y = h of its
+    # frame, so the columns y and y^2/2 are dependent: the normal equations
+    # meet pivots that are not positive or a cond far past 300, and the QR
+    # path and the reference both drop that singular value. The kept solution then carries the
+    # rounding of two different SVD routines, seen up to 2e-8 relative
+    # here; the triangle solved as is gives NaN and errors of 0.08.
+    got = assert_fields_match(_strip(), None, tol=1e-6)
     assert np.isfinite(got.sigma_sq).all() and np.isfinite(got.normal).all()
     assert got.info["max_fit_cond"] > 1e15
     assert got.info["min_stencil"] == 5
+    # both passes of every vertex
+    assert got.info["fallback_fits"] == 36
+
+
+@pytest.mark.parametrize("case", ["bench cap", "strip"])
+def test_per_stencil_lapack_only_on_fallback(case, monkeypatch):
+    # a fall-back to per-stencil LAPACK calls shows in these counts before
+    # it shows in any timing
+    calls = collections.Counter()
+    for name in ("qr", "solve", "pinv"):
+        def counted(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    if case == "strip":
+        got = discops.estimate_fields(_strip())
+        assert got.info["fallback_fits"] > 0
+        assert calls["qr"] >= 1
+    else:
+        # the middle mesh-lane rung: 1,729 vertices
+        spec = _family("cap60", 96)
+        mesh, _ = families.generate_mesh(spec)
+        got = discops.estimate_fields(mesh, spec.walls())
+        assert got.info["fallback_fits"] == 0
+        assert sum(calls.values()) == 0

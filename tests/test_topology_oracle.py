@@ -236,6 +236,28 @@ def reference_geometry(mesh):
     return areas, half_cot
 
 
+def reference_corner_geometry(mesh):
+    """Areas, half-cotangents and vertex normals from one (nf, 3, 3) gather of the corners."""
+    corners = np.take(mesh.positions, mesh.triangles, axis=0)
+    u = np.take(corners, [1, 2, 0], axis=1) - corners
+    w = np.take(corners, [2, 0, 1], axis=1) - corners
+    cr = np.cross(u[:, 0], w[:, 0])
+    nrm = np.linalg.norm(cr, axis=1)
+    areas = 0.5 * nrm
+    half_cot = np.einsum("fcj,fcj->fc", u, w) / (4.0 * areas)[:, None]
+    fn = cr / np.where(nrm == 0, 1.0, nrm)[:, None]
+    lengths = np.linalg.norm(u, axis=2) * np.linalg.norm(w, axis=2)
+    cosang = np.einsum("fcj,fcj->fc", u, w) / np.maximum(lengths, 1e-300)
+    ang = np.arccos(np.clip(cosang, -1, 1)).T
+    corner_vertices = mesh.triangles.T.ravel()
+    acc = np.column_stack(
+        [np.bincount(corner_vertices, weights=(ang * fn[:, j]).ravel(), minlength=mesh.nv) for j in range(3)]
+    )
+    nrm = np.linalg.norm(acc, axis=1)
+    nrm[nrm == 0] = 1.0
+    return areas, half_cot, acc / nrm[:, None]
+
+
 def reference_boundary_measures(mesh):
     """B_all and B_wall through a DIA matrix, from the reference boundary edges."""
     p, nv = mesh.positions, mesh.nv
@@ -312,6 +334,22 @@ def test_family_strips_match_ring_by_ring(name):
     assert all(type(v) is int and type(w) is int for v, w in labels.items())
     if isinstance(spec, families.Cap):
         assert np.all(positions[list(labels), 2] == 0.0)
+
+
+GRID_MESHES = {
+    name: meshkit.LabeledTriMesh(*spec.build()) for name, spec in _build_grid().items()
+} | _cap_variants()
+
+
+@pytest.mark.parametrize("name", list(GRID_MESHES))
+def test_corner_planes_match_corner_array(name):
+    # one gather per coordinate plane, the same products and sums
+    mesh = GRID_MESHES[name]
+    areas, half_cot, normals = reference_corner_geometry(mesh)
+    new_areas, new_half_cot = discops._element_geometry(mesh)
+    assert_identical(new_areas, areas)
+    assert_identical(new_half_cot, half_cot)
+    assert_identical(discops._vertex_normals(mesh), normals)
 
 
 @pytest.mark.parametrize("name", list(MESHES))
