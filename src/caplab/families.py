@@ -9,9 +9,10 @@ wall passes through the origin, which the integral identities rely on.
 
 Each family is one ``FamilySpec`` subclass that carries its own geometry:
 its structured mesh, its exact fields, its projector, its file-name slug and,
-when it has walls, its wall set and capillary vector. The module functions
-below hold only what the families share. Adding a family means one such class
-plus one row of ``caplab.cli.FAMILIES``.
+when it has walls, its wall set and capillary vector; a surface of revolution
+has its exact fields and walls from its meridian (``RingFamily``). The module
+functions below hold only what the families share. Adding a family means one
+such class plus one row of ``caplab.cli.FAMILIES``.
 """
 
 from __future__ import annotations
@@ -24,15 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discops import GeometryFields
-from .errors import (
-    DegenerateFamilyError,
-    InvalidSpecError,
-    UnsupportedFamilyError,
-)
+from .errors import DegenerateFamilyError, InvalidSpecError
 from .meshkit import Hyperplane, LabeledTriMesh, WallSet
 
 __all__ = [
     "FamilySpec",
+    "RingFamily",
     "Cap",
     "Cylinder",
     "FlatDisk",
@@ -43,7 +41,6 @@ __all__ = [
     "generate_mesh",
     "exact_fields",
     "surface_projector",
-    "analytic_test_function",
 ]
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -125,13 +122,6 @@ def _disk(R, n):
     return positions, tris[:, [0, 2, 1]], rings
 
 
-def _radial(q):
-    """Unit horizontal direction away from the z axis at each point."""
-    out = np.zeros((len(q), 3))
-    out[:, :2] = q[:, :2] / np.linalg.norm(q[:, :2], axis=1)[:, None]
-    return out
-
-
 def _onto_circle(q, rows, radius):
     """Move the xy part of the selected rows of q onto the circle of ``radius``."""
     if np.any(rows):
@@ -151,7 +141,8 @@ class FamilySpec:
     the points ``p``, and a dict of the boundary arrays it knows at the
     boundary vertex ids ``b``),
     ``project(points, labels)``, ``slug``, and, when it meets walls,
-    ``walls()`` and ``capillary_vector()``.
+    ``walls()`` and ``capillary_vector()``; a ``RingFamily`` has ``exact``
+    and ``walls`` from its meridian and rims.
     """
 
     def _check_numbers(self):
@@ -178,8 +169,65 @@ class FamilySpec:
         return None
 
 
+class RingFamily(FamilySpec):
+    """A surface of revolution about the z axis with walls z = const.
+
+    Its meridian makes the angle psi with the horizontal: N = -sin(psi) rho_hat
+    + cos(psi) e3 at distance rho from the axis. ``meridian(p)`` gives, at the
+    surface points ``p``, the curvatures kappa_p = sin(psi) / rho of the
+    parallel (kappa_m on the axis) and kappa_m of the meridian, and cos psi.
+    ``rims`` holds one (n_z, offset, radius, angle) per wall in label order:
+    the wall <x, n_z e3> = offset, the radius at which the meridian meets it
+    and the contact angle the wall set prescribes (pi/2 on a free boundary).
+    """
+
+    rims = ()
+
+    def walls(self):
+        if not self.rims:
+            return None
+        planes = tuple(Hyperplane(nz * E3, offset) for nz, offset, _, _ in self.rims)
+        return WallSet(planes, tuple(angle for *_, angle in self.rims))
+
+    def exact(self, p, b):
+        """N = -kappa_p (x, y, 0) + cos(psi) e3, H = (kappa_m + kappa_p) / 2 and
+        |sigma|^2 = kappa_m^2 + kappa_p^2; a boundary vertex takes the frame of
+        the nearest wall's rim, where sin(psi) = kappa_p rho. From
+        N = -sin(theta) nu_bar + cos(theta) n and nu = cos(theta) nu_bar +
+        sin(theta) n: nu_bar = s rho_hat with s the sign of sin psi (where it is
+        0 the surface lies in the wall inside its rim: s = sign(n_z cos psi)),
+        nu = s n_z (cos(psi) rho_hat + sin(psi) e3), theta = atan2(|sin psi|,
+        n_z cos psi), H_bdry = -s / rho and sigma(nu, nu) = kappa_m.
+        """
+        kappa_p, cos_psi, kappa_m = self.meridian(p)
+        normal = p * np.asarray(-kappa_p)[..., None]
+        normal[:, 2] = cos_psi
+        H = np.full(len(p), (kappa_m + kappa_p) / 2)
+        sigma_sq = np.full(len(p), kappa_m * kappa_m + kappa_p * kappa_p)
+        if not len(b):
+            return normal, H, sigma_sq, {}
+        frames = []
+        for nz, offset, radius, _ in self.rims:
+            kappa_pr, cos_r, kappa_r = self.meridian(np.array([radius, 0.0, nz * offset]))
+            sin_r = kappa_pr * radius
+            s = math.copysign(1.0, sin_r if sin_r else nz * cos_r)
+            angle = math.atan2(abs(sin_r), nz * cos_r)
+            frames.append((nz * offset, s * nz, cos_r, sin_r, s, kappa_r, -s / radius, angle))
+        frames = np.array(frames)
+        if len(frames) > 1:
+            frames = frames[np.argmin(np.abs(p[b, 2, None] - frames[:, 0]), axis=1)]
+        _, side, cos_r, sin_r, s, kappa_r, curv, angle = frames.T
+        rho_hat = p[b]
+        rho_hat[:, 2] = 0.0
+        rho_hat /= np.sqrt(rho_hat[:, 0] * rho_hat[:, 0] + rho_hat[:, 1] * rho_hat[:, 1])[:, None]
+        return normal, H, sigma_sq, {
+            "conormal": side[:, None] * (cos_r[:, None] * rho_hat + sin_r[:, None] * E3),
+            "wall_conormal": s[:, None] * rho_hat, "sigma_nn": kappa_r, "bdry_curv": curv, "angle": angle,
+        }
+
+
 @dataclass(frozen=True)
-class Cap(FamilySpec):
+class Cap(RingFamily):
     """Spherical cap of radius R meeting the wall z = 0 at contact angle theta."""
 
     R: float
@@ -203,8 +251,9 @@ class Cap(FamilySpec):
     def slug(self):
         return f"cap_r{self.R:g}_a{math.degrees(self.theta):g}_res{self.resolution}"
 
-    def walls(self):
-        return WallSet((Hyperplane(-E3, 0.0),), (self.theta,))
+    @property
+    def rims(self):
+        return ((-1.0, 0.0, self.R * math.sin(self.theta), self.theta),)
 
     def capillary_vector(self):
         return np.array([0.0, 0.0, math.cos(self.theta)])
@@ -224,19 +273,8 @@ class Cap(FamilySpec):
         positions, tris, rings = _revolution(n, m, ring, top=c2 + R)
         return positions, tris, {int(v): 0 for v in rings[-1]}
 
-    def exact(self, p, b):
-        nv, nb = len(p), len(b)
-        rho_hat = _radial(p[b])
-        ct, st = math.cos(self.theta), math.sin(self.theta)
-        boundary = {
-            "conormal": ct * rho_hat - st * E3,
-            "wall_conormal": rho_hat,
-            "sigma_nn": np.full(nb, 1.0 / self.R),
-            "bdry_curv": np.full(nb, -1.0 / (self.R * st)),
-            "angle": np.full(nb, self.theta),
-        }
-        normal = -((p - self.center) / self.R)
-        return normal, np.full(nv, 1.0 / self.R), np.full(nv, 2.0 / self.R**2), boundary
+    def meridian(self, p):
+        return 1.0 / self.R, (-self.R * math.cos(self.theta) - p[..., 2]) / self.R, 1.0 / self.R
 
     def project(self, points, labels):
         center = self.center
@@ -250,7 +288,7 @@ class Cap(FamilySpec):
 
 
 @dataclass(frozen=True)
-class Cylinder(FamilySpec):
+class Cylinder(RingFamily):
     """Tube of radius r between the slab walls z = 0 and z = L (free boundary)."""
 
     r: float
@@ -266,11 +304,9 @@ class Cylinder(FamilySpec):
     def slug(self):
         return f"cylinder_r{self.r:g}_l{self.L:g}_res{self.resolution}"
 
-    def walls(self):
-        return WallSet(
-            (Hyperplane(-E3, 0.0), Hyperplane(E3, self.L)),
-            (math.pi / 2, math.pi / 2),
-        )
+    @property
+    def rims(self):
+        return ((-1.0, 0.0, self.r, math.pi / 2), (1.0, self.L, self.r, math.pi / 2))
 
     def build(self):
         n = self.resolution
@@ -282,18 +318,8 @@ class Cylinder(FamilySpec):
         # the strips wind around the outward normal; the tube's is inward
         return positions, tris[:, [0, 2, 1]], labels
 
-    def exact(self, p, b):
-        nv, nb = len(p), len(b)
-        q = p[b]
-        boundary = {
-            "conormal": np.where((q[:, 2] > self.L / 2)[:, None], E3, -E3),
-            "wall_conormal": _radial(q),
-            "sigma_nn": np.zeros(nb),
-            "bdry_curv": np.full(nb, -1.0 / self.r),
-            "angle": np.full(nb, math.pi / 2),
-        }
-        # the inward normal is the radial direction of -p
-        return _radial(-p), np.full(nv, 0.5 / self.r), np.full(nv, 1.0 / self.r**2), boundary
+    def meridian(self, p):
+        return 1.0 / self.r, 0.0, 0.0
 
     def project(self, points, labels):
         q = np.array(points, float)
@@ -305,7 +331,7 @@ class Cylinder(FamilySpec):
 
 
 @dataclass(frozen=True)
-class FlatDisk(FamilySpec):
+class FlatDisk(RingFamily):
     """Flat disk of radius R in the plane z = 0 (minimal, free boundary)."""
 
     R: float
@@ -320,25 +346,16 @@ class FlatDisk(FamilySpec):
     def slug(self):
         return f"disk_r{self.R:g}_res{self.resolution}"
 
-    def walls(self):
-        return WallSet((Hyperplane(-E3, 0.0),), (math.pi / 2,))
+    @property
+    def rims(self):
+        return ((-1.0, 0.0, self.R, math.pi / 2),)
 
     def build(self):
         positions, tris, rings = _disk(self.R, self.resolution)
         return positions, tris, {int(v): 0 for v in rings[-1]}
 
-    def exact(self, p, b):
-        nv, nb = len(p), len(b)
-        rho_hat = _radial(p[b])
-        boundary = {
-            "conormal": rho_hat,
-            # orientation rule with n1 = -e3 makes the in-wall normal point inward
-            "wall_conormal": -rho_hat,
-            "sigma_nn": np.zeros(nb),
-            "bdry_curv": np.full(nb, 1.0 / self.R),
-            "angle": np.full(nb, math.pi),
-        }
-        return np.tile(E3, (nv, 1)), np.zeros(nv), np.zeros(nv), boundary
+    def meridian(self, p):
+        return 0.0, 1.0, 0.0
 
     def project(self, points, labels):
         q = np.array(points, float)
@@ -348,7 +365,7 @@ class FlatDisk(FamilySpec):
 
 
 @dataclass(frozen=True)
-class ClosedSphere(FamilySpec):
+class ClosedSphere(RingFamily):
     """Round sphere of radius R centered at the origin, no boundary."""
 
     R: float
@@ -375,9 +392,8 @@ class ClosedSphere(FamilySpec):
         positions, tris, _ = _revolution(n, m - 1, ring, top=R, bottom=-R)
         return positions, tris, {}
 
-    def exact(self, p, b):
-        nv = len(p)
-        return -p / self.R, np.full(nv, 1.0 / self.R), np.full(nv, 2.0 / self.R**2), {}
+    def meridian(self, p):
+        return 1.0 / self.R, -p[..., 2] / self.R, 1.0 / self.R
 
     def project(self, points, labels):
         q = np.array(points, float)
@@ -520,25 +536,14 @@ def exact_fields(spec: FamilySpec, mesh: LabeledTriMesh) -> GeometryFields:
     ``generate_mesh`` or projector-based refinement). The boundary fields
     are NaN off the boundary and wherever the family does not define them.
     """
-    bverts = mesh.boundary_vertices
-    nv = mesh.nv
-    normal, H, sigma_sq, known = spec.exact(mesh.positions, bverts)
-    boundary = {
-        "conormal": np.full((nv, 3), np.nan),
-        "wall_conormal": np.full((nv, 3), np.nan),
-        "sigma_nn": np.full(nv, np.nan),
-        "bdry_curv": np.full(nv, np.nan),
-        "angle": np.full(nv, np.nan),
-    }
+    b = mesh.boundary_vertices
+    normal, H, sigma_sq, known = spec.exact(mesh.positions, b)
+    nan, nan3 = np.full(mesh.nv, np.nan), np.full((mesh.nv, 3), np.nan)
+    boundary = dict(conormal=nan3, wall_conormal=nan3.copy(), sigma_nn=nan, bdry_curv=nan.copy(), angle=nan.copy())
     for name, values in known.items():
-        boundary[name][bverts] = values
-    return GeometryFields(
-        normal=normal,
-        mean_curv=np.asarray(H, float),
-        sigma_sq=np.asarray(sigma_sq, float),
-        info={"family": type(spec).__name__},
-        **boundary,
-    )
+        boundary[name][b] = values
+    info = {"family": type(spec).__name__}
+    return GeometryFields(normal=normal, mean_curv=H, sigma_sq=sigma_sq, info=info, **boundary)
 
 
 def generate_mesh(spec: FamilySpec):
@@ -559,22 +564,3 @@ def surface_projector(spec: FamilySpec):
     wall plane; interior points on the surface.
     """
     return spec.project
-
-
-def analytic_test_function(spec: FamilySpec, a, mesh: LabeledTriMesh | None = None):
-    """Exact values of phi = 1 + H <psi, N> + <a, N> on a family mesh.
-
-    ``a`` is the capillary vector of the induced wall set; on caps with the
-    matching vector this vanishes identically (the equality case).
-    """
-    if spec.walls() is None:
-        raise UnsupportedFamilyError(
-            f"analytic test function needs a capillary family, got {type(spec).__name__}"
-        )
-    if mesh is None:
-        mesh, fields = generate_mesh(spec)
-    else:
-        fields = exact_fields(spec, mesh)
-    a = np.asarray(a, float).reshape(3)
-    u = np.einsum("ij,ij->i", mesh.positions, fields.normal)
-    return 1.0 + fields.mean_curv * u + fields.normal @ a

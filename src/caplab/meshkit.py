@@ -35,7 +35,7 @@ from .errors import (
     MeshValidationError,
     ParseError,
 )
-from .reports import write_report
+from .reports import NUMBER, write_report
 
 # plane-incidence tolerance per unit of bounding-box diameter
 PLANE_TOL_FACTOR = 1e-9
@@ -633,7 +633,7 @@ def save(mesh: LabeledTriMesh, walls: WallSet | None, path):
     labels = sorted(mesh.boundary_labels.items())
     text = (
         f"{CAPMESH_MAGIC} {CAPMESH_VERSION}\n{mesh.nv} {mesh.nf} {len(labels)}\n"
-        + "%.17g %.17g %.17g\n" * mesh.nv % tuple(mesh.positions.ravel().tolist())
+        + f"{NUMBER} {NUMBER} {NUMBER}\n" * mesh.nv % tuple(mesh.positions.ravel().tolist())
         + "%d %d %d\n" * mesh.nf % tuple(mesh.triangles.ravel().tolist())
         + "%d %d\n" * len(labels) % tuple(x for row in labels for x in row)
     )

@@ -2,14 +2,18 @@
 
 Every report opens with the same header (``format``, ``version``, ``kind``),
 and its body holds plain Python only. JSON files have sorted keys, so
-identical inputs give identical bytes. A table cell is a number as ``%.17g``
-(bit-exact on reading back), None as an empty field, a vector as its numbers
-joined by ``;``, or a string as is; lines end in LF.
+identical inputs give identical bytes, and are strict JSON: a number that is
+NaN or infinite is written as ``null``, and the JSON pointers of those values
+are listed under a top-level ``nonfinite`` key, which a report of finite
+numbers does not have. A table cell is a number as ``%.17g`` (bit-exact on
+reading back), None as an empty field, a vector as its numbers joined by
+``;``, or a string as is; lines end in LF.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,25 +21,34 @@ import numpy as np
 NUMBER = "%.17g"
 
 
-def _plain(v):
-    """``v`` with every numpy scalar or array in it, at any depth, as plain Python."""
+def _plain(v, path, nonfinite):
+    """``v`` with every numpy scalar or array in it, at any depth, as plain Python, and
+    every non-finite number as None, its JSON pointer (``v`` being at the keys
+    ``path``) appended to ``nonfinite`` in the order the keys are written."""
     if isinstance(v, dict):
-        return {k: _plain(x) for k, x in v.items()}
+        return {k: _plain(x, (*path, k), nonfinite) for k, x in sorted(v.items())}
     if isinstance(v, (list, tuple)):
-        return [_plain(x) for x in v]
+        return [_plain(x, (*path, i), nonfinite) for i, x in enumerate(v)]
     if isinstance(v, (np.generic, np.ndarray)):
-        return v.tolist()
+        return _plain(v.tolist(), path, nonfinite)
+    if isinstance(v, float) and not math.isfinite(v):
+        nonfinite.append("".join("/" + str(k).replace("~", "~0").replace("/", "~1") for k in path))
+        return None
     return v
 
 
 def document(kind, body):
     """Report of ``kind``: the shared header followed by ``body``, in plain Python."""
-    return {"format": "caplab-report", "version": 1, "kind": kind, **_plain(body)}
+    nonfinite = []
+    doc = {"format": "caplab-report", "version": 1, "kind": kind, **_plain(body, (), nonfinite)}
+    if nonfinite:
+        doc["nonfinite"] = nonfinite
+    return doc
 
 
 def write_report(path, doc):
     path = Path(path)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 

@@ -622,6 +622,34 @@ class TestDegenerateMeshes:
         assert capsys.readouterr().err.startswith("error: vertex 15 has no normal")
         assert not out.exists() or not any(out.iterdir())
 
+    def test_identities_report_is_strict_json(self, tmp_path, capsys):
+        # the jittered tube leaves 19 residuals and sides undefined; they were written
+        # as NaN, which is not JSON
+        mesh = str(folded_tube(tmp_path, jitter=True))
+        out = tmp_path / "i"
+        assert main(["identities", "--mesh", mesh, "--out", str(out)]) == 1
+        undefined = ("normal_integral", "first_integral", "minkowski_wall0", "special_function", "laplacian_position")
+        assert capsys.readouterr().err == "".join(
+            [f"TOLERANCE FAILURE {name}: rel_residual nan is not finite\n" for name in undefined]
+            + [
+                "TOLERANCE FAILURE jacobi_u: rel_residual 9.915e-01 > 0.02\n",
+                "TOLERANCE FAILURE jacobi_v: rel_residual 4.755e-01 > 0.02\n",
+                "TOLERANCE FAILURE jacobi_phi: rel_residual 8.172e-01 > 0.02\n",
+            ]
+        )
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads((out / "identities.json").read_text(), parse_constant=refuse)
+        assert len(doc["nonfinite"]) == 19
+        assert doc["nonfinite"][:3] == ["/reports/0/abs_residual", "/reports/0/rel_residual", "/reports/0/rhs/0"]
+        for pointer in doc["nonfinite"]:
+            value = doc
+            for key in pointer.split("/")[1:]:
+                value = value[int(key)] if isinstance(value, list) else value[key]
+            assert value is None
+
     def test_free_wall_robin_residual_is_finite(self, tmp_path):
         # vertex 15's conormal is undefined, but its walls are free (cot 0);
         # max_robin_residual used to be written as NaN

@@ -301,32 +301,122 @@ class TestMongeExactFields:
         assert np.allclose(fields.normal[:, 2], 1.0)
 
 
+class Catenoid(families.RingFamily):
+    """The catenoid rho = a cosh(z / a) between the walls z = -h and z = h, a profile
+    defined here only: psi has sin(psi) = 1 / cosh(z / a), cos(psi) = tanh(z / a)."""
+
+    def __init__(self, a, h):
+        self.a, self.h = a, h
+
+    @property
+    def rims(self):
+        radius = self.a * math.cosh(self.h / self.a)
+        theta = math.acos(math.tanh(self.h / self.a))
+        return ((-1.0, self.h, radius, theta), (1.0, self.h, radius, theta))
+
+    def meridian(self, p):
+        u = p[..., 2] / self.a
+        rho = np.hypot(p[..., 0], p[..., 1])
+        return 1.0 / np.cosh(u) / rho, np.tanh(u), -1.0 / (self.a * np.cosh(u) ** 2)
+
+    def mesh(self, n, m):
+        def ring(j):
+            z = -self.h + 2.0 * self.h * j / (m - 1)
+            return self.a * math.cosh(z / self.a), z
+
+        positions, tris, rings = families._revolution(n, m, ring)
+        labels = {int(v): 0 for v in rings[0]} | {int(v): 1 for v in rings[-1]}
+        return meshkit.LabeledTriMesh(positions, tris[:, [0, 2, 1]], labels)
+
+
+class TestRingFamily:
+    """The shared exact fields of the surfaces of revolution, driven by a catenoid."""
+
+    @pytest.mark.parametrize("a, h", [(1.0, 1.2), (0.4, 0.3)])
+    def test_catenoid_is_minimal(self, a, h):
+        spec = Catenoid(a, h)
+        mesh = spec.mesh(24, 15)
+        fields = families.exact_fields(spec, mesh)
+        x, y, z = mesh.positions.T
+        assert np.abs(fields.mean_curv).max() <= 1e-14
+        assert np.allclose(fields.sigma_sq, 2.0 / (a * a * np.cosh(z / a) ** 4), rtol=1e-14, atol=0)
+        # the unit normal of (a cosh u cos t, a cosh u sin t, a u), turned to the axis
+        t = np.arctan2(y, x)
+        u = z / a
+        normal = np.cross(
+            np.column_stack([np.sinh(u) * np.cos(t), np.sinh(u) * np.sin(t), np.ones_like(t)]),
+            np.column_stack([-np.sin(t), np.cos(t), np.zeros_like(t)]),
+        )
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        assert np.abs(fields.normal - normal).max() <= 1e-14
+
+    def test_catenoid_boundary_frame(self):
+        spec = Catenoid(1.0, 1.2)
+        mesh = spec.mesh(24, 15)
+        fields = families.exact_fields(spec, mesh)
+        walls = spec.walls()
+        verts, labels = np.array(sorted(mesh.boundary_labels.items())).T
+        theta = walls.angles[0]
+        n = walls.normals[labels]
+        nu, nu_bar, N = fields.conormal[verts], fields.wall_conormal[verts], fields.normal[verts]
+        assert np.allclose(fields.angle[verts], theta, rtol=0, atol=1e-15)
+        assert np.allclose(np.einsum("ij,ij->i", N, n), math.cos(theta), rtol=0, atol=1e-15)
+        assert np.allclose(nu, math.cos(theta) * nu_bar + math.sin(theta) * n, rtol=0, atol=1e-15)
+        assert np.abs(np.einsum("ij,ij->i", nu, N)).max() <= 1e-15
+        # the rim is a circle of radius a cosh(h / a) in its wall, curving toward the axis
+        rho_hat = mesh.positions[verts] * [1.0, 1.0, 0.0] / spec.rims[0][2]
+        assert np.allclose(nu_bar, rho_hat, rtol=0, atol=1e-15)
+        assert np.allclose(fields.bdry_curv[verts], -1.0 / spec.rims[0][2], rtol=1e-15, atol=0)
+        assert np.allclose(fields.sigma_nn[verts], -1.0 / math.cosh(1.2) ** 2, rtol=1e-15, atol=0)
+        rhs = 2 * fields.mean_curv[verts] + math.sin(theta) * fields.bdry_curv[verts]
+        assert np.allclose(fields.sigma_nn[verts], rhs, rtol=0, atol=1e-15)
+
+
+def analytic_test_function(spec, a, mesh=None):
+    """Exact values of phi = 1 + H <psi, N> + <a, N> on a family mesh.
+
+    ``a`` is the capillary vector of the induced wall set; on caps with the
+    matching vector this vanishes identically (the equality case).
+    """
+    if spec.walls() is None:
+        raise UnsupportedFamilyError(
+            f"analytic test function needs a capillary family, got {type(spec).__name__}"
+        )
+    if mesh is None:
+        mesh, fields = families.generate_mesh(spec)
+    else:
+        fields = families.exact_fields(spec, mesh)
+    a = np.asarray(a, float).reshape(3)
+    u = np.einsum("ij,ij->i", mesh.positions, fields.normal)
+    return 1.0 + fields.mean_curv * u + fields.normal @ a
+
+
 class TestAnalyticTestFunction:
     def test_cap_equality_case(self):
         spec = families.Cap(R=1.0, theta=math.pi / 3, resolution=24)
         a = [0.0, 0.0, math.cos(math.pi / 3)]
-        phi = families.analytic_test_function(spec, a)
+        phi = analytic_test_function(spec, a)
         assert np.abs(phi).max() <= 1e-13
 
     def test_hemisphere_zero_vector(self, hemisphere):
         spec, mesh, _ = hemisphere[16]
-        phi = families.analytic_test_function(spec, [0.0, 0.0, 0.0], mesh)
+        phi = analytic_test_function(spec, [0.0, 0.0, 0.0], mesh)
         assert np.abs(phi).max() <= 1e-13
 
     def test_cylinder_constant_half(self, cylinder_l2):
         spec, mesh, _ = cylinder_l2[16]
-        phi = families.analytic_test_function(spec, [0.0, 0.0, 0.0], mesh)
+        phi = analytic_test_function(spec, [0.0, 0.0, 0.0], mesh)
         assert np.allclose(phi, 0.5, atol=1e-14)
 
     def test_flat_disk_is_one_plus_a_z(self, flat_disk):
         # H = 0 and N = e3 everywhere, so phi = 1 + a_z exactly
         spec, mesh, _ = flat_disk
-        phi = families.analytic_test_function(spec, [0.3, -0.2, 0.5], mesh)
+        phi = analytic_test_function(spec, [0.3, -0.2, 0.5], mesh)
         assert np.all(phi == 1.5)
 
     def test_unsupported_family(self):
         with pytest.raises(UnsupportedFamilyError):
-            families.analytic_test_function(
+            analytic_test_function(
                 families.MongePatch(amplitude=0.1, R=1.0, resolution=8), [0, 0, 0]
             )
 

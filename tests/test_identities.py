@@ -10,6 +10,7 @@ from caplab import discops, families, identities, meshkit, stability
 from caplab.errors import InvalidMeshError
 from caplab.reports import write_table
 from conftest import decreasing_with_floor, rotate_walls, rotation_matrix
+from test_topology_oracle import BUILD_SPECS, GRID_MESHES
 
 
 def monge_normal_identity_oracle(spec, samples=4000):
@@ -189,6 +190,21 @@ class TestBoundarySigmaRelation:
         # 1 = 2 + sin(pi/3) * (-1/sin(pi/3))
         assert r.lhs == pytest.approx(1.0, abs=1e-12)
         assert r.abs_residual <= 1e-12
+
+    @pytest.mark.parametrize(
+        "name", [name for name in GRID_MESHES if isinstance(BUILD_SPECS.get(name), families.RingFamily)]
+    )
+    def test_every_labeled_vertex_of_the_grid(self, name):
+        # the closed sphere has no labeled vertex; the flat disk lies in its wall, theta = pi
+        spec, mesh = BUILD_SPECS[name], GRID_MESHES[name]
+        fields = families.exact_fields(spec, mesh)
+        verts, labels = np.array(sorted(mesh.boundary_labels.items()), dtype=int).reshape(-1, 2).T
+        theta = fields.angle[verts]
+        rhs = 2 * fields.mean_curv[verts] + np.sin(theta) * fields.bdry_curv[verts]
+        assert np.all(np.abs(fields.sigma_nn[verts] - rhs) <= 1e-14 * (1 + np.abs(fields.bdry_curv[verts])))
+        if len(verts):
+            cos_theta = np.einsum("ij,ij->i", fields.normal[verts], spec.walls().normals[labels])
+            assert np.all(np.abs(cos_theta - np.cos(theta)) <= 1e-14)
 
 
 class TestLaplacianPosition:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from caplab.reports import document, write_table
+from caplab.reports import document, write_report, write_table
 
 
 class TestWriteTable:
@@ -52,3 +52,19 @@ def test_document_is_plain_python():
         '"n": [2, [true, [0, 1]]], "version": 1, "x": 1.5}'
     )
     assert type(doc["n"][0]) is int and type(doc["n"][1][0]) is bool
+
+
+def test_document_writes_nonfinite_numbers_as_null(tmp_path):
+    body = {
+        "a": np.array([1.0, np.nan]),
+        "b": [{"x/y": math.inf}, (np.float64(-np.inf), 2)],
+        "c": {"~": math.nan, "d": 0.5},
+    }
+    doc = document("kind", body)
+    assert doc["a"] == [1.0, None] and doc["b"] == [{"x/y": None}, [None, 2]] and doc["c"]["~"] is None
+    assert doc["nonfinite"] == ["/a/1", "/b/0/x~1y", "/b/1/0", "/c/~0"]
+    text = write_report(tmp_path / "r.json", doc).read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    assert "nonfinite" not in document("kind", {"a": [1.0, 2.0]})
+    with pytest.raises(ValueError):
+        write_report(tmp_path / "s.json", {"a": math.nan})

@@ -10,6 +10,11 @@ The mesh now sorts its vertex pairs once (``LabeledTriMesh.edges``) and reads
 everything else off that sort, assembly gathers the corners once, and one
 ring builder lays out every family mesh; the arithmetic is the same, so every
 array must be equal, dtypes included.
+
+The exact fields of the surfaces of revolution were closed forms per family;
+they now follow from each family's meridian. Products and quotients are
+rounded in another order, so each field must stay within 4 ulp of the former
+closed form, or within 1e-15 where that was an exact 0 or +-1.
 """
 
 import math
@@ -258,6 +263,51 @@ def reference_corner_geometry(mesh):
     return areas, half_cot, acc / nrm[:, None]
 
 
+def _radial(q):
+    out = np.zeros((len(q), 3))
+    out[:, :2] = q[:, :2] / np.linalg.norm(q[:, :2], axis=1)[:, None]
+    return out
+
+
+def reference_exact(spec, p, b):
+    """N, H, |sigma|^2 and the boundary arrays at ``b`` from each family's former closed forms."""
+    nv, nb = len(p), len(b)
+    e3 = np.array([0.0, 0.0, 1.0])
+    if isinstance(spec, families.Cap):
+        rho_hat = _radial(p[b])
+        ct, st = math.cos(spec.theta), math.sin(spec.theta)
+        boundary = {
+            "conormal": ct * rho_hat - st * e3,
+            "wall_conormal": rho_hat,
+            "sigma_nn": np.full(nb, 1.0 / spec.R),
+            "bdry_curv": np.full(nb, -1.0 / (spec.R * st)),
+            "angle": np.full(nb, spec.theta),
+        }
+        return -((p - spec.center) / spec.R), np.full(nv, 1.0 / spec.R), np.full(nv, 2.0 / spec.R**2), boundary
+    if isinstance(spec, families.Cylinder):
+        q = p[b]
+        boundary = {
+            "conormal": np.where((q[:, 2] > spec.L / 2)[:, None], e3, -e3),
+            "wall_conormal": _radial(q),
+            "sigma_nn": np.zeros(nb),
+            "bdry_curv": np.full(nb, -1.0 / spec.r),
+            "angle": np.full(nb, math.pi / 2),
+        }
+        return _radial(-p), np.full(nv, 0.5 / spec.r), np.full(nv, 1.0 / spec.r**2), boundary
+    if isinstance(spec, families.FlatDisk):
+        rho_hat = _radial(p[b])
+        boundary = {
+            "conormal": rho_hat,
+            "wall_conormal": -rho_hat,
+            "sigma_nn": np.zeros(nb),
+            "bdry_curv": np.full(nb, 1.0 / spec.R),
+            "angle": np.full(nb, math.pi),
+        }
+        return np.tile(e3, (nv, 1)), np.zeros(nv), np.zeros(nv), boundary
+    assert isinstance(spec, families.ClosedSphere)
+    return -p / spec.R, np.full(nv, 1.0 / spec.R), np.full(nv, 2.0 / spec.R**2), {}
+
+
 def reference_boundary_measures(mesh):
     """B_all and B_wall through a DIA matrix, from the reference boundary edges."""
     p, nv = mesh.positions, mesh.nv
@@ -380,3 +430,30 @@ def test_assembly_matches_corner_by_corner(name):
     local = (wt[:, :, None] + wt[:, None, :]) / 30.0 + wt[:, discops._THIRD] / 60.0
     local[:, [0, 1, 2], [0, 1, 2]] = wt / 10.0 + (wt.sum(axis=1)[:, None] - wt) / 30.0
     assert_same_csr(discops.weighted_mass(mesh, w), pattern.assemble(ref_areas[:, None, None] * local))
+
+
+# the Monge patch keeps its own closed forms; every other family is a surface of revolution
+RING_SPECS = [name for name, spec in BUILD_SPECS.items() if isinstance(spec, families.RingFamily)]
+
+
+@pytest.mark.parametrize("name", RING_SPECS)
+def test_exact_fields_match_former_closed_forms(name):
+    spec = BUILD_SPECS[name]
+    mesh = GRID_MESHES[name] if name in GRID_MESHES else MESHES[name]
+    fields = families.exact_fields(spec, mesh)
+    b = mesh.boundary_vertices
+    normal, mean_curv, sigma_sq, boundary = reference_exact(spec, mesh.positions, b)
+    former = {"normal": normal, "mean_curv": mean_curv, "sigma_sq": sigma_sq}
+    for field in ("conormal", "wall_conormal", "sigma_nn", "bdry_curv", "angle"):
+        former[field] = np.full(getattr(fields, field).shape, np.nan)
+        if field in boundary:
+            former[field][b] = boundary[field]
+    for field, old in former.items():
+        new = getattr(fields, field)
+        assert new.shape == old.shape
+        nan = np.isnan(old)
+        assert np.array_equal(np.isnan(new), nan), field
+        new, old = new[~nan], old[~nan]
+        exact = (old == 0) | (np.abs(old) == 1)
+        assert np.all(np.abs(new - old)[exact] <= 1e-15), field
+        assert np.all(np.abs(new - old)[~exact] <= 4 * np.spacing(np.abs(old[~exact]))), field

@@ -1,0 +1,80 @@
+"""Run a fixed list of caplab commands, each into a directory of its own.
+
+    python tools/report_set.py OUT
+
+runs every command of ``COMMANDS`` with the caplab of the checkout this file
+belongs to (its ``src``), in order, with OUT as the working directory and
+one BLAS thread. Command ``name`` writes its files into ``OUT/name``, next to
+its ``stdout``, ``stderr`` and ``exit_code``. The report sets of two
+checkouts then compare with ``diff -r OUT_A OUT_B``. OUT must not exist yet.
+
+The list: the README command block, ``gen`` of all five families,
+``identities --family`` of each at ``--levels 3``, ``stability`` and
+``testfn`` on the cap and the cylinder, and the ``--mesh`` commands on the
+README's res-128 cap. The README's ``sweep cylinder`` line is the default
+sweep.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the README's res-128 cap, written by the first command
+CAP = "readme-gen-cap/cap_r1_a60_res128"
+
+COMMANDS = [
+    ("readme-gen-cap", ["gen", "cap", "--radius", "1", "--angle-deg", "60", "--res", "128"]),
+    ("readme-gen-cylinder", ["gen", "cylinder", "--r", "1", "--length", "4", "--res", "64"]),
+    ("readme-identities-cap", ["identities", "--family", "cap", "--radius", "1", "--angle-deg", "60",
+                               "--res", "16", "--levels", "3"]),
+    ("readme-identities-mesh", ["identities", "--mesh", f"{CAP}.capmesh", "--levels", "1"]),
+    ("readme-stability-cap", ["stability", "--family", "cap", "--angle-deg", "90", "--res", "48"]),
+    ("readme-testfn-cylinder", ["testfn", "--family", "cylinder", "--length", "2", "--res", "48",
+                                "--identity-mode"]),
+    ("readme-wedge", ["wedge", "--walls", f"{CAP}.walls.json"]),
+    ("readme-sweep-cylinder", ["sweep", "cylinder", "--r", "1", "--lmin", "2", "--lmax", "4", "--step", "0.1",
+                               "--res", "32"]),
+    ("gen-disk", ["gen", "disk"]),
+    ("gen-sphere", ["gen", "sphere"]),
+    ("gen-monge", ["gen", "monge"]),
+    *((f"identities-{family}", ["identities", "--family", family, "--levels", "3"])
+      for family in ("cap", "cylinder", "disk", "sphere", "monge")),
+    ("stability-cap", ["stability", "--family", "cap"]),
+    ("stability-cylinder", ["stability", "--family", "cylinder"]),
+    ("testfn-cap", ["testfn", "--family", "cap"]),
+    ("testfn-cylinder", ["testfn", "--family", "cylinder", "--identity-mode"]),
+    ("stability-mesh", ["stability", "--mesh", f"{CAP}.capmesh"]),
+    ("testfn-mesh", ["testfn", "--mesh", f"{CAP}.capmesh"]),
+    ("wedge-mesh", ["wedge", "--walls", f"{CAP}.walls.json", "--mesh", f"{CAP}.capmesh"]),
+]
+
+
+def run(out: Path):
+    out.mkdir(parents=True)
+    env = {k: v for k, v in os.environ.items() if k != "CAPLAB_OUTDIR"}
+    env.update(PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    failed = []
+    for name, args in COMMANDS:
+        target = out / name
+        target.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-m", "caplab.cli", *args, "--out", name],
+            cwd=out, env=env, capture_output=True, text=True,
+        )
+        (target / "stdout").write_text(done.stdout)
+        (target / "stderr").write_text(done.stderr)
+        (target / "exit_code").write_text(f"{done.returncode}\n")
+        if done.returncode:
+            failed.append(f"{name} ({done.returncode})")
+    print(f"{len(COMMANDS)} commands into {out}" + (f"; nonzero exit: {', '.join(failed)}" if failed else ""))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    run(Path(sys.argv[1]))
