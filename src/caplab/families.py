@@ -141,8 +141,8 @@ class FamilySpec:
     the points ``p``, and a dict of the boundary arrays it knows at the
     boundary vertex ids ``b``),
     ``project(points, labels)``, ``slug``, and, when it meets walls,
-    ``walls()`` and ``capillary_vector()``; a ``RingFamily`` has ``exact``
-    and ``walls`` from its meridian and rims.
+    ``walls()`` and ``capillary_vector()``; a ``RingFamily`` supplies
+    ``meridian(p)`` and ``rims`` and has ``exact`` and ``walls`` from them.
     """
 
     def _check_numbers(self):
