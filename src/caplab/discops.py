@@ -18,7 +18,8 @@ matrices built directly.
 Field estimation takes its 1-ring, the mesh's one adjacency, from the same
 pattern without its diagonal, its normals from the same corner edges, and
 its curvatures from one two-pass quadric fit per vertex, solved from the
-normal equations of an equilibrated design with a QR fallback.
+normal equations of an equilibrated design; where those fail, the same
+design is solved by QR, its triangle pseudo-inverted after unscaling.
 The columns of the per-vertex fields table are chosen here, as
 ``FIELD_COLUMNS`` and the rows of ``field_rows``; ``reports.write_table``
 formats and writes it.
@@ -27,7 +28,6 @@ formats and writes it.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
@@ -335,10 +335,6 @@ def _two_rings(adj):
 # a large group of regular vertices costs no more memory than the cap apex
 FIT_BLOCK = 512
 
-# past this ratio of |R_ii| the triangle may hide a singular value that a
-# truncated-SVD least-squares solve drops; such stencils are solved that way
-_COND_LIMIT = 1.0 / math.sqrt(np.finfo(float).eps)
-
 # the normal equations lose cond^2 times the unit roundoff, 1e-11 at this
 # ratio of |R_ii| of the equilibrated design; a stencil past it, or with a
 # pivot that is not positive, is fitted by QR instead
@@ -386,35 +382,6 @@ def _tangent_frames(n):
     return t1, np.cross(n, t1)
 
 
-def _qr_pass(d, w, n):
-    """Quadric fits of equal-size stencils by a QR of their weighted design.
-
-    ``d`` holds (b, c, 3) offsets from the centers, ``w`` their weights and
-    ``n`` the normals fixing each tangent frame; returns (coef, cond) as
-    ``_fit_quadrics`` describes them, for the unscaled design.
-    """
-    t1, t2 = _tangent_frames(n)
-    x = np.einsum("bcj,bj->bc", d, t1)
-    y = np.einsum("bcj,bj->bc", d, t2)
-    z = np.einsum("bcj,bj->bc", d, n)
-    A = np.stack([x, y, 0.5 * x * x, x * y, 0.5 * y * y, z], axis=2) * w[:, :, None]
-    # A = QR: the leading 5x5 triangle against the sixth column of R is the
-    # least-squares system, so Q is never formed
-    R = np.linalg.qr(A, mode="r")
-    U, rhs = R[:, :5, :5], R[:, :5, 5:]
-    diag = np.abs(np.diagonal(U, axis1=1, axis2=2))
-    dmax, dmin = diag.max(axis=1), diag.min(axis=1)
-    cond = np.divide(dmax, dmin, out=np.full(len(d), np.inf), where=dmin > 0)
-    coef = np.empty((len(d), 5))
-    good = cond < _COND_LIMIT
-    coef[good] = np.linalg.solve(U[good], rhs[good])[:, :, 0]
-    if not good.all():
-        bad = ~good
-        cutoff = np.finfo(float).eps * A.shape[1]
-        coef[bad] = (np.linalg.pinv(A[bad, :, :5], rcond=cutoff) @ A[bad, :, 5:])[:, :, 0]
-    return coef, cond
-
-
 def _stencils(planes, cols, starts, v, c, scale):
     """Offsets and weights of the ``c``-point stencils of the vertices ``v``.
 
@@ -429,14 +396,13 @@ def _stencils(planes, cols, starts, v, c, scale):
     return d, w, np.sqrt(dist2.sum(axis=0) / c)
 
 
-def _gram_rows(d, w, h, frames, gram):
-    """Gram entries of the weighted, equilibrated designs of a block of stencils.
+def _design(d, w, h, frames):
+    """The weighted, equilibrated (6, c, b) design of a block of stencils.
 
     ``frames`` holds the coordinates of (t1, t2, n) as (3, 3, b) rows. The
-    design columns are (x, y, x^2/2h, xy/h, y^2/2h, z), each times the
-    weights: dividing the quadratic columns by h brings every column to the
-    size of its weight times a length. ``gram[i, j]`` gets entry (i, j) for
-    i < 5 and j >= i, one row over the block.
+    columns are (x, y, x^2/2h, xy/h, y^2/2h, z), each times the weights:
+    dividing the quadratic columns by h brings every column to the size of
+    its weight times a length.
     """
     A = np.empty((6,) + w.shape)
     x, y = np.empty(w.shape), np.empty(w.shape)
@@ -452,8 +418,30 @@ def _gram_rows(d, w, h, frames, gram):
     A[3] *= 2.0
     s *= y
     np.multiply(s, y, out=A[4])
+    return A
+
+
+def _gram_rows(A, gram):
+    """Gram entries of the designs ``A``: ``gram[i, j]`` gets entry (i, j) for
+    i < 5 and j >= i, one row over the block."""
     for i in range(5):
         np.einsum("cb,jcb->jb", A[i], A[i:], out=gram[i, i:])
+
+
+def _qr_solve(A, h):
+    """Minimum-norm least squares of the designs ``A`` of ``_design`` by QR.
+
+    The leading 5x5 triangle of R, its quadratic columns multiplied back by
+    h, is a triangle of the unscaled design; its pseudo-inverse against the
+    sixth column of R gives the unscaled coefficients, the minimum-norm ones
+    where the design is rank-deficient, and Q is never formed. Returns the
+    (5, b) coefficients and the (5, b) unscaled |R_ii|.
+    """
+    R = np.linalg.qr(A.transpose(2, 1, 0), mode="r")
+    U = R[:, :5, :5].copy()
+    U[:, :, 2:] *= h[:, None, None]
+    coef = np.linalg.pinv(U) @ R[:, :5, 5:]
+    return coef[:, :, 0].T, np.abs(np.diagonal(U, axis1=1, axis2=2)).T
 
 
 def _cholesky_solve(R):
@@ -491,10 +479,11 @@ def _fit_quadrics(mesh, adj, normals):
 
     The normal equations lose cond^2 times the unit roundoff, so a stencil
     with a pivot that is not positive, or whose largest |R_ii| of the scaled
-    design is more than ``_GRAM_COND_LIMIT`` times its smallest, is fitted
-    by ``_qr_pass`` instead. The Gram entries are summed over stencils of equal size,
-    FIT_BLOCK vertices at a time, and the solve runs over every vertex at
-    once.
+    design is more than ``_GRAM_COND_LIMIT`` times its smallest, is gathered
+    again and its same design solved by ``_qr_solve``: a QR, pseudo-inverted
+    after unscaling. The Gram entries are summed over stencils of equal
+    size, FIT_BLOCK vertices at a time, and the solve runs over every vertex
+    at once.
     """
     nv = mesh.nv
     # stencil of v: its 2-ring without v, as cols[starts[v] : starts[v] + counts[v]]
@@ -515,8 +504,7 @@ def _fit_quadrics(mesh, adj, normals):
     flat = np.flatnonzero(~normals.any(axis=1))
     if len(flat):
         raise FitFailureError(f"vertex {int(flat[0])} has no normal: its triangle normals cancel")
-    p = mesh.positions
-    planes = np.ascontiguousarray(p.T)
+    planes = np.ascontiguousarray(mesh.positions.T)
     scale = mesh.bbox_diameter()
     # the vertices by stencil size, cut into blocks [lo, hi) of equal size
     order = np.argsort(counts, kind="stable")
@@ -536,20 +524,18 @@ def _fit_quadrics(mesh, adj, normals):
         with np.errstate(all="ignore"):
             for lo, hi in blocks:
                 d, w, h[lo:hi] = _stencils(planes, cols, starts, order[lo:hi], size[lo], scale)
-                _gram_rows(d, w, h[lo:hi], frames[:, :, lo:hi], R[:, :, lo:hi])
+                _gram_rows(_design(d, w, h[lo:hi], frames[:, :, lo:hi]), R[:, :, lo:hi])
             coef, ok = _cholesky_solve(R)
             diag = R[range(5), range(5)]
             qr = ~(ok & (diag.max(axis=0) <= _GRAM_COND_LIMIT * diag.min(axis=0)))
             coef[2:] /= h
             diag[2:] *= h
+            for c in np.unique(size[qr]).tolist():
+                at = np.flatnonzero(qr & (size == c))
+                d, w, _ = _stencils(planes, cols, starts, order[at], c, scale)
+                coef[:, at], diag[:, at] = _qr_solve(_design(d, w, h[at], frames[:, :, at]), h[at])
             cond = diag.max(axis=0) / diag.min(axis=0)
         coef = coef.T
-        for c in np.unique(size[qr]).tolist():
-            at = np.flatnonzero(qr & (size == c))
-            v = order[at]
-            d = p[cols[starts[v][:, None] + np.arange(c)]] - p[v][:, None, :]
-            w = 1.0 / (np.linalg.norm(d, axis=2) + 1e-8 * scale)
-            coef[at], cond[at] = _qr_pass(d, w, n[at])
         fallback += int(qr.sum())
         p1, p2 = coef[:, 0], coef[:, 1]
         W = np.sqrt(1.0 + p1 * p1 + p2 * p2)
@@ -580,7 +566,8 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
     vertex normal. The fits are batched over every vertex (see
     ``_fit_quadrics``): each is solved from the normal equations of its
     weighted design with the quadratic columns scaled by the stencil size,
-    or by a QR of that design where those equations are too ill-conditioned.
+    or, where those equations are too ill-conditioned, from a QR of that
+    same design whose triangle is pseudo-inverted once unscaled.
     Normals are flipped globally if the mean H (``OperatorSet.mean`` of the
     fitted H) comes out negative, unless |mean H| * diameter < 1e-8: that
     sign is rounding, so the normals keep the mesh winding and ``info``

@@ -266,9 +266,9 @@ class Cap(RingFamily):
         c2 = -R * math.cos(theta)
 
         def ring(j):
-            phi = theta * (j + 1) / m
-            # the last ring sits exactly on z = 0: R cos(theta) - R cos(theta)
-            return R * math.sin(phi), R * math.cos(theta if j == m - 1 else phi) + c2
+            # the last ring takes theta itself: on the wall circle, at z = 0 exactly
+            phi = theta if j == m - 1 else theta * (j + 1) / m
+            return R * math.sin(phi), R * math.cos(phi) + c2
 
         positions, tris, rings = _revolution(n, m, ring, top=c2 + R)
         return positions, tris, {int(v): 0 for v in rings[-1]}

@@ -695,8 +695,9 @@ def _read_lines(lines, nv, nf, nb):
     """The blocks line by line: raises at the first bad line, in file order.
 
     Also reads the literals only Python's ``int`` and ``float`` accept (``1_000``).
+    Arrays are sized by the lines present: a count past the end is a truncation.
     """
-    positions = np.empty((nv, 3))
+    positions = np.empty((min(nv, len(lines)), 3))
     for i in range(nv):
         lineno = 3 + i
         toks = _tokens(lines, lineno, 3, "vertex coordinates")
@@ -705,7 +706,7 @@ def _read_lines(lines, nv, nf, nb):
         except ValueError:
             raise ParseError(f"bad coordinate in {lines[lineno - 1]!r}", lineno) from None
 
-    triangles = np.empty((nf, 3), dtype=np.int64)
+    triangles = np.empty((min(nf, len(lines)), 3), dtype=np.int64)
     for i in range(nf):
         lineno = 3 + nv + i
         toks = _tokens(lines, lineno, 3, "triangle indices")

@@ -180,6 +180,15 @@ class TestIdentities:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: line 6: ")
 
+    @pytest.mark.parametrize(
+        "counts, what", [("1000000000000 1 0", "vertex coordinates"), ("1 1000000000000 0", "triangle indices")]
+    )
+    def test_huge_count_exits_2(self, counts, what, tmp_path, capsys):
+        bad = tmp_path / "bad.capmesh"
+        bad.write_text(f"CAPMESH 1\n{counts}\n0 0 0\n")
+        assert main(["stability", "--mesh", str(bad), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: line 4: file truncated, expected {what}\n"
+
     def test_mesh_with_levels_refused_before_any_work(self, tmp_path, capsys):
         assert main(["gen", "cap", "--res", "12", "--out", str(tmp_path)]) == 0
         capsys.readouterr()

@@ -349,6 +349,43 @@ def test_rank_deficient_strip_matches_reference():
     assert got.info["fallback_fits"] == 36
 
 
+def _random_stencils(deficient):
+    """Offsets, weights, RMS radii and frames of 40 random 12-point stencils.
+
+    A deficient stencil lies on the lines y = 0 and y = 0.07 of an
+    axis-aligned frame, so its columns y and y^2/2 are dependent.
+    """
+    rng = np.random.default_rng(7 if deficient else 3)
+    c, b = 12, 40
+    x = 0.1 * rng.standard_normal((c, b))
+    if deficient:
+        y = 0.07 * rng.integers(0, 2, (c, b))
+        frames = np.repeat(np.eye(3)[:, :, None], b, axis=2)
+    else:
+        y = 0.1 * rng.standard_normal((c, b))
+        frames = np.stack([np.linalg.qr(rng.standard_normal((3, 3)))[0].T for _ in range(b)], axis=2)
+    z = 0.8 * x * x - 0.3 * x * y + 1.5 * y * y + 1e-3 * rng.standard_normal((c, b))
+    d = np.einsum("kcb,kjb->jcb", np.stack([x, y, z]), frames)
+    dist = np.sqrt((d * d).sum(axis=0))
+    return d, 1.0 / dist, np.sqrt((dist * dist).sum(axis=0) / c), frames
+
+
+@pytest.mark.parametrize("deficient", [False, True])
+def test_qr_solve_is_unscaled_least_squares(deficient):
+    # the minimum-norm solution of the unscaled design, which differs from
+    # that of the equilibrated design where the design is rank-deficient
+    d, w, h, frames = _random_stencils(deficient)
+    coef, diag = discops._qr_solve(discops._design(d, w, h, frames), h)
+    for s in range(d.shape[2]):
+        x, y, z = frames[:, :, s] @ d[:, :, s]
+        A = np.column_stack([x, y, 0.5 * x * x, x * y, 0.5 * y * y, z]) * w[:, s, None]
+        want = np.linalg.lstsq(A[:, :5], A[:, 5], rcond=None)[0]
+        r = np.abs(np.diagonal(np.linalg.qr(A, mode="r")))[:5]
+        assert np.abs(coef[:, s] - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.abs(diag[:, s] - r).max() <= 1e-12 * r.max()
+        assert (r.max() / r.min() > 1e12) == deficient
+
+
 @pytest.mark.parametrize("case", ["bench cap", "strip"])
 def test_per_stencil_lapack_only_on_fallback(case, monkeypatch):
     # a fall-back to per-stencil LAPACK calls shows in these counts before

@@ -442,6 +442,19 @@ class TestCapmeshReaderParity:
             meshkit.load(path)
         assert str(err.value) == str(expected.value)
 
+    @pytest.mark.parametrize(
+        "counts, what", [("1000000000000 1 0", "vertex coordinates"), ("1 1000000000000 0", "triangle indices")]
+    )
+    def test_huge_count_is_a_truncated_file(self, counts, what, tmp_path):
+        # the reader sized its arrays from the header alone and ran out of
+        # memory; the reference reader still does, so the message is spelled out
+        path = tmp_path / "m.capmesh"
+        path.write_text(f"CAPMESH 1\n{counts}\n0 0 0\n")
+        with pytest.raises(ParseError) as err:
+            meshkit.load(path)
+        assert str(err.value) == f"line 4: file truncated, expected {what}"
+        assert err.value.line == 4
+
     def test_vertex_labeled_twice_names_second_line(self, tmp_path):
         # the per-line reader kept the last wall silently
         lines = fan_lines()

@@ -57,7 +57,7 @@ def _build_grid():
     grid = {}
     for res in (3, 4, 12, 33, 64, 128):
         # at 42 degrees and res 64 or 128, theta * m / m is not theta: the
-        # last ring must take its height from theta itself
+        # last ring must take its height and radius from theta itself
         for deg in (5, 10, 42, 45, 60, 90, 120, 150, 170, 175):
             grid[f"cap{deg}-r1.3-{res}"] = families.Cap(R=1.3, theta=math.radians(deg), resolution=res)
         for R in (0.5, 1.904):
@@ -198,9 +198,8 @@ def reference_build(spec):
         R, theta = spec.R, spec.theta
         m = max(2, round(n * theta / (2.0 * math.pi * math.sin(theta))))
         c = spec.center
-        rows = [
-            _ring(alphas, R * math.sin(theta * j / m), R * math.cos(theta * j / m) + c[2]) for j in range(1, m + 1)
-        ]
+        phis = [*(theta * j / m for j in range(1, m)), theta]
+        rows = [_ring(alphas, R * math.sin(phi), R * math.cos(phi) + c[2]) for phi in phis]
         positions = np.vstack([(c + np.array([0.0, 0.0, R]))[None, :], *rows])
         positions[1 + (m - 1) * n :, 2] = R * math.cos(theta) + c[2]
     elif isinstance(spec, families.ClosedSphere):
@@ -384,6 +383,16 @@ def test_family_strips_match_ring_by_ring(name):
     assert all(type(v) is int and type(w) is int for v, w in labels.items())
     if isinstance(spec, families.Cap):
         assert np.all(positions[list(labels), 2] == 0.0)
+
+
+@pytest.mark.parametrize("name", [name for name, spec in BUILD_SPECS.items() if isinstance(spec, families.Cap)])
+def test_cap_rim_lies_on_the_wall_circle(name):
+    # a rim radius of R sin(theta * m / m) sat up to 42 ulp off the circle
+    spec = BUILD_SPECS[name]
+    positions, _, labels = spec.build()
+    rim = positions[list(labels)]
+    radius = spec.R * math.sin(spec.theta)
+    assert np.abs(np.hypot(rim[:, 0], rim[:, 1]) - radius).max() <= np.spacing(radius)
 
 
 GRID_MESHES = {

@@ -10,9 +10,12 @@ checkouts then compare with ``diff -r OUT_A OUT_B``. OUT must not exist yet.
 
 The list: the README command block, ``gen`` of all five families,
 ``identities --family`` of each at ``--levels 3``, ``stability`` and
-``testfn`` on the cap and the cylinder, and the ``--mesh`` commands on the
-README's res-128 cap. The README's ``sweep cylinder`` line is the default
-sweep.
+``testfn`` on the cap and the cylinder, the ``--mesh`` commands on the
+README's res-128 cap, and ``stability``, ``identities``, ``testfn`` and
+``wedge`` on a gen'd 120-degree, radius-1.3, res-48 cap and a length-3,
+res-48 tube. ``gen`` of the 42-degree res-64 cap writes a rim where
+theta * m / m is not theta. The README's ``sweep cylinder`` line is the
+default sweep.
 """
 
 from __future__ import annotations
@@ -26,6 +29,19 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the README's res-128 cap, written by the first command
 CAP = "readme-gen-cap/cap_r1_a60_res128"
+
+
+def _mesh_commands(key, gen, stem):
+    """``gen`` of a mesh into ``gen-KEY``, then the four ``--mesh`` commands on it."""
+    mesh, walls = f"gen-{key}/{stem}.capmesh", f"gen-{key}/{stem}.walls.json"
+    return [
+        (f"gen-{key}", gen),
+        (f"stability-mesh-{key}", ["stability", "--mesh", mesh]),
+        (f"identities-mesh-{key}", ["identities", "--mesh", mesh, "--levels", "1"]),
+        (f"testfn-mesh-{key}", ["testfn", "--mesh", mesh]),
+        (f"wedge-mesh-{key}", ["wedge", "--walls", walls, "--mesh", mesh]),
+    ]
+
 
 COMMANDS = [
     ("readme-gen-cap", ["gen", "cap", "--radius", "1", "--angle-deg", "60", "--res", "128"]),
@@ -51,6 +67,10 @@ COMMANDS = [
     ("stability-mesh", ["stability", "--mesh", f"{CAP}.capmesh"]),
     ("testfn-mesh", ["testfn", "--mesh", f"{CAP}.capmesh"]),
     ("wedge-mesh", ["wedge", "--walls", f"{CAP}.walls.json", "--mesh", f"{CAP}.capmesh"]),
+    ("gen-cap42", ["gen", "cap", "--angle-deg", "42", "--res", "64"]),
+    *_mesh_commands("cap120", ["gen", "cap", "--radius", "1.3", "--angle-deg", "120", "--res", "48"],
+                    "cap_r1.3_a120_res48"),
+    *_mesh_commands("tube", ["gen", "cylinder", "--length", "3", "--res", "48"], "cylinder_r1_l3_res48"),
 ]
 
 
