@@ -115,7 +115,7 @@ def _load_inputs(args):
 def _cmd_gen(args):
     spec = _family_from_args(args)
     # the mesh alone: gen writes no fields
-    mesh = mk.LabeledTriMesh(*spec.build())
+    mesh = mk.LabeledTriMesh(*spec.build(), copy=False)
     out = _outdir(args)
     name = args.name or spec.slug
     mesh_path = out / f"{name}.capmesh"
@@ -140,8 +140,8 @@ def _cmd_identities(args):
         )
     out = _outdir(args)
     rows = []
-    # levels are built and checked one at a time, so at most two levels'
-    # meshes and fields are alive at once
+    # levels are built and checked one at a time, and a level's mesh, with
+    # its operators, and fields go before the next level is built
     for level in range(n_levels):
         if args.mesh:
             mesh, walls, fields = _load_inputs(args)
@@ -152,6 +152,7 @@ def _cmd_identities(args):
             walls, tag, a = spec.walls(), str(spec.resolution), spec.capillary_vector()
         final_reports = idn.run_suite(mesh, walls, fields, resolution=tag, capillary_vector=a)
         rows.extend(final_reports)
+        del mesh, fields
 
     csv_path = out / "identities.csv"
     write_table(

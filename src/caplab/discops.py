@@ -147,31 +147,35 @@ class OperatorSet:
         return float(values @ (lumped / lumped.sum()))
 
 
-def _corner_edges(mesh):
-    """Triangle corner edges as coordinate planes, with their products.
+def _corner_products(mesh, lengths=False):
+    """Products of the edges u, w from each triangle corner c to corners c + 1 and c + 2.
 
-    ``u[i][:, c]`` and ``w[i][:, c]`` are coordinate i of the edges from
-    corner c to corners c + 1 and c + 2, each plane from one gather of that
-    coordinate of the positions. Also returns ``dots``, <u, w> at every
-    corner, and ``cross``, the three coordinates of u x w at corner 0 (twice
-    the area vector). Both are summed in the order ``einsum`` and
-    ``np.cross`` sum them on a (nf, 3, 3) corner array, so areas, angles and
-    normals keep every bit.
+    Returns ``dots``, <u, w> at every corner, ``cross``, the three
+    coordinates of u x w at corner 0 (twice the area vector), and with
+    ``lengths`` |u| |w| at every corner, else None. The edges are gathered
+    one coordinate of the positions at a time, and only corner 0's outlive
+    their coordinate. Every sum runs in the order ``einsum``, ``np.cross``
+    and ``np.linalg.norm`` run it on a (nf, 3, 3) corner array, so areas,
+    angles and normals keep every bit: <u, w> adds x, z, then y.
     """
-    u, w = [], []
-    for coordinate in mesh.positions.T:
-        corners = coordinate[mesh.triangles]
-        u.append(corners[:, _NEXT])
-        u[-1] -= corners
-        w.append(corners[:, _PREV])
-        w[-1] -= corners
-    (ux, uy, uz), (wx, wy, wz) = u, w
-    dots = ux * wx
-    dots += uz * wz
-    dots += uy * wy
-    u0, w0 = [a[:, 0] for a in u], [a[:, 0] for a in w]
+    dots, u0, w0, squares = None, {}, {}, {}
+    for i in (0, 2, 1):
+        corners = mesh.positions[:, i][mesh.triangles]
+        u = corners[:, _NEXT]
+        u -= corners
+        w = np.subtract(corners[:, _PREV], corners, out=corners)
+        u0[i], w0[i] = u[:, 0].copy(), w[:, 0].copy()
+        if lengths:
+            squares[i] = u * u, w * w
+        if dots is None:
+            dots = np.multiply(u, w, out=u)
+        else:
+            dots += np.multiply(u, w, out=u)
     cross = [u0[(i + 1) % 3] * w0[(i + 2) % 3] - u0[(i + 2) % 3] * w0[(i + 1) % 3] for i in range(3)]
-    return u, w, dots, cross
+    if not lengths:
+        return dots, cross, None
+    u_len, w_len = (np.sqrt(x + y + z) for x, y, z in zip(squares[0], squares[1], squares[2]))
+    return dots, cross, u_len * w_len
 
 
 def _norm(planes):
@@ -186,7 +190,7 @@ def _element_geometry(mesh):
     ``half_cot[:, c]`` is <u, w> / (4 A) for the edges u, w leaving corner c:
     half the cotangent of its angle.
     """
-    _, _, dots, cross = _corner_edges(mesh)
+    half_cot, cross, _ = _corner_products(mesh)
     areas = 0.5 * _norm(cross)
     if len(areas):
         floor = 1e-14 * areas.mean()
@@ -195,12 +199,22 @@ def _element_geometry(mesh):
             raise DegenerateElementError(
                 f"triangle {int(bad[0])} has area {areas[bad[0]]:.3g} below {floor:.3g}"
             )
-    half_cot = dots / (4.0 * areas)[:, None]
+    half_cot /= (4.0 * areas)[:, None]
     return areas, half_cot
 
 
-# _THIRD[a, b]: the corner of a triangle that is neither a nor b (a != b)
-_THIRD = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+def _symmetric(local, diagonal, pairs):
+    """``local`` (nf, 3, 3) filled with symmetric element matrices.
+
+    ``diagonal[:, k]`` goes to (k, k) and ``pairs[:, k]`` to (k, k + 1) and
+    (k + 1, k), the pair of corners opposite corner k + 2.
+    """
+    local[:, _CORNER, _CORNER] = diagonal
+    local[:, _CORNER, _NEXT] = pairs
+    local[:, _NEXT, _CORNER] = pairs
+    return local
+
+
 _CORNER = np.arange(3)
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
@@ -227,8 +241,9 @@ def assemble_operators(mesh: LabeledTriMesh) -> OperatorSet:
 
     ``M`` and ``K`` are summed from 3x3 element matrices on the mesh's
     ``pair_pattern``, so they share its index arrays and are exactly
-    symmetric. Both come from one gather of the triangle corners. Callers
-    read ``mesh.operators``, which calls this once per mesh.
+    symmetric. Both come from the same corner gathers and are formed in
+    turn in one (nf, 3, 3) buffer. Callers read ``mesh.operators``, which
+    calls this once per mesh.
     """
     if mesh.nv == 0 or mesh.nf == 0:
         raise InvalidMeshError("cannot assemble operators on an empty mesh")
@@ -236,18 +251,22 @@ def assemble_operators(mesh: LabeledTriMesh) -> OperatorSet:
     areas, half_cot = _element_geometry(mesh)
     nv = mesh.nv
     pattern = mesh.pair_pattern
-
-    # consistent mass: A/6 on the diagonal, A/12 off-diagonal per triangle
-    local = np.repeat(areas / 12.0, 9).reshape(-1, 3, 3)
-    local[:, _CORNER, _CORNER] = (areas / 6.0)[:, None]
-    M = _frozen(pattern.assemble(local))
+    # freed before the boundary measures are built
+    local = np.empty((mesh.nf, 3, 3))
 
     # cotangent stiffness: a triangle puts -cot/2 of its third corner on each
     # pair of corners and the cot/2 of the other two corners on each
-    # corner's diagonal
-    local = -half_cot[:, _THIRD]
-    local[:, _CORNER, _CORNER] = half_cot[:, [1, 2, 0]] + half_cot[:, [2, 0, 1]]
+    # corner's diagonal. The half-cotangents go once they are in the buffer
+    for c, (a, b) in enumerate(zip(_NEXT, _PREV)):
+        np.add(half_cot[:, a], half_cot[:, b], out=local[:, c, c])
+        np.negative(half_cot[:, c], out=local[:, a, b])
+        local[:, b, a] = local[:, a, b]
+    del half_cot
     K = _frozen(pattern.assemble(local))
+
+    # consistent mass: A/6 on the diagonal, A/12 off-diagonal per triangle
+    M = _frozen(pattern.assemble(_symmetric(local, (areas / 6.0)[:, None], (areas / 12.0)[:, None])))
+    del local
 
     # half of each boundary edge onto both ends, summed in edge order
     be = mesh.boundary_edges
@@ -275,9 +294,17 @@ def weighted_mass(mesh: LabeledTriMesh, weights) -> sparse.csr_matrix:
     if w.shape != (mesh.nv,):
         raise ValueError("need one weight per vertex")
     wt = w[mesh.triangles]
-    local = (wt[:, :, None] + wt[:, None, :]) / 30.0 + wt[:, _THIRD] / 60.0
-    local[:, _CORNER, _CORNER] = wt / 10.0 + (wt.sum(axis=1)[:, None] - wt) / 30.0
-    return mesh.pair_pattern.assemble(mesh.operators.areas[:, None, None] * local)
+    areas = mesh.operators.areas[:, None]
+    # w_k / 10 + (the other two) / 30 at (k, k); (w_k + w_k+1) / 30 + w_k+2 / 60 at (k, k + 1)
+    diagonal = wt.sum(axis=1)[:, None] - wt
+    diagonal /= 30.0
+    diagonal += wt / 10.0
+    diagonal *= areas
+    pairs = wt + wt[:, _NEXT]
+    pairs /= 30.0
+    pairs += wt[:, _PREV] / 60.0
+    pairs *= areas
+    return mesh.pair_pattern.assemble(_symmetric(np.empty((mesh.nf, 3, 3)), diagonal, pairs))
 
 
 def integrate_scalar(matrix, values) -> float:
@@ -301,10 +328,10 @@ def integrate_vector(matrix, values) -> np.ndarray:
 
 def _vertex_normals(mesh):
     """Angle-weighted average of incident triangle normals."""
-    u, w, dots, cross = _corner_edges(mesh)
+    dots, cross, lengths = _corner_products(mesh, lengths=True)
     nrm = _norm(cross)
     nrm[nrm == 0] = 1.0
-    cosang = dots / np.maximum(_norm(u) * _norm(w), 1e-300)
+    cosang = dots / np.maximum(lengths, 1e-300)
     ang = np.arccos(np.clip(cosang, -1, 1)).T
     # each vertex sums its corners in a fixed order: corner 0 of every triangle, then 1, then 2
     corners = mesh.triangles.T.ravel()

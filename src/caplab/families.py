@@ -553,7 +553,7 @@ def generate_mesh(spec: FamilySpec):
     each family's ``build()`` winds its triangles around the
     mean-curvature-positive normal.
     """
-    mesh = LabeledTriMesh(*spec.build())
+    mesh = LabeledTriMesh(*spec.build(), copy=False)
     return mesh, exact_fields(spec, mesh)
 
 

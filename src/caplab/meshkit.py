@@ -187,9 +187,9 @@ def _read_only(array):
 
 # the corner after corner k of a triangle: side k runs from corner k to corner _NEXT[k]
 _NEXT = np.array([1, 2, 0])
-# pattern slots of a triangle's (corner, corner) pairs, row-major, as columns of
-# [diagonal (k, k) | along side k (k, k + 1) | against it (k + 1, k)], k = 0, 1, 2
-_PAIR_COLUMNS = np.array([0, 3, 8, 6, 1, 4, 5, 7, 2])
+# row-major places 3 a + b of a triangle's (corner a, corner b) pairs: the
+# diagonal (k, k), along side k (k, k + 1) and against it (k + 1, k), k = 0, 1, 2
+_DIAGONAL, _ALONG, _AGAINST = np.array([[0, 4, 8], [1, 5, 6], [3, 7, 2]])
 
 
 class Edges(NamedTuple):
@@ -199,7 +199,7 @@ class Edges(NamedTuple):
     corner k to corner k + 1 (mod 3). ``count[e]`` is the number of
     triangle sides on edge e (1 on the boundary, 2 inside a manifold), and
     ``forward[e]`` the number of them that run from lo to hi. All five
-    arrays are int32, like the pair pattern's.
+    arrays are int32, like the pair pattern's CSR arrays.
     """
 
     lo: np.ndarray
@@ -216,6 +216,8 @@ class PairPattern(NamedTuple):
     ``indices[indptr[v]:indptr[v + 1]]``. ``slots[f, a, b]`` is the position
     in ``indices`` of the pair (triangles[f, a], triangles[f, b]) and
     ``diagonal[v]`` that of (v, v), -1 for a vertex on no triangle.
+    ``slots`` holds np.intp, the index type ``np.bincount`` reads; the other
+    three arrays hold int32.
     """
 
     indptr: np.ndarray
@@ -234,7 +236,39 @@ class PairPattern(NamedTuple):
         Entry (i, j) and entry (j, i) add the same terms in the same order, so
         symmetric element matrices give an exactly symmetric result.
         """
-        return self.csr(np.bincount(self.slots.ravel(), np.ravel(local), minlength=len(self.indices)))
+        # np.bincount copies an index array it may not write to. The slots
+        # are a read-only view of an array that only this pattern refers to,
+        # so a writable view of that array goes in, and bincount reads it as is
+        slots = self.slots.reshape(-1)
+        slots.flags.writeable = True
+        return self.csr(np.bincount(slots, np.ravel(local), minlength=len(self.indices)))
+
+
+def _pair_layout(lo, hi, nv):
+    """The CSR layout of the edges (lo, hi), their transposes and the diagonal.
+
+    Row v lists the lo of each edge (lo, v), then v, then the hi of each edge
+    (v, hi). Returns indptr, indices, the slot of each (v, v) (-1 for a
+    vertex on no edge) and ``ends``, where ``ends[2 e]`` is the slot of edge
+    e's (lo, hi) and ``ends[2 e + 1]`` that of its (hi, lo).
+    """
+    right = np.bincount(lo, minlength=nv)
+    left = np.bincount(hi, minlength=nv)
+    used = right + left > 0
+    indptr = np.zeros(nv + 1, dtype=np.int64)
+    np.cumsum(left + used + right, out=indptr[1:])
+    diagonal = np.where(used, indptr[:-1] + left, -1)
+    # in (lo, hi) order the edges fill the right of row lo one by one; in
+    # (hi, lo) order, the transpose, they fill the left of row hi
+    rank = np.arange(len(lo))
+    upper = rank + np.repeat(diagonal + 1 - np.cumsum(right) + right, right)
+    lower = np.empty(len(lo), dtype=np.int64)
+    lower[np.argsort(hi, kind="stable")] = rank + np.repeat(indptr[:-1] - np.cumsum(left) + left, left)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[upper] = hi
+    indices[lower] = lo
+    indices[diagonal[used]] = np.flatnonzero(used)
+    return indptr, indices, diagonal, np.column_stack([upper, lower]).ravel()
 
 
 class LabeledTriMesh:
@@ -254,14 +288,19 @@ class LabeledTriMesh:
     built once, on first use, and shared by every copy
     ``with_positions`` makes. The operator set (``operators``) is assembled
     once, on first use, and stays with this mesh. All are read-only, as are
-    ``positions`` and ``triangles`` (copies of the arrays passed in):
-    instances are immutable and operations return new meshes. A triangle
-    that repeats a vertex is rejected.
+    ``positions`` and ``triangles``: instances are immutable and operations
+    return new meshes. A triangle that repeats a vertex is rejected.
+
+    The arrays passed in are copied. With ``copy=False`` a float positions
+    array and an int64 triangles array are adopted instead, and made
+    read-only: for arrays built for this mesh alone, as the families'
+    ``build``, ``load``, ``refine`` and the derived meshes build theirs.
     """
 
-    def __init__(self, positions, triangles, boundary_labels=None):
-        positions = np.array(positions, dtype=float)
-        triangles = np.array(triangles, dtype=np.int64)
+    def __init__(self, positions, triangles, boundary_labels=None, *, copy=True):
+        convert = np.array if copy else np.asarray
+        positions = convert(positions, dtype=float)
+        triangles = convert(triangles, dtype=np.int64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise InvalidMeshError("positions must have shape (nv, 3)")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
@@ -304,28 +343,40 @@ class LabeledTriMesh:
         """The one sort of vertex pairs a mesh makes (see Edges).
 
         Every other topology property reads it: the pair pattern, the
-        boundary and refinement.
+        boundary and refinement. The pair keys lo * nv + hi are sorted into
+        the buffer that held the heads of the sides, and each edge's ends are
+        read back from its key.
         """
-        a = self.triangles.T
-        b = a[_NEXT]
-        lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
-        keys = lo * self.nv
-        keys += hi
+        nv = self.nv
+        # side k of each triangle, from tail t[k] to head t[k + 1]
+        t = self.triangles.T
+        head = t[_NEXT]
+        up = (t < head).ravel()
+        keys = np.minimum(t, head, out=np.empty(head.shape, dtype=np.int64))
+        keys *= nv
+        keys += np.maximum(t, head, out=head)
+        keys = keys.ravel()
         # stable: a structured mesh lists its sides in long sorted runs
         order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        # "clip" writes straight into out ("raise" fills a buffer first); an
+        # argsort holds no index to clip
+        keys = np.take(keys, order, out=head.reshape(-1), mode="clip")
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
         starts = np.flatnonzero(first)
         count = np.diff(starts, append=len(keys))
         side = np.empty(len(keys), dtype=np.int32)
         side[order] = np.repeat(np.arange(len(starts), dtype=np.int32), count)
-        forward = np.bincount(side[(a < b).ravel()], minlength=len(starts))
-        ends = order[starts]
+        forward = np.bincount(side[up], minlength=len(starts))
+        # an edge's key is lo * nv + hi
+        hi = keys[starts]
+        lo = hi // nv
+        hi -= lo * nv
         return Edges(
             *(
                 _read_only(x.astype(np.int32, copy=False))
-                for x in (lo[ends], hi[ends], side.reshape(3, -1).T, count, forward)
+                for x in (lo, hi, side.reshape(3, -1).T, count, forward)
             )
         )
 
@@ -333,35 +384,27 @@ class LabeledTriMesh:
     def pair_pattern(self):
         """Sparsity of every matrix assembled over the triangles (see PairPattern).
 
-        Laid out from ``edges`` with no further sort of pairs: row v lists
-        the lo of each edge (lo, v), then v, then the hi of each edge (v, hi).
+        Laid out from ``edges`` with no further sort of pairs (see _pair_layout).
         """
         lo, hi, side, _, _ = self.edges
-        nv, ne = self.nv, len(lo)
-        right = np.bincount(lo, minlength=nv)
-        left = np.bincount(hi, minlength=nv)
-        used = right + left > 0
-        indptr = np.zeros(nv + 1, dtype=np.int64)
-        np.cumsum(left + used + right, out=indptr[1:])
-        diagonal = np.where(used, indptr[:-1] + left, -1)
-        # in (lo, hi) order the edges fill the right of row lo one by one; in
-        # (hi, lo) order, the transpose, they fill the left of row hi
-        rank = np.arange(ne)
-        upper = rank + np.repeat(diagonal + 1 - np.cumsum(right) + right, right)
-        lower = np.empty(ne, dtype=np.int64)
-        lower[np.argsort(hi, kind="stable")] = rank + np.repeat(indptr[:-1] - np.cumsum(left) + left, left)
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        indices[upper] = hi
-        indices[lower] = lo
-        indices[diagonal[used]] = np.flatnonzero(used)
+        # the layout's temporaries are gone before the slots are filled
+        indptr, indices, diagonal, ends = _pair_layout(lo, hi, self.nv)
         t = self.triangles
-        up = t < t[:, _NEXT]
-        upper, lower, diagonal = (x.astype(np.int32) for x in (upper, lower, diagonal))
-        along = np.where(up, upper[side], lower[side])
-        against = np.where(up, lower[side], upper[side])
-        slots = np.concatenate([diagonal[t], along, against], axis=1)[:, _PAIR_COLUMNS]
+        # side k of a triangle on edge e puts its pair (t[k], t[k + 1]) in
+        # ends[2 e] where t[k] is the lo, else in ends[2 e + 1]
+        along = np.multiply(side, 2, dtype=np.intp)
+        along += t > t[:, _NEXT]
+        # in the index type np.bincount reads, so assembly converts nothing
+        slots = np.empty((self.nf, 9), dtype=np.intp)
+        slots[:, _DIAGONAL] = diagonal[t]
+        slots[:, _ALONG] = ends[along]
+        along ^= 1
+        slots[:, _AGAINST] = ends[along]
         return PairPattern(
-            *(_read_only(x) for x in (indptr.astype(np.int32), indices, slots.reshape(-1, 3, 3), diagonal))
+            *(
+                _read_only(x)
+                for x in (indptr.astype(np.int32), indices, slots.reshape(-1, 3, 3), diagonal.astype(np.int32))
+            )
         )
 
     def is_manifold(self):
@@ -459,19 +502,23 @@ class LabeledTriMesh:
     # -- derived meshes --------------------------------------------------------
 
     def with_positions(self, positions):
-        """The mesh on new positions; the topology built so far carries over."""
-        mesh = LabeledTriMesh(positions, self.triangles, self.boundary_labels)
-        mesh.__dict__.update({k: v for k, v in self.__dict__.items() if k in _TOPOLOGY})
-        return mesh
+        """The mesh on a copy of ``positions``; the topology built so far carries over."""
+        return self._moved(np.array(positions, dtype=float))
 
     def translated(self, vector):
-        return self.with_positions(self.positions + np.asarray(vector, float))
+        return self._moved(self.positions + np.asarray(vector, float))
 
     def transformed(self, matrix):
-        return self.with_positions(self.positions @ np.asarray(matrix, float).T)
+        return self._moved(self.positions @ np.asarray(matrix, float).T)
 
     def scaled(self, s):
-        return self.with_positions(self.positions * float(s))
+        return self._moved(self.positions * float(s))
+
+    def _moved(self, positions):
+        """The mesh on ``positions``, which it adopts, sharing triangles and topology."""
+        mesh = LabeledTriMesh(positions, self.triangles, self.boundary_labels, copy=False)
+        mesh.__dict__.update({k: v for k, v in self.__dict__.items() if k in _TOPOLOGY})
+        return mesh
 
 
 # cached properties that depend on the triangles and labels only
@@ -615,7 +662,7 @@ def refine(mesh: LabeledTriMesh, projector=None, walls: WallSet | None = None) -
     positions = np.vstack([mesh.positions, mid])
     new = np.flatnonzero(mid_label_arr >= 0)
     labels = {**mesh.boundary_labels, **dict(zip((nv + new).tolist(), mid_label_arr[new].tolist()))}
-    return LabeledTriMesh(positions, tris, labels)
+    return LabeledTriMesh(positions, tris, labels, copy=False)
 
 
 # -- CAPMESH file format -------------------------------------------------------
@@ -761,7 +808,7 @@ def load(path, walls_path=None):
         if lines[lineno - 1].strip():
             raise ParseError("unexpected trailing content", lineno)
 
-    mesh = LabeledTriMesh(positions, triangles, labels)
+    mesh = LabeledTriMesh(positions, triangles, labels, copy=False)
     labeled = np.fromiter(labels, np.int64, len(labels))
     interior = np.flatnonzero(~np.isin(labeled, mesh.boundary_vertices))
     if len(interior):

@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,26 @@ class TestIdentities:
         assert main(argv + ["--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err == "TOLERANCE FAILURE normal_integral: rel_residual nan is not finite\n"
+
+    def test_largest_family_input_peaks_under_8_mb(self, tmp_path):
+        # one level alive at a time, each built without full-size temporaries;
+        # 11.0 MB were traced with full-size temporaries and the previous level
+        # alive through the next one's build
+        argv = ["identities", "--family", "cylinder", "--r", "1", "--length", "4"]
+        # imports and one-time caches stay out of the count
+        assert main(argv + ["--res", "8", "--levels", "1", "--out", str(tmp_path / "warm")]) == 0
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(argv + ["--levels", "3", "--out", str(tmp_path / "run")]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 8.0e6
 
     def test_mesh_file_mode(self, tmp_path):
         assert main(["gen", "cap", "--res", "24", "--out", str(tmp_path)]) == 0

@@ -116,6 +116,19 @@ class TestOperators:
         assert positions.flags.writeable and triangles.flags.writeable
         assert mesh.positions[0, 0] == 0.0 and mesh.triangles[0, 0] == 0
 
+    def test_mesh_adopts_arrays_built_for_it(self):
+        positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        triangles = np.array([[0, 1, 2]], dtype=np.int64)
+        mesh = meshkit.LabeledTriMesh(positions, triangles, copy=False)
+        assert mesh.positions is positions and mesh.triangles is triangles
+        assert not positions.flags.writeable and not triangles.flags.writeable
+        # a derived mesh copies the positions it is given and shares the triangles
+        moved = 2.0 * positions
+        copy = mesh.with_positions(moved)
+        assert moved.flags.writeable and not np.shares_memory(copy.positions, moved)
+        assert copy.triangles is mesh.triangles
+        assert mesh.translated([1.0, 0.0, 0.0]).triangles is mesh.triangles
+
     def test_degenerate_triangle_named(self):
         positions = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, 0.0], [0.5, 0.5, 1e-20]]
         tris = [[0, 1, 2], [1, 3, 4]]

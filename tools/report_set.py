@@ -9,7 +9,8 @@ its ``stdout``, ``stderr`` and ``exit_code``. The report sets of two
 checkouts then compare with ``diff -r OUT_A OUT_B``. OUT must not exist yet.
 
 The list: the README command block, ``gen`` of all five families,
-``identities --family`` of each at ``--levels 3``, ``stability`` and
+``identities --family`` of each at ``--levels 3`` and of the length-4 tube
+(nv 10,496 on its finest level), ``stability`` and
 ``testfn`` on the cap and the cylinder, the ``--mesh`` commands on the
 README's res-128 cap, and ``stability``, ``identities``, ``testfn`` and
 ``wedge`` on a gen'd 120-degree, radius-1.3, res-48 cap and a length-3,
@@ -60,6 +61,7 @@ COMMANDS = [
     ("gen-monge", ["gen", "monge"]),
     *((f"identities-{family}", ["identities", "--family", family, "--levels", "3"])
       for family in ("cap", "cylinder", "disk", "sphere", "monge")),
+    ("identities-cylinder-l4", ["identities", "--family", "cylinder", "--r", "1", "--length", "4", "--levels", "3"]),
     ("stability-cap", ["stability", "--family", "cap"]),
     ("stability-cylinder", ["stability", "--family", "cylinder"]),
     ("testfn-cap", ["testfn", "--family", "cap"]),
