@@ -276,19 +276,24 @@ def _cmd_sweep(args):
     out = _outdir(args)
     results = []
     sigma_sq = 0.0
-    # each point is solved on one factorization at the previous point's
-    # certified cut; a point whose count at that cut fails is solved cold
+    # each tube mesh has the ring layout, so each point is solved from its
+    # azimuthal blocks on one factorization; a point the blocks cannot
+    # certify goes to Lanczos, on one factorization at the previous point's
+    # certified cut, or cold when the count at that cut fails
     cut = None
-    solves = {"continued": 0, "cold": 0, "factorizations": 0, "lanczos_steps": 0}
+    solves = {"blocks": 0, "continued": 0, "cold": 0, "factorizations": 0, "lanczos_steps": 0}
     for L in params:
         spec = fam.Cylinder(r=args.r, L=L, resolution=args.res)
         mesh, fields = fam.generate_mesh(spec)
         system = st.assemble_index_form(mesh, spec.walls(), fields)
         vals, _, solver = st.solve_spectrum(system, k=1, cut=cut)
         cut = solver["certificate"]["mu"]
-        solves["continued" if solver.get("continued") else "cold"] += 1
+        if "modes" in solver:
+            solves["blocks"] += 1
+        else:
+            solves["continued" if solver.get("continued") else "cold"] += 1
+            solves["lanczos_steps"] += sum(solver["steps"])
         solves["factorizations"] += solver.get("factorizations", 2)
-        solves["lanczos_steps"] += sum(solver["steps"])
         results.append((L, float(vals[0])))
         sigma_sq = max(sigma_sq, system.meta["max_sigma_sq"])
     results.sort(key=lambda t: t[0])

@@ -39,6 +39,9 @@ from .reports import NUMBER, write_report
 
 # plane-incidence tolerance per unit of bounding-box diameter
 PLANE_TOL_FACTOR = 1e-9
+# how far a vertex may sit from its place in a ring layout, per unit of
+# bounding-box diameter
+RING_TOL_FACTOR = 1e-12
 
 CAPMESH_MAGIC = "CAPMESH"
 CAPMESH_VERSION = 1
@@ -49,6 +52,7 @@ __all__ = [
     "LabeledTriMesh",
     "Edges",
     "PairPattern",
+    "RingLayout",
     "ValidationIssue",
     "ValidationReport",
     "validate",
@@ -271,6 +275,40 @@ def _pair_layout(lo, hi, nv):
     return indptr, indices, diagonal, np.column_stack([upper, lower]).ravel()
 
 
+class RingLayout(NamedTuple):
+    """A vertex order that the rotation by 2 pi / n about the z axis maps onto itself.
+
+    ``top`` and ``bottom`` (0 or 1) count the poles on the axis that come
+    first and last; between them lie ``rings`` rings of ``n`` vertices,
+    vertex i of ring j at index top + j n + i and at the angle 2 pi i / n.
+    The rotation takes vertex i of each ring to vertex i + 1 (mod n), fixes
+    the poles, and maps the triangles and the wall labels onto themselves.
+    """
+
+    top: int
+    bottom: int
+    rings: int
+    n: int
+
+    def shift(self, nv):
+        """The image of each vertex under the rotation by 2 pi / n."""
+        image = np.arange(nv)
+        ring = image[self.top : self.top + self.rings * self.n].reshape(self.rings, self.n)
+        ring[:] = np.roll(ring, -1, axis=1)
+        return image
+
+
+def _canonical_triangles(triangles, nv):
+    """Sorted keys of the triangles, each read in its winding from its lowest vertex.
+
+    Of the three readings (a, b, c), (b, c, a) and (c, a, b), the one led by
+    the lowest vertex has the smallest key (first * nv + second) * nv + third.
+    """
+    a, b, c = triangles.T
+    keys = np.minimum((a * nv + b) * nv + c, (b * nv + c) * nv + a)
+    return np.sort(np.minimum(keys, (c * nv + a) * nv + b, out=keys))
+
+
 class LabeledTriMesh:
     """Oriented triangle mesh; boundary vertices labeled by supporting wall.
 
@@ -473,6 +511,50 @@ class LabeledTriMesh:
         from . import discops  # discops imports this module
 
         return discops.assemble_operators(self)
+
+    @cached_property
+    def ring_layout(self):
+        """The mesh's ``RingLayout``, or None when it has none.
+
+        The poles are vertices on the z axis at index 0 and nv - 1; ring j's
+        vertex i must lie within RING_TOL_FACTOR of the diameter of
+        (rho_j cos a, rho_j sin a, z_j), a = 2 pi i / n, with rho_j and z_j
+        those of its vertex 0 and n set by the angle of vertex 1 of the
+        first ring. The family meshes and the CAPMESH files ``gen`` writes
+        have this layout.
+        """
+        p, nv = self.positions, self.nv
+        # the triangle keys below hold three vertex ids in an int64
+        if not 3 <= nv < 1 << 21:
+            return None
+        tol = RING_TOL_FACTOR * self.bbox_diameter()
+        on_axis = np.abs(p[[0, -1], :2]).max(axis=1) <= tol
+        top = int(on_axis[0])
+        bottom = int(on_axis[1]) if nv > top + 1 else 0
+        if nv - top - bottom < 3:
+            return None
+        # a ring of n <= nv vertices steps by 2 pi / n; a far smaller step
+        # (down to a subnormal) would also overflow 2 pi / angle
+        angle = math.atan2(p[top + 1, 1], p[top + 1, 0])
+        n = round(2.0 * math.pi / angle) if angle > math.pi / nv else 0
+        if n < 3 or (nv - top - bottom) % n:
+            return None
+        layout = RingLayout(top, bottom, (nv - top - bottom) // n, n)
+        rings = p[top : nv - bottom].reshape(layout.rings, n, 3)
+        rho, z = rings[:, 0, 0], rings[:, 0, 2]
+        alphas = 2.0 * math.pi * np.arange(n) / n
+        off = np.abs(rings[..., 0] - np.outer(rho, np.cos(alphas))).max()
+        off = max(off, np.abs(rings[..., 1] - np.outer(rho, np.sin(alphas))).max())
+        off = max(off, np.abs(rings[..., 2] - z[:, None]).max())
+        if not (off <= tol and rho.min() > tol):
+            return None
+        image = layout.shift(nv)
+        if not np.array_equal(self.vertex_wall[image], self.vertex_wall):
+            return None
+        before = _canonical_triangles(self.triangles, nv)
+        if not np.array_equal(before, _canonical_triangles(image[self.triangles], nv)):
+            return None
+        return layout
 
     # -- geometry helpers ----------------------------------------------------
 

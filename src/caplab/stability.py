@@ -7,30 +7,45 @@ realized as f^T A f with A = K - M_sigma - sum_i q_i B_i, and stability means
 nonnegativity of the smallest eigenvalue of A relative to the mass M over the
 mean-zero subspace c^T f = 0, c = M 1.
 
-The constrained spectrum has one solver: shift-invert Lanczos (Ericsson and
-Ruhe, Math. Comp. 35, 1980), written here in numpy with full
+The constrained spectrum has one certified solve and two pair finders. Every
+answer is certified by the projected residual of every pair, against the
+full A and M, and by an inertia count (Sylvester, Haynsworth) of the
+constrained eigenvalues below a cut past the last one reported, from a
+factorization of A - mu M, which the pairs found below the cut must meet.
+The constraint never enters a saddle system.
+
+On a mesh with a ring layout (``meshkit.RingLayout``: every family mesh and
+every CAPMESH file ``gen`` writes) A, M and c commute with the rotation by
+2 pi / n, and the problem splits exactly into one dense block per azimuthal
+mode (Fassler and Stiefel, Group Theoretical Methods and Their Applications,
+1992; Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986). The blocks are
+read from the rows of each ring's vertex 0 and solved in real arithmetic,
+mode by mode from q = 0, until a mode's lowest value lies above the k + 2
+lowest found; the count at the cut catches a mode skipped too soon. That
+count is the solve's one factorization. When the count or a residual fails,
+the solve falls back to the other finder.
+
+The other finder, for every other mesh, is shift-invert Lanczos (Ericsson
+and Ruhe, Math. Comp. 35, 1980), written here in numpy with full
 reorthogonalization and no restart, on a single sparse factorization of
 A + sM, with the shift s doubled until that factorization is positive
-definite, so the pairs nearest -s are the lowest.
-The constraint enters the inverse as a rank-one Schur correction, never as a
-saddle system. Each answer is certified by the projected residual of every
-pair and by an inertia count (Sylvester, Haynsworth) of the constrained
-eigenvalues below a cut past the last one reported, from a second
-factorization, of A - mu M.
+definite, so the pairs nearest -s are the lowest. The constraint enters the
+inverse as a rank-one Schur correction.
 
 Single-vector Lanczos can return one copy of a multiple eigenvalue, and the
 lab's symmetric surfaces have many (lambda_min of every cap is double). When
 the count exceeds the pairs found below the cut, the pairs found are locked
 and Lanczos runs again on their M-orthogonal complement, from a second fixed
-start, on the same factorization; the cut and the count stand. A cold solve
-thus factors twice, plus any shift doublings, whether or not a copy was
-missed.
+start, on the same factorization; the cut and the count stand. A cold
+Lanczos solve thus factors twice, plus any shift doublings, whether or not
+a copy was missed.
 
-A solve continued from a nearby system's cut (Grimes, Lewis and Simon, SIAM
-J. Matrix Anal. Appl. 15, 1994) factors once: A - mu M at that cut is both
-the shift-invert operator, for the pairs nearest the cut, and the inertia
-count that certifies every pair below it. When the count is short of the
-pairs asked for or is not met, the solve falls back to the cold path.
+A Lanczos solve continued from a nearby system's cut (Grimes, Lewis and
+Simon, SIAM J. Matrix Anal. Appl. 15, 1994) factors once: A - mu M at that
+cut is both the shift-invert operator, for the pairs nearest the cut, and
+the inertia count that certifies every pair below it. When the count is
+short of the pairs asked for or is not met, the solve falls back to the
+cold path.
 
 A and M live on one CSR pattern, the mesh's pairs of vertices that share a
 triangle, so each matrix factored, A + sM or A - mu M, is a sum of their data
@@ -38,7 +53,8 @@ arrays; SuperLU runs with the supernode relaxation and panel size
 (``SUPERLU_RELAX``, ``SUPERLU_PANEL_SIZE``) that suit such surface meshes.
 The first eigenfunction reported involves no arbitrary choice: when lambda_min
 is multiple, it is the projection of the fixed Lanczos start onto the
-certified eigenspace.
+certified eigenspace, and when it is simple, its sign makes its largest entry
+positive, ties within ``SIGN_TIE`` going to the lowest vertex index.
 """
 
 from __future__ import annotations
@@ -49,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dstev
+from scipy.linalg.lapack import dstev, dsygvx
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import splu
 
@@ -61,7 +77,7 @@ from .errors import (
     NoCommonOriginError,
     SolverFailureError,
 )
-from .meshkit import LabeledTriMesh, WallSet
+from .meshkit import LabeledTriMesh, RingLayout, WallSet
 from .reports import document
 
 __all__ = [
@@ -87,6 +103,9 @@ LANCZOS_TOL = 1e-2 * RESIDUAL_BOUND
 # repeated, as ARPACK's is
 DGKS_RATIO = 1.0 / math.sqrt(2.0)
 MAX_SHIFT_DOUBLINGS = 60
+# entries within this share of a vector's largest entry, in size, tie for the
+# entry whose sign is made positive
+SIGN_TIE = 1e-8
 ENERGY_STEP = 1e-4  # first_variation_energy's central-difference step
 # SuperLU's supernode relaxation and panel size (Demmel, Eisenstat, Gilbert,
 # Li and Liu, SIAM J. Matrix Anal. Appl. 20, 1999). The defaults merge small
@@ -103,13 +122,15 @@ class IndexFormSystem:
 
     A and M are held as CSR matrices on one pattern, so that every shifted
     matrix A + tM the solver factors is a sum of their data arrays; a pair
-    on two patterns is refused.
+    on two patterns is refused. ``layout`` is the mesh's ring layout, or
+    None: with one, the spectrum is found from the azimuthal blocks.
     """
 
     A: sparse.csr_matrix
     M: sparse.csr_matrix
     c: np.ndarray
     meta: dict = field(default_factory=dict)
+    layout: RingLayout | None = None
 
     def __post_init__(self):
         A, M = sparse.csr_matrix(self.A), sparse.csr_matrix(self.M)
@@ -233,7 +254,7 @@ def assemble_index_form(mesh: LabeledTriMesh, walls: WallSet, fields: GeometryFi
         "boundary_lengths": dict(ops.boundary_lengths),
         "fields": dict(fields.info),
     }
-    return IndexFormSystem(A=A, M=M, c=c, meta=meta)
+    return IndexFormSystem(A=A, M=M, c=c, meta=meta, layout=mesh.ring_layout)
 
 
 def _pencil(system, t):
@@ -432,9 +453,16 @@ def _cut(vals, k, s):
 
 
 def _normalized(vecs, M):
-    """Columns scaled to f^T M f = 1, each with its largest entry positive."""
+    """Columns scaled to f^T M f = 1, each with its largest entry positive.
+
+    Entries within SIGN_TIE of the largest in size tie, and the lowest
+    vertex index among them decides: on a symmetric mesh entries of
+    opposite sign can tie to rounding, which would otherwise pick the sign.
+    """
     vecs = vecs / np.sqrt(np.einsum("ij,ij->j", vecs, M @ vecs))
-    return vecs * np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])])
+    size = np.abs(vecs)
+    lead = np.argmax(size >= (1.0 - SIGN_TIE) * size.max(axis=0), axis=0)
+    return vecs * np.sign(vecs[lead, np.arange(vecs.shape[1])])
 
 
 def _canonical_basis(V, M, c):
@@ -442,10 +470,9 @@ def _canonical_basis(V, M, c):
 
     The first vector is the M-orthogonal projection of ``_start(c)`` onto the
     span, so it depends on the eigenspace alone, not on where Lanczos stopped.
-    Its sign is the projection's own, a positive M-product with the start:
-    the largest-entry rule is ill-posed on a symmetric mesh, where entries of
-    opposite sign tie in size and rounding picks one. A Householder
-    reflection of the coefficients carries the rest of the basis along.
+    Its sign is the projection's own, a positive M-product with the start.
+    A Householder reflection of the coefficients carries the rest of the
+    basis along.
     """
     V = _normalized(V, M)
     u = (M @ V).T @ _start(c)
@@ -461,29 +488,40 @@ def _canonical_basis(V, M, c):
 def solve_spectrum(system: IndexFormSystem, k=10, cut=None) -> Spectrum:
     """Lowest k eigenpairs of f^T A f over {c^T f = 0, f^T M f = 1}, certified.
 
-    One shift-invert Lanczos solve on a single factorization of A + sM, with
-    s doubled until that factorization is positive definite. Every answer is
-    certified twice: each pair by its residual projected onto c^T f = 0, and
-    the set by an inertia count showing that no constrained eigenvalue below
-    the k-th was missed. When the count exceeds the pairs found, deflation
-    rounds on the same factorization search the complement of the pairs
-    found, each asking for the missing count plus one, and
-    ``solver["deflated"]`` lists those requests. Raises SolverFailureError
-    when a round adds nothing below the cut or either check fails.
+    Every answer is certified twice: each pair by its residual projected
+    onto c^T f = 0, and the set by an inertia count showing that no
+    constrained eigenvalue below the k-th was missed. The input's layout
+    chooses the pair finder. Raises SolverFailureError when a check fails.
     Deterministic for fixed inputs.
 
+    With a ring layout the pairs come from the azimuthal blocks
+    (``_block_pairs``), and the count at the cut is the solve's one
+    factorization: ``solver["factorizations"]`` is 1, ``solver["modes"]``
+    gives each reported pair's azimuthal mode q (0 <= q <= n / 2) and
+    ``solver["blocks"]`` the modes solved, of how many, and the ring count.
+    ``cut`` is not used. When the count or a residual check fails, the solve
+    falls back to Lanczos below, whose record then carries the reason as
+    ``solver["blocks_refused"]``, and the factorization at the cut counts.
+
+    Otherwise: one shift-invert Lanczos solve on a single factorization of
+    A + sM, with s doubled until that factorization is positive definite.
+    When the count exceeds the pairs found, deflation rounds on the same
+    factorization search the complement of the pairs found, each asking for
+    the missing count plus one, and ``solver["deflated"]`` lists those
+    requests. A round that adds nothing below the cut fails the solve.
+
     Given a ``cut`` (a nearby system's ``solver["certificate"]["mu"]``, as
-    along a sweep), the solve is continued: one factorization of A - cut M
-    is both the shift-invert operator (``solver["shift"]`` is -cut) and the
-    inertia count c at the cut, Lanczos asks for the c + 2 pairs nearest
-    the cut, and the pairs found below it must number c. Every eigenvalue
-    below the cut is then known, so the certificate's mu is the cold path's
-    cut, capped at this one, with the pairs found below it as its count;
-    ``solver["continued"]`` is true. When c < k, or the count or the
-    residual check fails, the solve falls back to the cold path above.
+    along a sweep), a Lanczos solve is continued: one factorization of
+    A - cut M is both the shift-invert operator (``solver["shift"]`` is
+    -cut) and the inertia count c at the cut, Lanczos asks for the c + 2
+    pairs nearest the cut, and the pairs found below it must number c. Every
+    eigenvalue below the cut is then known, so the certificate's mu is the
+    cold path's cut, capped at this one, with the pairs found below it as
+    its count; ``solver["continued"]`` is true. When c < k, or the count or
+    the residual check fails, the solve falls back to the cold path above.
     ``solver["factorizations"]`` is recorded whenever a solve did not factor
-    exactly twice: 1 when continued, more after shift doublings or a
-    fallback.
+    exactly twice: 1 when continued or from blocks, more after shift
+    doublings or a fallback.
 
     ``solver["steps"]`` lists the Lanczos steps of each round, the first
     run and any deflation rounds, of the solve that gave the answer.
@@ -492,29 +530,46 @@ def solve_spectrum(system: IndexFormSystem, k=10, cut=None) -> Spectrum:
     certificate's gap of lambda_min. Above 1, the vectors of that eigenspace
     are replaced, after the residual checks, by the basis of
     ``_canonical_basis``: the first is the M-projection of the Lanczos start,
-    the same whatever the tolerance or rounding Lanczos ran with.
+    the same whatever the finder, tolerance or rounding it ran with.
     """
     k = max(1, min(k, system.n - 2))
     # the constant's Rayleigh quotient (cot term included) sits just above
     # the lowest unconstrained eigenvalue on every family
     area = float(system.c.sum())
     s0 = max(-2.0 * float(system.A.sum()) / area, 1.0 / area)
+    factored, refused = 0, None
+    if system.layout is not None:
+        try:
+            pairs = _block_pairs(system, k)
+            # the certificate's count is the one factorization of a block solve
+            factored = 1
+            return _certify_blocks(system, k, s0, *pairs)
+        except SolverFailureError as exc:
+            refused = str(exc)
+    spectrum = _solve_lanczos(system, k, s0, cut, factored)
+    if refused is not None:
+        spectrum.solver["blocks_refused"] = refused
+    return spectrum
+
+
+def _solve_lanczos(system, k, s0, cut, factored):
+    """The Lanczos finder: continued at ``cut`` when one is given, else cold."""
     if cut is not None:
         try:
-            return _solve(system, k, s0, float(cut))
+            return _solve(system, k, s0, float(cut), factored)
         except SolverFailureError:
             # the cold path decides; the factor at the cut still counts
-            return _solve(system, k, s0, factored=1)
-    return _solve(system, k, s0)
+            factored += 1
+    return _solve(system, k, s0, factored=factored)
 
 
 def _solve(system, k, s0, cut=None, factored=0):
-    """The certified solve: cold from the starting shift s0, or continued at ``cut``.
+    """The certified Lanczos solve: cold from the starting shift s0, or continued at ``cut``.
 
     The two modes differ only in where the factor and the certificate's cut
     come from.
     """
-    n, A, M, c = system.n, system.A, system.M, system.c
+    n = system.n
     if cut is None:
         s, lu, tries = _positive_shift(system, s0)
         gap_shift = s
@@ -562,8 +617,38 @@ def _solve(system, k, s0, cut=None, factored=0):
         # one, is certified with no second factorization
         mu = min(_cut(vals, k, gap_shift), cut)
         count = int(np.count_nonzero(vals < mu))
-    # lambda_min's eigenspace: the pairs found within the certificate's gap
-    # of it, all below the certified cut
+    # a value at or below a positive-definite shift -s would be spurious. A
+    # continued solve's shift is its cut, which lies above the values it
+    # certifies; there the count at the cut, met by the pairs found, is what
+    # proves that every eigenvalue below the cut was found
+    spurious = cut is None and vals[0] <= -s
+    solver = {
+        "method": "shift-invert Lanczos, rank-one constraint correction",
+        "shift": s,
+        "requested": m,
+        "lanczos_tol": LANCZOS_TOL,
+        "steps": steps,
+        "certificate": {"mu": mu, "count_below": count},
+    }
+    if deflated:
+        solver["deflated"] = deflated
+    if cut is not None:
+        solver["continued"] = True
+    if factored != 2:
+        solver["factorizations"] = factored
+    return _checked(system, vals, vecs, k, gap_shift, solver, spurious)
+
+
+def _checked(system, vals, vecs, k, gap_shift, solver, spurious=False):
+    """The lowest k of the certified pairs, M-normalized and residual-checked.
+
+    lambda_min's eigenspace is the pairs found within the certificate's gap
+    of it, all below the certified cut; its multiplicity, the residuals and
+    the constraint defects go into ``solver``. Raises SolverFailureError
+    when a residual exceeds RESIDUAL_BOUND, a value is not finite, or the
+    finder calls its answer ``spurious``.
+    """
+    A, M, c = system.A, system.M, system.c
     eigenspace = vecs[:, vals <= vals[0] + _gap(vals[0], gap_shift)]
     vals, vecs = vals[:k], _normalized(vecs[:, :k], M)
     cn = c / np.linalg.norm(c)
@@ -573,37 +658,188 @@ def _solve(system, k, s0, cut=None, factored=0):
     scale = float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
     resid = np.linalg.norm(R, axis=0) / max(scale, 1e-300)
     worst = float(resid.max())
-    # a value at or below a positive-definite shift -s would be spurious. A
-    # continued solve's shift is its cut, which lies above the values it
-    # certifies; there the count at the cut, met by the pairs found, is what
-    # proves that every eigenvalue below the cut was found
-    spurious = cut is None and vals[0] <= -s
     if not np.all(np.isfinite(vals)) or not worst <= RESIDUAL_BOUND or spurious:
         raise SolverFailureError(
             f"eigensolver did not converge (projected relative residual {worst:.3e})",
             residual=worst,
         )
-    solver = {
-        "method": "shift-invert Lanczos, rank-one constraint correction",
-        "shift": s,
-        "requested": m,
-        "lanczos_tol": LANCZOS_TOL,
-        "steps": steps,
-        "residuals": [float(r) for r in resid],
-        "constraint_defects": [float(d) for d in np.abs(c @ vecs)],
-        "certificate": {"mu": mu, "count_below": count},
-        "multiplicity": eigenspace.shape[1],
-    }
-    if deflated:
-        solver["deflated"] = deflated
-    if cut is not None:
-        solver["continued"] = True
-    if factored != 2:
-        solver["factorizations"] = factored
+    solver["residuals"] = [float(r) for r in resid]
+    solver["constraint_defects"] = [float(d) for d in np.abs(c @ vecs)]
+    solver["multiplicity"] = eigenspace.shape[1]
     if eigenspace.shape[1] > 1:
         basis = _canonical_basis(eigenspace, M, c)
         vecs[:, : basis.shape[1]] = basis[:, :k]
     return Spectrum(vals, vecs, solver)
+
+
+# -- the azimuthal blocks ------------------------------------------------------------
+
+
+class _Blocks:
+    """The index form's azimuthal Fourier blocks on a ring layout.
+
+    A and M commute with the rotation, so for each mode 0 < q < n / 2 the
+    functions x_j cos(t q i) + y_j sin(t q i), t = 2 pi / n, on ring j (vertex
+    i) span an invariant subspace. In that basis, scaled by sqrt(2 / n), both
+    matrices restrict to [[C, S], [-S, C]], with
+        C_jl = sum_d a_jl(d) cos(t q d),  S_jl = sum_d a_jl(d) sin(t q d),
+    where a_jl(d) is the entry in row (j, 0) and column (l, d) of A or M. Mode
+    n / 2 keeps the cosines alone (C, m x m). Mode 0, the ring constants
+    scaled by 1 / sqrt(n), also holds the poles and the constraint c, and is
+    solved on c's complement. Every entry is read from the rows of each
+    ring's vertex 0, which A and M share.
+    """
+
+    def __init__(self, system):
+        self.layout = top, bottom, m, n = system.layout
+        A, M, c = system.A, system.M, system.c
+        rows = top + n * np.arange(m)
+        start, length = A.indptr[rows], np.diff(A.indptr)[rows]
+        slots = np.arange(length.sum()) + np.repeat(start - np.cumsum(length) + length, length)
+        ring = np.repeat(np.arange(m), length)
+        col = A.indices[slots] - top
+        a, b = A.data[slots], M.data[slots]
+        on = (col >= 0) & (col < m * n)
+        # the ring-ring entries by flat block place j m + l and offset d
+        self.place, self.offset = ring[on] * m + col[on] // n, col[on] % n
+        self.a, self.b = a[on], b[on]
+        angles = (2.0 * math.pi / n) * np.arange(n)
+        self.cos, self.sin = np.cos(angles), np.sin(angles)
+        # mode 0: the ring constants, then the poles
+        poles = [0] * top + [system.n - 1] * bottom
+        size = m + len(poles)
+        A0, M0 = np.zeros((size, size)), np.zeros((size, size))
+        A0[:m, :m], M0[:m, :m] = self._sums(np.ones(len(self.a)))
+        # a ring row's pole entries: the top pole at m, the bottom one after it
+        near, pole = ring[~on], m + np.where(col[~on] < 0, 0, top)
+        root = math.sqrt(n)
+        A0[near, pole] = A0[pole, near] = root * a[~on]
+        M0[near, pole] = M0[pole, near] = root * b[~on]
+        for i, v in enumerate(poles):
+            lo, hi = A.indptr[v], A.indptr[v + 1]
+            for j, w in enumerate(poles):
+                hit = lo + np.flatnonzero(A.indices[lo:hi] == w)
+                if len(hit):
+                    A0[m + i, m + j], M0[m + i, m + j] = A.data[hit[0]], M.data[hit[0]]
+        # a Householder reflection that takes c to e_1: its other columns span
+        # c's complement
+        u = np.concatenate([root * c[rows], c[poles]])
+        u /= np.linalg.norm(u)
+        u0 = u[0]
+        u[0] += math.copysign(1.0, u0)
+        self.complement = Z = np.eye(size)[:, 1:] - np.outer(u, u[1:] / (1.0 + abs(u0)))
+        self.zero = Z.T @ A0 @ Z, Z.T @ M0 @ Z
+
+    @property
+    def count(self):
+        """The number of modes, 0 to n / 2."""
+        return self.layout.n // 2 + 1
+
+    def _sums(self, weight):
+        """sum_d a_jl(d) weight_d for A and M, as m x m matrices."""
+        m = self.layout.rings
+        return (
+            np.bincount(self.place, self.a * weight, m * m).reshape(m, m),
+            np.bincount(self.place, self.b * weight, m * m).reshape(m, m),
+        )
+
+    def mode(self, q):
+        """The blocks of A and M for mode q."""
+        if q == 0:
+            return self.zero
+        turn = (q * self.offset) % self.layout.n
+        CA, CM = self._sums(self.cos[turn])
+        if 2 * q == self.layout.n:
+            return CA, CM
+        SA, SM = self._sums(self.sin[turn])
+        return np.block([[CA, SA], [-SA, CA]]), np.block([[CM, SM], [-SM, CM]])
+
+    def vectors(self, q, z):
+        """The M-normalized functions of mode q's block vectors, the columns of z."""
+        top, bottom, m, n = self.layout
+        if q == 0:
+            z = self.complement @ z
+            rings = np.repeat(z[:m] / math.sqrt(n), n, axis=0)
+            return np.concatenate([z[m : m + top], rings, z[m + top :]])
+        turn = (q * np.arange(n)) % n
+        if 2 * q == n:
+            wave = z[:, None, :] * (self.cos[turn] / math.sqrt(n))[:, None]
+        else:
+            scale = math.sqrt(2.0 / n)
+            wave = z[:m, None, :] * (scale * self.cos[turn])[:, None]
+            wave += z[m:, None, :] * (scale * self.sin[turn])[:, None]
+        out = np.zeros((top + m * n + bottom, z.shape[1]))
+        out[top : top + m * n] = wave.reshape(m * n, -1)
+        return out
+
+
+def _block_pairs(system, k):
+    """The lowest constrained pairs, mode by mode, from the azimuthal blocks.
+
+    Modes are solved from q = 0 up, each for its lowest k + 2 values (made
+    even in the modes whose values come in cos/sin pairs), until the first
+    mode whose lowest value lies above the k + 2 lowest found before it: the
+    lowest value of a mode rises with q on these surfaces, and the count at
+    the certificate's cut catches a mode where it does not. Returns every
+    value found, ascending, the mode and block column each came from, the
+    blocks, and each solved mode's block vectors.
+    """
+    blocks = _Blocks(system)
+    want = min(k + 2, system.n - 2)
+    found, solved, values = np.empty(0), {}, []
+    for q in range(blocks.count):
+        Aq, Mq = blocks.mode(q)
+        if not len(Aq):  # mode 0 of a single ring holds only the constant
+            continue
+        pairs = want + want % 2 if 0 < 2 * q < blocks.layout.n else want
+        w, z, got, _, info = dsygvx(Aq, Mq, range="I", il=1, iu=min(pairs, len(Aq)))
+        if info:
+            raise SolverFailureError(f"the block of mode {q} failed (LAPACK dsygvx info {info})")
+        values.append(w[:got])
+        solved[q] = z[:, :got]
+        last = len(found) >= want and w[0] > found[want - 1]
+        found = np.sort(np.concatenate([found, w[:got]]))
+        if last:
+            break
+    order = np.argsort(np.concatenate(values), kind="stable")
+    modes = np.concatenate([np.full(len(w), q) for q, w in zip(solved, values)])
+    columns = np.concatenate([np.arange(len(w)) for w in values])
+    return found, modes[order], columns[order], blocks, solved
+
+
+def _certify_blocks(system, k, s0, vals, modes, columns, blocks, solved):
+    """The block pairs certified by the count at their cut, the solve's one factorization.
+
+    Raises SolverFailureError when the blocks' count below the cut is not
+    the inertia count there, or when a residual check fails.
+    """
+    # the gap's scale is the cold Lanczos path's starting shift, doubled
+    # while it leaves lambda_min at or below zero
+    s = s0
+    while vals[0] + s <= 0.0:
+        s *= 2.0
+    mu = _cut(vals, k, s)
+    _, _, count = _inertia(system, mu)
+    found = int(np.count_nonzero(vals < mu))
+    if found != count:
+        raise SolverFailureError(
+            f"{count} constrained eigenvalues below {mu:.6g}, the blocks of "
+            f"{len(solved)} modes found {found}"
+        )
+    # the vectors reported, and those of lambda_min's eigenspace
+    keep = max(k, int(np.count_nonzero(vals <= vals[0] + _gap(vals[0], s))))
+    vecs = np.empty((system.n, keep))
+    for q in np.unique(modes[:keep]):
+        which = np.flatnonzero(modes[:keep] == q)
+        vecs[:, which] = blocks.vectors(q, solved[q][:, columns[which]])
+    solver = {
+        "method": "azimuthal Fourier blocks, dense per mode",
+        "modes": modes[:k].tolist(),
+        "blocks": {"solved": len(solved), "total": blocks.count, "rings": blocks.layout.rings},
+        "certificate": {"mu": mu, "count_below": count},
+        "factorizations": 1,
+    }
+    return _checked(system, vals[:keep], vecs, k, s, solver)
 
 
 def min_constrained_eigenpair(system: IndexFormSystem):

@@ -160,3 +160,41 @@ def edge_adjacency(mesh):
     adj = sparse.csr_matrix((np.ones(2 * len(i)), (np.r_[i, j], np.r_[j, i])), shape=(mesh.nv, mesh.nv))
     adj.data[:] = 1
     return adj
+
+
+def gen_and_load(tmp_path, argv):
+    """``caplab gen ARGV`` into tmp_path, read back: the mesh and its wall set."""
+    from caplab import cli
+
+    assert cli.main(["gen", *argv, "--name", "ring", "--out", str(tmp_path)]) == 0
+    return meshkit.load(tmp_path / "ring.capmesh")
+
+
+def ring_breakers(tmp_path):
+    """Meshes near a ring layout that must not take the blocks, with their wall sets.
+
+    The Monge patch (rings off a plane), a gen'd cap with one vertex moved
+    1e-9 of its radius, the same cap with its vertices renumbered, and a
+    tube with one rim vertex labeled for the other wall.
+    """
+    cap, cap_walls = gen_and_load(tmp_path, ["cap", "--angle-deg", "60", "--res", "16"])
+    moved = np.array(cap.positions)
+    moved[40, 2] += 1e-9
+    order = np.random.default_rng(0).permutation(cap.nv)
+    new_index = np.argsort(order)
+    renumbered = meshkit.LabeledTriMesh(
+        cap.positions[order], new_index[cap.triangles],
+        {int(new_index[v]): w for v, w in cap.boundary_labels.items()},
+    )
+    spec = families.Cylinder(r=1.0, L=2.0, resolution=16)
+    tube, _ = families.generate_mesh(spec)
+    labels = dict(tube.boundary_labels)
+    labels[0] = 1
+    monge, _ = families.generate_mesh(families.MongePatch(amplitude=0.1, R=1.0, resolution=16))
+    free = meshkit.WallSet((meshkit.Hyperplane(np.array([0.0, 0.0, -1.0]), 1.0),), (math.pi / 2,))
+    return {
+        "monge": (monge, free),
+        "jittered cap": (cap.with_positions(moved), cap_walls),
+        "renumbered cap": (renumbered, cap_walls),
+        "relabeled tube": (meshkit.LabeledTriMesh(tube.positions, tube.triangles, labels), spec.walls()),
+    }

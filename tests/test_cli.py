@@ -11,6 +11,7 @@ import pytest
 from caplab import families, identities, meshkit, stability
 from caplab.cli import main
 from caplab.errors import SolverFailureError
+from conftest import ring_breakers
 
 
 def read_json(path):
@@ -294,11 +295,34 @@ class TestStability:
         assert float(lines[1 + 4].split(",")[1]) == pytest.approx(10.2497057, rel=1e-7)
 
     def test_verdict_carries_solver_record(self, tmp_path):
+        # a family mesh has the ring layout, so its pairs come from the
+        # azimuthal blocks
         rc = main(
             ["stability", "--family", "cap", "--angle-deg", "60", "--res", "24", "--out", str(tmp_path)]
         )
         assert rc == 0
         doc = read_json(tmp_path / "verdict.json")
+        solver = doc["info"]["solver"]
+        assert solver["method"].startswith("azimuthal Fourier blocks")
+        assert solver["factorizations"] == 1
+        # lambda_min is the double of the horizontal translations, mode 1
+        assert len(solver["modes"]) == len(doc["eigenvalues"]) and solver["modes"][:2] == [1, 1]
+        assert solver["multiplicity"] == 2
+        assert 0 < solver["blocks"]["solved"] < solver["blocks"]["total"] == 13
+        assert len(solver["residuals"]) == len(doc["eigenvalues"])
+        assert len(solver["constraint_defects"]) == len(doc["eigenvalues"])
+        assert max(solver["residuals"]) <= 1e-8
+        assert max(solver["constraint_defects"]) <= 1e-10
+        assert solver["certificate"]["mu"] > doc["eigenvalues"][-1]
+        assert solver["certificate"]["count_below"] >= len(doc["eigenvalues"])
+
+    def test_mesh_without_layout_carries_the_lanczos_record(self, tmp_path):
+        # the same cap with its vertices renumbered has no ring layout
+        mesh, walls = ring_breakers(tmp_path)["renumbered cap"]
+        meshkit.save(mesh, walls, tmp_path / "renumbered.capmesh")
+        rc = main(["stability", "--mesh", str(tmp_path / "renumbered.capmesh"), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        doc = read_json(tmp_path / "out" / "verdict.json")
         solver = doc["info"]["solver"]
         assert solver["method"].startswith("shift-invert Lanczos")
         assert solver["shift"] > -doc["lambda_min"]
@@ -309,6 +333,7 @@ class TestStability:
         assert solver["certificate"]["mu"] > doc["eigenvalues"][-1]
         assert solver["certificate"]["count_below"] >= len(doc["eigenvalues"])
         assert solver["lanczos_tol"] == 1e-10
+        assert "modes" not in solver and "blocks_refused" not in solver
 
     def test_solver_failure_exits_3_without_a_verdict(self, tmp_path, capsys, monkeypatch):
         def fail(system, k=10, cut=None):
@@ -470,18 +495,15 @@ class TestSweep:
         assert f"error: {flag} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "sweep.json").exists()
 
-    def test_one_factorization_per_point_after_the_first(self, tmp_path, factorizations):
-        # the first point is solved cold (a positive shift, then the
-        # certificate); each later one on one factor at the previous cut
+    def test_one_factorization_per_point(self, tmp_path, factorizations):
+        # every tube has the ring layout: each point is solved from its
+        # azimuthal blocks and certified on one factor at its cut (Lanczos
+        # took 22: the first point cold, each later one at the previous cut)
         assert main(["sweep", "cylinder", "--out", str(tmp_path)]) == 0
         doc = read_json(tmp_path / "sweep.json")
         points = len(doc["parameters"])
-        assert points == 21 and len(factorizations) == points + 1
-        steps = doc["solves"].pop("lanczos_steps")
-        assert doc["solves"] == {"continued": 20, "cold": 1, "factorizations": 22}
-        # ARPACK applied the inverse 505 times on this sweep; a Lanczos step
-        # applies it once
-        assert 0 < steps < 505
+        assert points == 21 and len(factorizations) == points
+        assert doc["solves"] == {"blocks": 21, "continued": 0, "cold": 0, "factorizations": 21, "lanczos_steps": 0}
 
     def test_grid_over_the_point_limit_exits_2_before_any_mesh(self, tmp_path, capsys, monkeypatch):
         # about 1e7 points: the parameter list alone took seconds, and the
@@ -775,21 +797,27 @@ class TestDeterminism:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_solver_counts_repeat(self, tmp_path):
-        # the Lanczos steps, per round and per sweep, are deterministic facts
+        # the modes solved and the Lanczos steps, per round and per sweep,
+        # are deterministic facts
+        mesh, walls = ring_breakers(tmp_path)["renumbered cap"]
+        meshkit.save(mesh, walls, tmp_path / "renumbered.capmesh")
         runs = {
-            "verdict.json": ["stability", "--family", "cap", "--angle-deg", "120", "--res", "24"],
-            "sweep.json": ["sweep", "cylinder", "--lmin", "3.0", "--lmax", "3.3", "--res", "16"],
+            "blocks": ("verdict.json", ["stability", "--family", "cap", "--angle-deg", "120", "--res", "24"]),
+            "lanczos": ("verdict.json", ["stability", "--mesh", str(tmp_path / "renumbered.capmesh")]),
+            "sweep": ("sweep.json", ["sweep", "cylinder", "--lmin", "3.0", "--lmax", "3.3", "--res", "16"]),
         }
         docs = {}
-        for name, args in runs.items():
-            a, b = tmp_path / name / "a", tmp_path / name / "b"
+        for run, (name, args) in runs.items():
+            a, b = tmp_path / run / "a", tmp_path / run / "b"
             assert main(args + ["--out", str(a)]) == 0
             assert main(args + ["--out", str(b)]) == 0
             assert (a / name).read_bytes() == (b / name).read_bytes()
-            docs[name] = read_json(a / name)
-        steps = docs["verdict.json"]["info"]["solver"]["steps"]
+            docs[run] = read_json(a / name)
+        blocks = docs["blocks"]["info"]["solver"]
+        assert blocks["blocks"]["solved"] > 0 and all(isinstance(q, int) for q in blocks["modes"])
+        steps = docs["lanczos"]["info"]["solver"]["steps"]
         assert steps and all(isinstance(n, int) and n > 0 for n in steps)
-        assert docs["sweep.json"]["solves"]["lanczos_steps"] > 0
+        assert docs["sweep"]["solves"]["blocks"] == 4
 
     def test_sweep_byte_identical(self, tmp_path):
         args = ["sweep", "cylinder", "--lmin", "3.0", "--lmax", "3.2", "--step", "0.1", "--res", "12"]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from caplab import families, meshkit
 from caplab.errors import InvalidMeshError, MeshValidationError, ParseError
-from conftest import TOPOLOGY, rotation_matrix
+from conftest import TOPOLOGY, gen_and_load, ring_breakers, rotation_matrix
 
 
 # -- reference CAPMESH reader and writer: the per-line loops meshkit replaced --
@@ -539,3 +539,49 @@ class TestBoundaryStructure:
         assert mesh.is_closed()
         assert mesh.boundary_loops == ()
         assert mesh.euler_characteristic() == 2
+
+
+class TestRingLayout:
+    """The rotation-invariant vertex order the azimuthal blocks need."""
+
+    @pytest.mark.parametrize(
+        "argv, spec, poles",
+        [
+            (["cap", "--angle-deg", "60", "--res", "16"], families.Cap(R=1.0, theta=math.pi / 3, resolution=16), (1, 0)),
+            (["cylinder", "--res", "16"], families.Cylinder(r=1.0, L=2.0, resolution=16), (0, 0)),
+            (["disk", "--res", "16"], families.FlatDisk(R=1.0, resolution=16), (1, 0)),
+            (["sphere", "--res", "16"], families.ClosedSphere(R=1.0, resolution=16), (1, 1)),
+        ],
+        ids=["cap", "tube", "disk", "sphere"],
+    )
+    def test_family_meshes_have_it_before_and_after_gen(self, argv, spec, poles, tmp_path):
+        mesh, _ = families.generate_mesh(spec)
+        layout = mesh.ring_layout
+        assert (layout.top, layout.bottom, layout.n) == (*poles, 16)
+        assert layout.top + layout.rings * layout.n + layout.bottom == mesh.nv
+        loaded, _ = gen_and_load(tmp_path, argv)
+        assert loaded.ring_layout == layout
+        # the disk's pole lies in the plane of its rings
+        if layout.top:
+            assert np.abs(mesh.positions[0, :2]).max() == 0.0
+
+    def test_rotation_maps_the_mesh_onto_itself(self):
+        mesh, _ = families.generate_mesh(families.Cap(R=1.3, theta=math.radians(120), resolution=12))
+        layout = mesh.ring_layout
+        image = layout.shift(mesh.nv)
+        turn = 2.0 * math.pi / layout.n
+        rotation = np.array([[math.cos(turn), -math.sin(turn), 0.0], [math.sin(turn), math.cos(turn), 0.0], [0, 0, 1]])
+        assert np.abs(mesh.positions @ rotation.T - mesh.positions[image]).max() <= 1e-14
+        assert sorted(map(tuple, np.sort(image[mesh.triangles], axis=1))) == sorted(
+            map(tuple, np.sort(mesh.triangles, axis=1))
+        )
+
+    def test_a_subnormal_first_step_has_none(self):
+        # 2 pi over the angle of vertex 1 overflowed to infinity
+        p = np.array([[1.0, 0.0, 0.0], [1.0, 1e-320, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+        assert meshkit.LabeledTriMesh(p, [[0, 1, 2], [0, 2, 3]]).ring_layout is None
+
+    @pytest.mark.parametrize("name", ["monge", "jittered cap", "renumbered cap", "relabeled tube"])
+    def test_near_misses_have_none(self, name, tmp_path):
+        mesh, _ = ring_breakers(tmp_path)[name]
+        assert mesh.ring_layout is None

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -21,7 +22,7 @@ from caplab.errors import (
     NoCommonOriginError,
     SolverFailureError,
 )
-from conftest import rotate_walls, rotation_matrix
+from conftest import ring_breakers, rotate_walls, rotation_matrix
 
 
 def slab_mode_oracle(r, L, nz=2000, modes=6):
@@ -70,6 +71,11 @@ def cap_system(theta, res):
 
 def max_relative_error(vals, reference):
     return np.abs(vals - reference).max() / np.abs(reference).max()
+
+
+def no_layout(system):
+    """The system without its ring layout, so that the Lanczos finder solves it."""
+    return dataclasses.replace(system, layout=None)
 
 
 class TestOracle:
@@ -219,7 +225,7 @@ class TestSolverAgainstDense:
     @pytest.mark.parametrize("res", [64, 96, 128])  # nv 769, 1729, 3201
     def test_cap_matches_dense_oracle(self, res):
         # at res 96 an earlier iterative path stalled at slot 4 (10.3377)
-        system = cap_system(math.pi / 3, res)
+        system = no_layout(cap_system(math.pi / 3, res))
         vals, _, solver = stability.solve_spectrum(system, k=10)
         assert max_relative_error(vals, dense_constrained_spectrum(system, 10)) <= 1e-8
         # certified on the first solve, with no deflation round
@@ -228,20 +234,22 @@ class TestSolverAgainstDense:
     def test_double_eigenvalue_at_window_top(self):
         # slots 8 and 9 are one double eigenvalue of the axisymmetric cap
         system = cap_system(math.radians(160), 36)
-        dense = dense_constrained_spectrum(system, 10)
+        dense = dense_constrained_spectrum(system, 14)
         assert dense[9] - dense[8] <= 1e-9 * dense[9]
-        spectrum = stability.solve_spectrum(system, k=10)
-        assert max_relative_error(spectrum.values, dense) <= 1e-8
-        # the count is the dense one below the cut, wherever the cut falls
-        certificate = spectrum.solver["certificate"]
-        below = dense_constrained_spectrum(system, certificate["count_below"] + 1)
-        assert np.count_nonzero(below < certificate["mu"]) == certificate["count_below"]
+        # both finders: Lanczos, and the blocks of the mesh's ring layout
+        for finder in (no_layout(system), system):
+            spectrum = stability.solve_spectrum(finder, k=10)
+            assert max_relative_error(spectrum.values, dense[:10]) <= 1e-8
+            # the count is the dense one below the cut, wherever the cut falls
+            certificate = spectrum.solver["certificate"]
+            assert certificate["count_below"] < len(dense)
+            assert np.count_nonzero(dense < certificate["mu"]) == certificate["count_below"]
 
     def test_certificate_recovers_missed_copy(self, monkeypatch, factorizations):
         # single-vector Lanczos can return one copy of a double eigenvalue;
         # simulate that miss on the first solve: only the inertia count
         # notices, and a deflation round on the same factor restores it
-        system = cap_system(math.radians(160), 36)
+        system = no_layout(cap_system(math.radians(160), 36))
         lanczos = stability._lanczos
         calls = []
 
@@ -266,7 +274,7 @@ class TestSolverAgainstDense:
         assert len(factorizations) == 2
 
     def test_certificate_failure_raises(self, monkeypatch):
-        system = cap_system(math.radians(160), 36)
+        system = no_layout(cap_system(math.radians(160), 36))
         lanczos = stability._lanczos
 
         def always_miss(system, m, s, lu, locked=None, w=None):
@@ -329,9 +337,7 @@ class TestDeflation:
 
     @pytest.mark.parametrize("r, L", MISSED_COPY_POINTS)
     def test_cylinder_below_onset(self, r, L, factorizations):
-        spec = families.Cylinder(r=r, L=L, resolution=32)
-        mesh, fields = families.generate_mesh(spec)
-        system = stability.assemble_index_form(mesh, spec.walls(), fields)
+        system = no_layout(tube_system(r, L))
         spectrum = stability.solve_spectrum(system, k=1)
         assert spectrum.solver["deflated"] == [2]
         assert spectrum.solver["multiplicity"] == 2
@@ -342,7 +348,7 @@ class TestDeflation:
         # the first run misses a copy of the doubles at 10.04 and 10.16, both
         # below its cut: one round asks for three pairs, and the count below
         # that cut is twelve
-        system = cap_system(math.radians(160), 48)
+        system = no_layout(cap_system(math.radians(160), 48))
         spectrum = stability.solve_spectrum(system, k=10)
         assert spectrum.solver["deflated"] == [3]
         assert spectrum.solver["certificate"]["count_below"] == 12
@@ -372,7 +378,7 @@ def continued_sweeps():
     for r in (0.6, 1.0, 1.3, 1.9):
         cut = None
         for L in sweep_grid(r):
-            system = tube_system(r, L)
+            system = no_layout(tube_system(r, L))
             spectrum = stability.solve_spectrum(system, k=1, cut=cut)
             cut = spectrum.solver["certificate"]["mu"]
             cold = stability.solve_spectrum(system, k=1)
@@ -403,15 +409,15 @@ class TestContinued:
             if (r, L) in on_grid:
                 spectrum = on_grid[(r, L)]
             else:
-                previous = stability.solve_spectrum(tube_system(r, round(L - 0.1 * r, 12)), k=1)
+                previous = stability.solve_spectrum(no_layout(tube_system(r, round(L - 0.1 * r, 12))), k=1)
                 cut = previous.solver["certificate"]["mu"]
                 factorizations.clear()
-                spectrum = stability.solve_spectrum(tube_system(r, L), k=1, cut=cut)
+                spectrum = stability.solve_spectrum(no_layout(tube_system(r, L)), k=1, cut=cut)
                 assert len(factorizations) == 1
             assert spectrum.solver["continued"] and spectrum.solver["multiplicity"] == 2, (r, L)
 
     def test_cut_below_lambda_min_falls_back(self, factorizations):
-        system = tube_system(1.0, 4.0)
+        system = no_layout(tube_system(1.0, 4.0))
         cold = stability.solve_spectrum(system, k=1)
         assert cold.values[0] > -1.0
         factorizations.clear()
@@ -423,7 +429,7 @@ class TestContinued:
         assert np.array_equal(spectrum.vectors, cold.vectors)
 
     def test_unmet_count_falls_back(self, monkeypatch, factorizations):
-        system = tube_system(1.0, 3.1)
+        system = no_layout(tube_system(1.0, 3.1))
         cold = stability.solve_spectrum(system, k=1)
         lanczos = stability._lanczos
 
@@ -442,7 +448,7 @@ class TestContinued:
     def test_three_below_the_cut_keep_the_double_lambda_min(self, factorizations):
         # below 0.05 lie the translations' double and the first axial mode;
         # a gap taken from the negative shift -cut made the multiplicity 0
-        system = tube_system(1.0, 3.1)
+        system = no_layout(tube_system(1.0, 3.1))
         spectrum = stability.solve_spectrum(system, k=1, cut=0.05)
         assert len(factorizations) == 1
         assert spectrum.solver["continued"] and spectrum.solver["requested"] == 3 + 2
@@ -452,18 +458,18 @@ class TestContinued:
 
 
 LANCZOS_SYSTEMS = {
-    "tube r1 L2": (lambda: tube_system(1.0, 2.0), 6),
-    "tube r1 L4": (lambda: tube_system(1.0, 4.0), 6),
-    "tube r0.6 L2": (lambda: tube_system(0.6, 2.0), 6),
-    "cap45": (lambda: cap_system(math.radians(45), 32), 10),
-    "cap120": (lambda: cap_system(math.radians(120), 32), 10),
-    "cap160": (lambda: cap_system(math.radians(160), 32), 10),
+    "tube r1 L2": (lambda: no_layout(tube_system(1.0, 2.0)), 6),
+    "tube r1 L4": (lambda: no_layout(tube_system(1.0, 4.0)), 6),
+    "tube r0.6 L2": (lambda: no_layout(tube_system(0.6, 2.0)), 6),
+    "cap45": (lambda: no_layout(cap_system(math.radians(45), 32)), 10),
+    "cap120": (lambda: no_layout(cap_system(math.radians(120), 32)), 10),
+    "cap160": (lambda: no_layout(cap_system(math.radians(160), 32)), 10),
 }
 
 
 def tiny_cap():
     """The 25-vertex cap: k = 10 asks for 12 of its 24 constrained pairs."""
-    system = cap_system(math.pi / 3, 12)
+    system = no_layout(cap_system(math.pi / 3, 12))
     assert system.n == 25
     return system
 
@@ -482,7 +488,7 @@ class TestLanczos:
         assert all(0 < steps < system.n - 1 for steps in lanczos_rounds)
 
     def test_repeat_runs_are_bit_identical(self):
-        system = cap_system(math.radians(120), 32)
+        system = no_layout(cap_system(math.radians(120), 32))
         s, lu, _ = stability._positive_shift(system, 1.0)
         first, again = (stability._lanczos(system, 12, s, lu) for _ in range(2))
         assert first[2] == again[2]
@@ -508,6 +514,131 @@ class TestLanczos:
             stability._lanczos(system, 12, s, lu)
         with pytest.raises(SolverFailureError):
             stability.solve_spectrum(system, k=10)
+
+
+# ring-layout meshes solved by both finders: caps from 10 to 175 degrees and
+# tubes on both sides of their onset L = pi r; the first eight (nv <= 800)
+# against dense eigh, the last two against Lanczos
+BLOCK_SPECS = {
+    "cap10": families.Cap(R=1.0, theta=math.radians(10), resolution=32),
+    "cap45": families.Cap(R=1.0, theta=math.radians(45), resolution=32),
+    "cap90": families.Cap(R=1.0, theta=math.radians(90), resolution=32),
+    "cap135": families.Cap(R=1.3, theta=math.radians(135), resolution=32),
+    "cap160": families.Cap(R=1.0, theta=math.radians(160), resolution=20),
+    "cap175": families.Cap(R=1.0, theta=math.radians(175), resolution=10),
+    "tube L2.5": families.Cylinder(r=1.0, L=2.5, resolution=24),
+    "tube L4": families.Cylinder(r=1.0, L=4.0, resolution=24),
+    "cap60 nv1729": families.Cap(R=1.0, theta=math.radians(60), resolution=96),
+    "tube r1.3 L5.2": families.Cylinder(r=1.3, L=5.2, resolution=40),
+}
+
+
+class TestBlocks:
+    """The azimuthal-block finder against dense eigh and against Lanczos."""
+
+    @pytest.mark.parametrize("estimated", [False, True], ids=["exact", "estimated"])
+    @pytest.mark.parametrize("name", list(BLOCK_SPECS))
+    def test_matches_the_reference(self, name, estimated, factorizations):
+        spec = BLOCK_SPECS[name]
+        mesh, fields = families.generate_mesh(spec)
+        if estimated:
+            fields = discops.estimate_fields(mesh, spec.walls())
+        system = stability.assemble_index_form(mesh, spec.walls(), fields)
+        spectrum = stability.solve_spectrum(system, k=10)
+        solver = spectrum.solver
+        assert len(factorizations) == solver["factorizations"] == 1 and "blocks_refused" not in solver
+        assert len(solver["modes"]) == 10 and solver["blocks"]["solved"] <= solver["blocks"]["total"]
+        count, mu = solver["certificate"]["count_below"], solver["certificate"]["mu"]
+        if system.n <= 800:
+            reference = dense_constrained_spectrum(system, count + 1)
+        else:
+            reference = stability.solve_spectrum(no_layout(system), k=count + 1).values
+        assert max_relative_error(spectrum.values, reference[:10]) <= 1e-10
+        # the certificate's count is the reference's below its cut
+        assert np.count_nonzero(reference < mu) == count
+        lanczos = stability.solve_spectrum(no_layout(system), k=10)
+        assert solver["multiplicity"] == lanczos.solver["multiplicity"]
+
+    def test_closed_sphere_with_both_poles(self):
+        # the poles enter mode 0 alone; a wall that meets no vertex leaves
+        # the form K - 2 M of the unit sphere, l(l + 1) - 2 in the limit
+        spec = families.ClosedSphere(R=1.0, resolution=16)
+        mesh, fields = families.generate_mesh(spec)
+        away = meshkit.WallSet((meshkit.Hyperplane(np.array([0.0, 0.0, -1.0]), 2.0),), (math.pi / 2,))
+        system = stability.assemble_index_form(mesh, away, fields)
+        assert system.layout.top == system.layout.bottom == 1
+        spectrum = stability.solve_spectrum(system, k=10)
+        assert "blocks_refused" not in spectrum.solver
+        assert max_relative_error(spectrum.values, dense_constrained_spectrum(system, 10)) <= 1e-10
+        # l = 1: the vertical translation (mode 0) and the horizontal pair (mode 1)
+        assert sorted(spectrum.solver["modes"][:3]) == [0, 1, 1]
+
+    @pytest.mark.parametrize("k", [1, 10])
+    @pytest.mark.parametrize("r, L, res", [(1.3, 5.2, 32), (1.3, 5.2, 40), (0.6, 2.4, 32)])
+    def test_both_finders_write_the_same_simple_eigenfunction(self, r, L, res, k):
+        # past the onset the neck mode's largest entries, on the bottom and
+        # top rims, tie in size with opposite signs, so the largest-entry
+        # rule left the sign to rounding: on the first tube Lanczos made the
+        # top rim's vertex 643 positive at k = 1 and the bottom rim's vertex
+        # 20 at k = 10 (|f| 0.217617406514686, 1.7e-16 and 5.0e-16 apart),
+        # and on the other two the finders wrote opposite functions
+        system = tube_system(r, L, res)
+        blocks = stability.solve_spectrum(system, k=k)
+        lanczos = stability.solve_spectrum(no_layout(system), k=k)
+        assert blocks.solver["multiplicity"] == lanczos.solver["multiplicity"] == 1
+        assert blocks.solver["modes"][0] == 0
+        f = blocks.vectors[:, 0]
+        assert np.abs(f - lanczos.vectors[:, 0]).max() <= 1e-10
+        # the tie goes to the lowest vertex, on the bottom rim
+        assert f[0] > 0.0 and np.abs(f).max() - f[0] <= 1e-8 * f[0]
+
+    def test_both_finders_write_the_same_multiple_eigenfunction(self):
+        system = cap_system(math.pi / 3, 32)
+        blocks = stability.stability_verdict(system)
+        lanczos = stability.stability_verdict(no_layout(system))
+        assert blocks.info["solver"]["multiplicity"] == 2 and blocks.info["solver"]["modes"][:2] == [1, 1]
+        assert np.abs(blocks.eigenfunction - lanczos.eigenfunction).max() <= 1e-8
+
+    def test_the_count_catches_a_skipped_mode(self, monkeypatch, factorizations):
+        # with modes 2 and up never solved, values below the cut are missing
+        system = cap_system(math.pi / 3, 24)
+        lanczos = stability.solve_spectrum(no_layout(system), k=10)
+        monkeypatch.setattr(stability._Blocks, "count", property(lambda self: 2))
+        factorizations.clear()
+        spectrum = stability.solve_spectrum(system, k=10)
+        refused = re.fullmatch(
+            r"(\d+) constrained eigenvalues below \S+, the blocks of 2 modes found (\d+)",
+            spectrum.solver["blocks_refused"],
+        )
+        assert int(refused[1]) > int(refused[2])
+        # the factorization at the blocks' cut, then the cold path's two
+        assert len(factorizations) == spectrum.solver["factorizations"] == 3
+        assert np.array_equal(spectrum.values, lanczos.values)
+        assert np.array_equal(spectrum.vectors, lanczos.vectors)
+
+    def test_a_form_off_the_rotation_is_refused(self):
+        # one vertex's |sigma|^2 tripled: the mesh keeps its layout, the form
+        # does not, and the residuals against the full A refuse the blocks
+        spec = families.Cap(R=1.0, theta=math.pi / 3, resolution=24)
+        mesh, fields = families.generate_mesh(spec)
+        sigma_sq = fields.sigma_sq.copy()
+        sigma_sq[40] *= 3.0
+        system = stability.assemble_index_form(mesh, spec.walls(), dataclasses.replace(fields, sigma_sq=sigma_sq))
+        assert system.layout is not None
+        spectrum = stability.solve_spectrum(system, k=10)
+        lanczos = stability.solve_spectrum(no_layout(system), k=10)
+        assert "blocks_refused" in spectrum.solver and spectrum.solver["factorizations"] == 3
+        assert np.array_equal(spectrum.values, lanczos.values)
+        assert np.array_equal(spectrum.vectors, lanczos.vectors)
+
+    @pytest.mark.parametrize("name", ["monge", "jittered cap", "renumbered cap", "relabeled tube"])
+    def test_near_misses_take_lanczos(self, name, tmp_path):
+        mesh, walls = ring_breakers(tmp_path)[name]
+        system = stability.assemble_index_form(mesh, walls, discops.estimate_fields(mesh, walls))
+        assert system.layout is None
+        spectrum = stability.solve_spectrum(system, k=10)
+        assert spectrum.solver["method"].startswith("shift-invert Lanczos")
+        assert "blocks_refused" not in spectrum.solver
 
 
 @pytest.fixture(scope="module")
@@ -575,7 +706,7 @@ class TestFactorization:
     def test_eigenfunction_depends_on_the_eigenspace_alone(self, deg, res, monkeypatch):
         # lambda_min is double on caps; the written vector must not depend on
         # where Lanczos stops (its tolerance) or on factorization rounding
-        system = cap_system(math.radians(deg), res)
+        system = no_layout(cap_system(math.radians(deg), res))
         verdict = stability.stability_verdict(system)
         assert verdict.info["solver"]["multiplicity"] == 2
         for name, value in (("LANCZOS_TOL", 1e-13), ("SUPERLU_RELAX", None)):

@@ -11,7 +11,9 @@ checkouts then compare with ``diff -r OUT_A OUT_B``. OUT must not exist yet.
 The list: the README command block, ``gen`` of all five families,
 ``identities --family`` of each at ``--levels 3`` and of the length-4 tube
 (nv 10,496 on its finest level), ``stability`` and
-``testfn`` on the cap and the cylinder, the ``--mesh`` commands on the
+``testfn`` on the cap and the cylinder, ``stability`` on the r-1.3,
+length-5.2 tube, past its onset, whose simple lambda_min has entries of
+opposite sign tied in size (the sign rule), the ``--mesh`` commands on the
 README's res-128 cap, and ``stability``, ``identities``, ``testfn`` and
 ``wedge`` on a gen'd 120-degree, radius-1.3, res-48 cap and a length-3,
 res-48 tube. ``gen`` of the 42-degree res-64 cap writes a rim where
@@ -64,6 +66,7 @@ COMMANDS = [
     ("identities-cylinder-l4", ["identities", "--family", "cylinder", "--r", "1", "--length", "4", "--levels", "3"]),
     ("stability-cap", ["stability", "--family", "cap"]),
     ("stability-cylinder", ["stability", "--family", "cylinder"]),
+    ("stability-cylinder-neck", ["stability", "--family", "cylinder", "--r", "1.3", "--length", "5.2"]),
     ("testfn-cap", ["testfn", "--family", "cap"]),
     ("testfn-cylinder", ["testfn", "--family", "cylinder", "--identity-mode"]),
     ("stability-mesh", ["stability", "--mesh", f"{CAP}.capmesh"]),
