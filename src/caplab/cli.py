@@ -278,21 +278,14 @@ def _cmd_sweep(args):
     sigma_sq = 0.0
     # each tube mesh has the ring layout, so each point is solved from its
     # azimuthal blocks on one factorization; a point the blocks cannot
-    # certify goes to Lanczos, on one factorization at the previous point's
-    # certified cut, or cold when the count at that cut fails
-    cut = None
-    solves = {"blocks": 0, "continued": 0, "cold": 0, "factorizations": 0, "lanczos_steps": 0}
+    # certify is solved by Lanczos, on factorizations of its own
+    solves = {"blocks": 0, "factorizations": 0}
     for L in params:
         spec = fam.Cylinder(r=args.r, L=L, resolution=args.res)
         mesh, fields = fam.generate_mesh(spec)
         system = st.assemble_index_form(mesh, spec.walls(), fields)
-        vals, _, solver = st.solve_spectrum(system, k=1, cut=cut)
-        cut = solver["certificate"]["mu"]
-        if "modes" in solver:
-            solves["blocks"] += 1
-        else:
-            solves["continued" if solver.get("continued") else "cold"] += 1
-            solves["lanczos_steps"] += sum(solver["steps"])
+        vals, _, solver = st.solve_spectrum(system, k=1)
+        solves["blocks"] += "modes" in solver
         solves["factorizations"] += solver.get("factorizations", 2)
         results.append((L, float(vals[0])))
         sigma_sq = max(sigma_sq, system.meta["max_sigma_sq"])

@@ -23,7 +23,7 @@ read from the rows of each ring's vertex 0 and solved in real arithmetic,
 mode by mode from q = 0, until a mode's lowest value lies above the k + 2
 lowest found; the count at the cut catches a mode skipped too soon. That
 count is the solve's one factorization. When the count or a residual fails,
-the solve falls back to the other finder.
+the solve falls back to the other finder, on factorizations of its own.
 
 The other finder, for every other mesh, is shift-invert Lanczos (Ericsson
 and Ruhe, Math. Comp. 35, 1980), written here in numpy with full
@@ -36,16 +36,9 @@ Single-vector Lanczos can return one copy of a multiple eigenvalue, and the
 lab's symmetric surfaces have many (lambda_min of every cap is double). When
 the count exceeds the pairs found below the cut, the pairs found are locked
 and Lanczos runs again on their M-orthogonal complement, from a second fixed
-start, on the same factorization; the cut and the count stand. A cold
-Lanczos solve thus factors twice, plus any shift doublings, whether or not
-a copy was missed.
-
-A Lanczos solve continued from a nearby system's cut (Grimes, Lewis and
-Simon, SIAM J. Matrix Anal. Appl. 15, 1994) factors once: A - mu M at that
-cut is both the shift-invert operator, for the pairs nearest the cut, and
-the inertia count that certifies every pair below it. When the count is
-short of the pairs asked for or is not met, the solve falls back to the
-cold path.
+start, on the same factorization; the cut and the count stand. A Lanczos
+solve thus factors twice, plus any shift doublings, whether or not a copy
+was missed.
 
 A and M live on one CSR pattern, the mesh's pairs of vertices that share a
 triangle, so each matrix factored, A + sM or A - mu M, is a sum of their data
@@ -122,15 +115,16 @@ class IndexFormSystem:
 
     A and M are held as CSR matrices on one pattern, so that every shifted
     matrix A + tM the solver factors is a sum of their data arrays; a pair
-    on two patterns is refused. ``layout`` is the mesh's ring layout, or
-    None: with one, the spectrum is found from the azimuthal blocks.
+    on two patterns is refused. ``mesh`` is the mesh the form was assembled
+    on, or None; its ring layout, detected when a spectrum is first solved,
+    chooses the pair finder.
     """
 
     A: sparse.csr_matrix
     M: sparse.csr_matrix
     c: np.ndarray
     meta: dict = field(default_factory=dict)
-    layout: RingLayout | None = None
+    mesh: LabeledTriMesh | None = None
 
     def __post_init__(self):
         A, M = sparse.csr_matrix(self.A), sparse.csr_matrix(self.M)
@@ -144,6 +138,11 @@ class IndexFormSystem:
     @property
     def n(self):
         return self.A.shape[0]
+
+    @property
+    def layout(self) -> RingLayout | None:
+        """The mesh's ring layout, or None: with one, the pairs come from the azimuthal blocks."""
+        return None if self.mesh is None else self.mesh.ring_layout
 
 
 class Spectrum(NamedTuple):
@@ -254,7 +253,7 @@ def assemble_index_form(mesh: LabeledTriMesh, walls: WallSet, fields: GeometryFi
         "boundary_lengths": dict(ops.boundary_lengths),
         "fields": dict(fields.info),
     }
-    return IndexFormSystem(A=A, M=M, c=c, meta=meta, layout=mesh.ring_layout)
+    return IndexFormSystem(A=A, M=M, c=c, meta=meta, mesh=mesh)
 
 
 def _pencil(system, t):
@@ -314,7 +313,7 @@ def _gap(value, s):
     return 1e-6 * (value + s)
 
 
-def _lanczos(system, m, s, lu, locked=None, w=None):
+def _lanczos(system, m, s, lu, locked=None):
     """m pairs of the constrained pencil nearest -s by shift-invert Lanczos.
 
     The spectral transformation of Ericsson and Ruhe (Math. Comp. 35,
@@ -334,8 +333,7 @@ def _lanczos(system, m, s, lu, locked=None, w=None):
 
     The inverse is restricted to c^T x = 0 by a rank-one Schur correction
     (Golub, SIAM Rev. 15, 1973): x -> y - w (c^T y) / (c^T w) with
-    y = K^{-1} x, K = A + sM and w = K^{-1} c, which a caller that already
-    solved for it passes as ``w``.
+    y = K^{-1} x, K = A + sM and w = K^{-1} c.
 
     With ``locked`` pairs F (M-orthonormal columns) the inverse is also
     restricted to their M-orthogonal complement, which deflates them
@@ -348,7 +346,7 @@ def _lanczos(system, m, s, lu, locked=None, w=None):
     n, c, M = system.n, system.c, system.M
     # C and W are held by rows, C^T and W^T in the formulas above
     if locked is None:
-        C, W = c[None, :], (lu.solve(c) if w is None else w)[None, :]
+        C, W = c[None, :], lu.solve(c)[None, :]
         v0 = _start(c)
     else:
         C = np.vstack([c, (M @ locked).T])
@@ -430,15 +428,14 @@ def _lanczos(system, m, s, lu, locked=None, w=None):
 
 
 def _inertia(system, mu):
-    """The factor of A - mu M, w = (A - mu M)^{-1} c, and the constrained count below mu.
+    """The number of constrained eigenvalues below mu, from one factorization of A - mu M.
 
     The count is Haynsworth's: the bordered matrix [[A - mu M, c], [c^T, 0]]
     has one more negative eigenvalue than the constrained pencil, and its
-    Schur complement -c^T w carries the rest. Lanczos on this factor reuses w.
+    Schur complement -c^T w, w = (A - mu M)^{-1} c, carries the rest.
     """
     lu, nonpositive = _factor(_pencil(system, -mu))
-    w = lu.solve(system.c)
-    return lu, w, nonpositive + int(float(system.c @ w) > 0.0) - 1
+    return nonpositive + int(float(system.c @ lu.solve(system.c)) > 0.0) - 1
 
 
 def _cut(vals, k, s):
@@ -485,7 +482,7 @@ def _canonical_basis(V, M, c):
     return V
 
 
-def solve_spectrum(system: IndexFormSystem, k=10, cut=None) -> Spectrum:
+def solve_spectrum(system: IndexFormSystem, k=10) -> Spectrum:
     """Lowest k eigenpairs of f^T A f over {c^T f = 0, f^T M f = 1}, certified.
 
     Every answer is certified twice: each pair by its residual projected
@@ -499,8 +496,8 @@ def solve_spectrum(system: IndexFormSystem, k=10, cut=None) -> Spectrum:
     factorization: ``solver["factorizations"]`` is 1, ``solver["modes"]``
     gives each reported pair's azimuthal mode q (0 <= q <= n / 2) and
     ``solver["blocks"]`` the modes solved, of how many, and the ring count.
-    ``cut`` is not used. When the count or a residual check fails, the solve
-    falls back to Lanczos below, whose record then carries the reason as
+    When the count or a residual check fails, the solve falls back to
+    Lanczos below, whose record then carries the reason as
     ``solver["blocks_refused"]``, and the factorization at the cut counts.
 
     Otherwise: one shift-invert Lanczos solve on a single factorization of
@@ -509,22 +506,10 @@ def solve_spectrum(system: IndexFormSystem, k=10, cut=None) -> Spectrum:
     factorization search the complement of the pairs found, each asking for
     the missing count plus one, and ``solver["deflated"]`` lists those
     requests. A round that adds nothing below the cut fails the solve.
-
-    Given a ``cut`` (a nearby system's ``solver["certificate"]["mu"]``, as
-    along a sweep), a Lanczos solve is continued: one factorization of
-    A - cut M is both the shift-invert operator (``solver["shift"]`` is
-    -cut) and the inertia count c at the cut, Lanczos asks for the c + 2
-    pairs nearest the cut, and the pairs found below it must number c. Every
-    eigenvalue below the cut is then known, so the certificate's mu is the
-    cold path's cut, capped at this one, with the pairs found below it as
-    its count; ``solver["continued"]`` is true. When c < k, or the count or
-    the residual check fails, the solve falls back to the cold path above.
-    ``solver["factorizations"]`` is recorded whenever a solve did not factor
-    exactly twice: 1 when continued or from blocks, more after shift
-    doublings or a fallback.
-
     ``solver["steps"]`` lists the Lanczos steps of each round, the first
-    run and any deflation rounds, of the solve that gave the answer.
+    run and any deflation rounds. ``solver["factorizations"]`` is recorded
+    whenever a Lanczos solve did not factor exactly twice: more after shift
+    doublings or a refusal of the blocks.
 
     ``solver["multiplicity"]`` counts the pairs found within the
     certificate's gap of lambda_min. Above 1, the vectors of that eigenspace
@@ -537,59 +522,34 @@ def solve_spectrum(system: IndexFormSystem, k=10, cut=None) -> Spectrum:
     # the lowest unconstrained eigenvalue on every family
     area = float(system.c.sum())
     s0 = max(-2.0 * float(system.A.sum()) / area, 1.0 / area)
-    factored, refused = 0, None
-    if system.layout is not None:
+    if system.layout is None:
+        return _solve(system, k, s0)
+    try:
+        pairs = _block_pairs(system, k)
+    except SolverFailureError as exc:
+        refused, factored = str(exc), 0
+    else:
         try:
-            pairs = _block_pairs(system, k)
-            # the certificate's count is the one factorization of a block solve
-            factored = 1
             return _certify_blocks(system, k, s0, *pairs)
         except SolverFailureError as exc:
-            refused = str(exc)
-    spectrum = _solve_lanczos(system, k, s0, cut, factored)
-    if refused is not None:
-        spectrum.solver["blocks_refused"] = refused
+            # the count at the blocks' cut was factored
+            refused, factored = str(exc), 1
+    spectrum = _solve(system, k, s0, factored)
+    spectrum.solver["blocks_refused"] = refused
     return spectrum
 
 
-def _solve_lanczos(system, k, s0, cut, factored):
-    """The Lanczos finder: continued at ``cut`` when one is given, else cold."""
-    if cut is not None:
-        try:
-            return _solve(system, k, s0, float(cut), factored)
-        except SolverFailureError:
-            # the cold path decides; the factor at the cut still counts
-            factored += 1
-    return _solve(system, k, s0, factored=factored)
-
-
-def _solve(system, k, s0, cut=None, factored=0):
-    """The certified Lanczos solve: cold from the starting shift s0, or continued at ``cut``.
-
-    The two modes differ only in where the factor and the certificate's cut
-    come from.
-    """
+def _solve(system, k, s0, factored=0):
+    """The certified Lanczos solve from the starting shift s0, after ``factored`` factorizations."""
     n = system.n
-    if cut is None:
-        s, lu, tries = _positive_shift(system, s0)
-        gap_shift = s
-        # two pairs past the k-th, so that the certificate's cut has a next
-        # distinct value to sit below
-        m = min(k + 2, n - 2)
-        vals, vecs, steps = _lanczos(system, m, s, lu)
-        mu = _cut(vals, k, s)
-        _, _, count = _inertia(system, mu)
-        factored += tries + 1
-    else:
-        # _gap(value, -cut) is negative below the cut; the starting shift is
-        # the cold path's scale and needs no factorization
-        s, mu, gap_shift = -cut, cut, s0
-        lu, w, count = _inertia(system, mu)
-        factored += 1
-        if count < k:
-            raise SolverFailureError(f"{count} constrained eigenvalues below the cut {mu:.6g}")
-        m = min(count + 2, n - 2)
-        vals, vecs, steps = _lanczos(system, m, s, lu, w=w)
+    s, lu, tries = _positive_shift(system, s0)
+    # two pairs past the k-th, so that the certificate's cut has a next
+    # distinct value to sit below
+    m = min(k + 2, n - 2)
+    vals, vecs, steps = _lanczos(system, m, s, lu)
+    mu = _cut(vals, k, s)
+    count = _inertia(system, mu)
+    factored += tries + 1
     found = int(np.count_nonzero(vals < mu))
     # Lanczos missed a copy of a multiple eigenvalue: lock the pairs below mu
     # and search their complement on the same factor. mu and the count stand,
@@ -611,17 +571,6 @@ def _solve(system, k, s0, cut=None, factored=0):
             f"spectrum not certified: {count} constrained eigenvalues below {mu:.6g}, "
             f"solver found {found}"
         )
-    if cut is not None:
-        # every eigenvalue below the cut was found, so below any mu under it
-        # the count is the pairs found: the cold path's cut, capped at this
-        # one, is certified with no second factorization
-        mu = min(_cut(vals, k, gap_shift), cut)
-        count = int(np.count_nonzero(vals < mu))
-    # a value at or below a positive-definite shift -s would be spurious. A
-    # continued solve's shift is its cut, which lies above the values it
-    # certifies; there the count at the cut, met by the pairs found, is what
-    # proves that every eigenvalue below the cut was found
-    spurious = cut is None and vals[0] <= -s
     solver = {
         "method": "shift-invert Lanczos, rank-one constraint correction",
         "shift": s,
@@ -632,11 +581,10 @@ def _solve(system, k, s0, cut=None, factored=0):
     }
     if deflated:
         solver["deflated"] = deflated
-    if cut is not None:
-        solver["continued"] = True
     if factored != 2:
         solver["factorizations"] = factored
-    return _checked(system, vals, vecs, k, gap_shift, solver, spurious)
+    # a value at or below the positive-definite shift -s would be spurious
+    return _checked(system, vals, vecs, k, s, solver, spurious=vals[0] <= -s)
 
 
 def _checked(system, vals, vecs, k, gap_shift, solver, spurious=False):
@@ -819,7 +767,7 @@ def _certify_blocks(system, k, s0, vals, modes, columns, blocks, solved):
     while vals[0] + s <= 0.0:
         s *= 2.0
     mu = _cut(vals, k, s)
-    _, _, count = _inertia(system, mu)
+    count = _inertia(system, mu)
     found = int(np.count_nonzero(vals < mu))
     if found != count:
         raise SolverFailureError(

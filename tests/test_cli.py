@@ -336,7 +336,7 @@ class TestStability:
         assert "modes" not in solver and "blocks_refused" not in solver
 
     def test_solver_failure_exits_3_without_a_verdict(self, tmp_path, capsys, monkeypatch):
-        def fail(system, k=10, cut=None):
+        def fail(system, k=10):
             raise SolverFailureError("spectrum not certified")
 
         monkeypatch.setattr(stability, "solve_spectrum", fail)
@@ -497,13 +497,30 @@ class TestSweep:
 
     def test_one_factorization_per_point(self, tmp_path, factorizations):
         # every tube has the ring layout: each point is solved from its
-        # azimuthal blocks and certified on one factor at its cut (Lanczos
-        # took 22: the first point cold, each later one at the previous cut)
+        # azimuthal blocks and certified on one factor at its cut
         assert main(["sweep", "cylinder", "--out", str(tmp_path)]) == 0
         doc = read_json(tmp_path / "sweep.json")
         points = len(doc["parameters"])
         assert points == 21 and len(factorizations) == points
-        assert doc["solves"] == {"blocks": 21, "continued": 0, "cold": 0, "factorizations": 21, "lanczos_steps": 0}
+        assert doc["solves"] == {"blocks": 21, "factorizations": 21}
+
+    def test_refused_points_take_lanczos(self, tmp_path, monkeypatch, factorizations):
+        # with every block solve refused, each point is solved by Lanczos on
+        # its own two factors, a positive shift and the certificate, and the
+        # onset curve stays that of the blocks
+        assert main(["sweep", "cylinder", "--res", "16", "--out", str(tmp_path / "blocks")]) == 0
+
+        def refuse(system, k):
+            raise SolverFailureError("refused")
+
+        monkeypatch.setattr(stability, "_block_pairs", refuse)
+        factorizations.clear()
+        assert main(["sweep", "cylinder", "--res", "16", "--out", str(tmp_path / "lanczos")]) == 0
+        blocks, lanczos = (read_json(tmp_path / run / "sweep.json") for run in ("blocks", "lanczos"))
+        assert lanczos["solves"] == {"blocks": 0, "factorizations": 42} and len(factorizations) == 42
+        assert lanczos["bracket"] == blocks["bracket"]
+        scale = max(abs(lam) for lam in blocks["lambda_min"])
+        assert np.allclose(lanczos["lambda_min"], blocks["lambda_min"], rtol=0.0, atol=1e-10 * scale)
 
     def test_grid_over_the_point_limit_exits_2_before_any_mesh(self, tmp_path, capsys, monkeypatch):
         # about 1e7 points: the parameter list alone took seconds, and the
@@ -797,8 +814,8 @@ class TestDeterminism:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_solver_counts_repeat(self, tmp_path):
-        # the modes solved and the Lanczos steps, per round and per sweep,
-        # are deterministic facts
+        # the modes solved, the Lanczos steps of each round and the sweep's
+        # block solves are deterministic facts
         mesh, walls = ring_breakers(tmp_path)["renumbered cap"]
         meshkit.save(mesh, walls, tmp_path / "renumbered.capmesh")
         runs = {

@@ -75,7 +75,7 @@ def max_relative_error(vals, reference):
 
 def no_layout(system):
     """The system without its ring layout, so that the Lanczos finder solves it."""
-    return dataclasses.replace(system, layout=None)
+    return dataclasses.replace(system, mesh=None)
 
 
 class TestOracle:
@@ -253,8 +253,8 @@ class TestSolverAgainstDense:
         lanczos = stability._lanczos
         calls = []
 
-        def miss_first(system, m, s, lu, locked=None, w=None):
-            vals, vecs, steps = lanczos(system, m, s, lu, locked, w)
+        def miss_first(system, m, s, lu, locked=None):
+            vals, vecs, steps = lanczos(system, m, s, lu, locked)
             if not calls:
                 vals, vecs = np.delete(vals, 9), np.delete(vecs, 9, axis=1)
             calls.append((m, None if locked is None else locked.shape[1], vals))
@@ -277,8 +277,8 @@ class TestSolverAgainstDense:
         system = no_layout(cap_system(math.radians(160), 36))
         lanczos = stability._lanczos
 
-        def always_miss(system, m, s, lu, locked=None, w=None):
-            vals, vecs, steps = lanczos(system, m, s, lu, locked, w)
+        def always_miss(system, m, s, lu, locked=None):
+            vals, vecs, steps = lanczos(system, m, s, lu, locked)
             # a deflation round's lowest pair is the missed copy itself
             slot = 9 if locked is None else 0
             return np.delete(vals, slot), np.delete(vecs, slot, axis=1), steps
@@ -360,101 +360,6 @@ def tube_system(r, L, res=32):
     spec = families.Cylinder(r=r, L=L, resolution=res)
     mesh, fields = families.generate_mesh(spec)
     return stability.assemble_index_form(mesh, spec.walls(), fields)
-
-
-def sweep_grid(r):
-    """The parameters of ``sweep cylinder --lmin 2r --lmax 4r --step 0.1r``."""
-    params, value = [], 2 * r
-    while value <= 4 * r + 1e-12:
-        params.append(round(value, 12))
-        value += 0.1 * r
-    return params
-
-
-@pytest.fixture(scope="module")
-def continued_sweeps():
-    """(r, L, continued k=1 spectrum, cold one, max |sigma|^2) along four sweeps."""
-    rows = []
-    for r in (0.6, 1.0, 1.3, 1.9):
-        cut = None
-        for L in sweep_grid(r):
-            system = no_layout(tube_system(r, L))
-            spectrum = stability.solve_spectrum(system, k=1, cut=cut)
-            cut = spectrum.solver["certificate"]["mu"]
-            cold = stability.solve_spectrum(system, k=1)
-            rows.append((r, L, spectrum, cold, system.meta["max_sigma_sq"]))
-    return rows
-
-
-class TestContinued:
-    """Solves continued from the previous sweep point's cut, on one factor."""
-
-    def test_sweeps_match_cold_solves(self, continued_sweeps):
-        for r, L, spectrum, cold, sigma_sq in continued_sweeps:
-            first = L == 2 * r
-            assert spectrum.solver.get("continued", False) != first, (r, L)
-            lam, want = spectrum.values[0], cold.values[0]
-            assert abs(lam - want) <= 1e-10 * (abs(want) + sigma_sq), (r, L)
-            # the double lambda_min of the translations below the onset L = pi r
-            assert spectrum.solver["multiplicity"] == (2 if L < math.pi * r else 1), (r, L)
-            if not first:
-                assert spectrum.solver["factorizations"] == 1
-                assert "deflated" not in spectrum.solver
-                # the certificate's mu, below the cut, bounds the value found
-                assert lam < spectrum.solver["certificate"]["mu"] <= -spectrum.solver["shift"]
-
-    def test_missed_copy_points_keep_both_copies(self, continued_sweeps, factorizations):
-        on_grid = {(r, L): s for r, L, s, _, _ in continued_sweeps}
-        for r, L in MISSED_COPY_POINTS:
-            if (r, L) in on_grid:
-                spectrum = on_grid[(r, L)]
-            else:
-                previous = stability.solve_spectrum(no_layout(tube_system(r, round(L - 0.1 * r, 12))), k=1)
-                cut = previous.solver["certificate"]["mu"]
-                factorizations.clear()
-                spectrum = stability.solve_spectrum(no_layout(tube_system(r, L)), k=1, cut=cut)
-                assert len(factorizations) == 1
-            assert spectrum.solver["continued"] and spectrum.solver["multiplicity"] == 2, (r, L)
-
-    def test_cut_below_lambda_min_falls_back(self, factorizations):
-        system = no_layout(tube_system(1.0, 4.0))
-        cold = stability.solve_spectrum(system, k=1)
-        assert cold.values[0] > -1.0
-        factorizations.clear()
-        spectrum = stability.solve_spectrum(system, k=1, cut=-1.0)
-        # the factor at the cut, then the cold path's two
-        assert len(factorizations) == 3 and spectrum.solver["factorizations"] == 3
-        assert "continued" not in spectrum.solver
-        assert np.array_equal(spectrum.values, cold.values)
-        assert np.array_equal(spectrum.vectors, cold.vectors)
-
-    def test_unmet_count_falls_back(self, monkeypatch, factorizations):
-        system = no_layout(tube_system(1.0, 3.1))
-        cold = stability.solve_spectrum(system, k=1)
-        lanczos = stability._lanczos
-
-        def miss_when_continued(system, m, s, lu, locked=None, w=None):
-            vals, vecs, steps = lanczos(system, m, s, lu, locked, w)
-            if s < 0.0:  # shifted to a positive cut: drop the lowest pair
-                vals, vecs = vals[1:], vecs[:, 1:]
-            return vals, vecs, steps
-
-        monkeypatch.setattr(stability, "_lanczos", miss_when_continued)
-        factorizations.clear()
-        spectrum = stability.solve_spectrum(system, k=1, cut=0.05)
-        assert len(factorizations) == 3 and "continued" not in spectrum.solver
-        assert np.array_equal(spectrum.values, cold.values)
-
-    def test_three_below_the_cut_keep_the_double_lambda_min(self, factorizations):
-        # below 0.05 lie the translations' double and the first axial mode;
-        # a gap taken from the negative shift -cut made the multiplicity 0
-        system = no_layout(tube_system(1.0, 3.1))
-        spectrum = stability.solve_spectrum(system, k=1, cut=0.05)
-        assert len(factorizations) == 1
-        assert spectrum.solver["continued"] and spectrum.solver["requested"] == 3 + 2
-        assert spectrum.solver["multiplicity"] == 2
-        cold = stability.solve_spectrum(system, k=1)
-        assert abs(spectrum.values[0] - cold.values[0]) <= 1e-10 * system.meta["max_sigma_sq"]
 
 
 LANCZOS_SYSTEMS = {
