@@ -38,6 +38,7 @@ from scipy import sparse
 
 from .errors import DegenerateElementError, FitFailureError, InvalidMeshError
 from .meshkit import LabeledTriMesh, WallSet
+from .reports import WRITE_ROWS
 
 logger = logging.getLogger(__name__)
 
@@ -156,9 +157,11 @@ def _corner_products(mesh, lengths=False):
     one coordinate of the positions at a time, and only corner 0's outlive
     their coordinate. Every sum runs in the order ``einsum``, ``np.cross``
     and ``np.linalg.norm`` run it on a (nf, 3, 3) corner array, so areas,
-    angles and normals keep every bit: <u, w> adds x, z, then y.
+    angles and normals keep every bit: <u, w> adds x, z, then y, and |u|^2
+    x, y, then z. The w of corner c is the u of corner c + 2 negated, so
+    |w| is read from |u|.
     """
-    dots, u0, w0, squares = None, {}, {}, {}
+    dots, u0, w0, u_sq, z_sq = None, {}, {}, None, None
     for i in (0, 2, 1):
         corners = mesh.positions[:, i][mesh.triangles]
         u = corners[:, _NEXT]
@@ -166,7 +169,13 @@ def _corner_products(mesh, lengths=False):
         w = np.subtract(corners[:, _PREV], corners, out=corners)
         u0[i], w0[i] = u[:, 0].copy(), w[:, 0].copy()
         if lengths:
-            squares[i] = u * u, w * w
+            square = u * u
+            if i == 2:
+                z_sq = square
+            elif u_sq is None:
+                u_sq = square
+            else:
+                u_sq += square
         if dots is None:
             dots = np.multiply(u, w, out=u)
         else:
@@ -174,8 +183,9 @@ def _corner_products(mesh, lengths=False):
     cross = [u0[(i + 1) % 3] * w0[(i + 2) % 3] - u0[(i + 2) % 3] * w0[(i + 1) % 3] for i in range(3)]
     if not lengths:
         return dots, cross, None
-    u_len, w_len = (np.sqrt(x + y + z) for x, y, z in zip(squares[0], squares[1], squares[2]))
-    return dots, cross, u_len * w_len
+    u_sq += z_sq
+    u_len = np.sqrt(u_sq, out=u_sq)
+    return dots, cross, u_len * u_len[:, _PREV]
 
 
 def _norm(planes):
@@ -331,8 +341,8 @@ def _vertex_normals(mesh):
     dots, cross, lengths = _corner_products(mesh, lengths=True)
     nrm = _norm(cross)
     nrm[nrm == 0] = 1.0
-    cosang = dots / np.maximum(lengths, 1e-300)
-    ang = np.arccos(np.clip(cosang, -1, 1)).T
+    cosang = np.divide(dots, np.maximum(lengths, 1e-300, out=lengths), out=dots)
+    ang = np.arccos(np.clip(cosang, -1, 1, out=cosang), out=cosang).T
     # each vertex sums its corners in a fixed order: corner 0 of every triangle, then 1, then 2
     corners = mesh.triangles.T.ravel()
     acc = np.column_stack(
@@ -344,23 +354,33 @@ def _vertex_normals(mesh):
 
 
 def _one_ring(mesh):
-    """Edge adjacency: the pair pattern without its diagonal, every entry 1."""
+    """Edge adjacency: the pair pattern without its diagonal, every entry True."""
     pattern = mesh.pair_pattern
-    data = np.ones(len(pattern.indices))
-    data[pattern.diagonal[pattern.diagonal >= 0]] = 0.0
+    data = np.ones(len(pattern.indices), dtype=bool)
+    data[pattern.diagonal[pattern.diagonal >= 0]] = False
     adj = pattern.csr(data).copy()
     adj.eliminate_zeros()
     return adj
 
 
 def _two_rings(adj):
-    """The 2-ring of each vertex, itself included, as the pattern of adj + adj^2."""
-    return adj + adj @ adj
+    """The 2-ring of each vertex without the vertex itself: the pattern of adj +
+    adj^2 for the boolean ``adj``, in the order scipy's product and sum leave
+    it, without its diagonal.
+
+    Returns the stencil points of every vertex in turn and their counts.
+    """
+    rings = adj + adj @ adj
+    rows = np.repeat(np.arange(rings.shape[0], dtype=rings.indices.dtype), np.diff(rings.indptr))
+    rings.data = rings.indices != rows
+    rings.eliminate_zeros()
+    return rings.indices, np.diff(rings.indptr)
 
 
-# vertices per batched fit: bounds the (6, stencil, block) design arrays, so
-# a large group of regular vertices costs no more memory than the cap apex
-FIT_BLOCK = 512
+# stencil points per batched fit: bounds the (6, stencil, block) design arrays
+# at 512 regular 18-point stencils, so neither a large group of regular
+# vertices nor the large stencils next to a cap's apex cost more memory
+FIT_POINTS = 512 * 18
 
 # the normal equations lose cond^2 times the unit roundoff, 1e-11 at this
 # ratio of |R_ii| of the equilibrated design; a stencil past it, or with a
@@ -477,8 +497,8 @@ def _cholesky_solve(R):
     Turns R into the first five rows of the Cholesky factor, the triangle a
     QR of the design would give, one row at a time with every entry a row
     over the vertices, and solves its leading 5x5 triangle against its last
-    column. Returns the (5, nv) solutions and whether every pivot was
-    positive.
+    column, in place. Returns the (5, nv) solutions, a view of that column,
+    and whether every pivot was positive.
     """
     ok = np.ones(R.shape[2], dtype=bool)
     for i in range(5):
@@ -486,9 +506,9 @@ def _cholesky_solve(R):
         ok &= R[i, i] > 0
         np.sqrt(R[i, i], out=R[i, i])
         R[i, i + 1 :] /= R[i, i]
-    coef = np.empty((5, R.shape[2]))
+    coef = R[:, 5]
     for i in range(4, -1, -1):
-        np.divide(R[i, 5] - (R[i, i + 1 : 5] * coef[i + 1 :]).sum(axis=0), R[i, i], out=coef[i])
+        np.divide(coef[i] - (R[i, i + 1 : 5] * coef[i + 1 :]).sum(axis=0), R[i, i], out=coef[i])
     return coef, ok
 
 
@@ -508,17 +528,13 @@ def _fit_quadrics(mesh, adj, normals):
     with a pivot that is not positive, or whose largest |R_ii| of the scaled
     design is more than ``_GRAM_COND_LIMIT`` times its smallest, is gathered
     again and its same design solved by ``_qr_solve``: a QR, pseudo-inverted
-    after unscaling. The Gram entries are summed over stencils of equal
-    size, FIT_BLOCK vertices at a time, and the solve runs over every vertex
-    at once.
+    after unscaling. The Gram entries are summed over blocks of stencils of
+    equal size and at most FIT_POINTS points, the QR fallback runs over the
+    same blocks, and the Cholesky solve runs over every vertex at once.
     """
     nv = mesh.nv
     # stencil of v: its 2-ring without v, as cols[starts[v] : starts[v] + counts[v]]
-    rings = _two_rings(adj)
-    rows = np.repeat(np.arange(nv), np.diff(rings.indptr))
-    keep = rings.indices != rows
-    cols = rings.indices[keep]
-    counts = np.bincount(rows[keep], minlength=nv)
+    cols, counts = _two_rings(adj)
     starts = np.cumsum(counts) - counts
     small = np.flatnonzero(counts < 5)
     if len(small):
@@ -537,11 +553,10 @@ def _fit_quadrics(mesh, adj, normals):
     order = np.argsort(counts, kind="stable")
     size = counts[order]
     cuts = [0, *(np.flatnonzero(np.diff(size)) + 1).tolist(), nv]
-    blocks = [
-        (lo, min(lo + FIT_BLOCK, end))
-        for start, end in zip(cuts, cuts[1:])
-        for lo in range(start, end, FIT_BLOCK)
-    ]
+    blocks = []
+    for start, end in zip(cuts, cuts[1:]):
+        step = max(1, FIT_POINTS // int(size[start]))
+        blocks += [(lo, min(lo + step, end)) for lo in range(start, end, step)]
     n = normals[order]
     R, h = np.empty((5, 6, nv)), np.empty(nv)
     fallback = 0
@@ -557,10 +572,11 @@ def _fit_quadrics(mesh, adj, normals):
             qr = ~(ok & (diag.max(axis=0) <= _GRAM_COND_LIMIT * diag.min(axis=0)))
             coef[2:] /= h
             diag[2:] *= h
-            for c in np.unique(size[qr]).tolist():
-                at = np.flatnonzero(qr & (size == c))
-                d, w, _ = _stencils(planes, cols, starts, order[at], c, scale)
-                coef[:, at], diag[:, at] = _qr_solve(_design(d, w, h[at], frames[:, :, at]), h[at])
+            for lo, hi in blocks:
+                at = lo + np.flatnonzero(qr[lo:hi])
+                if len(at):
+                    d, w, _ = _stencils(planes, cols, starts, order[at], size[lo], scale)
+                    coef[:, at], diag[:, at] = _qr_solve(_design(d, w, h[at], frames[:, :, at]), h[at])
             cond = diag.max(axis=0) / diag.min(axis=0)
         coef = coef.T
         fallback += int(qr.sum())
@@ -590,8 +606,8 @@ def estimate_fields(mesh: LabeledTriMesh, walls: WallSet | None = None) -> Geome
     operator comes from a weighted least-squares quadric fit over the 2-ring
     of each vertex (one-sided at the boundary), done twice: the second fit
     works in the tangent plane regressed by the first, and its normal is the
-    vertex normal. The fits are batched over every vertex (see
-    ``_fit_quadrics``): each is solved from the normal equations of its
+    vertex normal. The fits are batched over blocks of equal-size stencils
+    (see ``_fit_quadrics``): each is solved from the normal equations of its
     weighted design with the quadratic columns scaled by the stencil size,
     or, where those equations are too ill-conditioned, from a QR of that
     same design whose triangle is pseudo-inverted once unscaled.
@@ -722,17 +738,16 @@ FIELD_COLUMNS = (
 
 
 def field_rows(mesh: LabeledTriMesh, fields: GeometryFields):
-    """One row of ``FIELD_COLUMNS`` per vertex, made as it is read; an interior
-    row stops before the boundary columns."""
-    table = np.column_stack(
-        [
-            mesh.positions, fields.normal, fields.mean_curv, fields.sigma_sq,
-            fields.conormal, fields.wall_conormal, fields.sigma_nn, fields.bdry_curv, fields.angle,
-        ]
+    """One row of ``FIELD_COLUMNS`` per vertex, made as it is read, ``WRITE_ROWS``
+    vertices converted at a time; an interior row stops before the boundary columns."""
+    columns = (
+        mesh.positions, fields.normal, fields.mean_curv, fields.sigma_sq,
+        fields.conormal, fields.wall_conormal, fields.sigma_nn, fields.bdry_curv, fields.angle,
     )
     on_boundary = np.zeros(mesh.nv, dtype=bool)
     on_boundary[mesh.boundary_vertices] = True
-    return (
-        (v, *row) if full else (v, *row[:8])
-        for v, (row, full) in enumerate(zip(table.tolist(), on_boundary.tolist()))
-    )
+    for lo in range(0, mesh.nv, WRITE_ROWS):
+        block = slice(lo, lo + WRITE_ROWS)
+        table = np.column_stack([c[block] for c in columns]).tolist()
+        for v, row, full in zip(range(lo, mesh.nv), table, on_boundary[block].tolist()):
+            yield (v, *row) if full else (v, *row[:8])

@@ -35,7 +35,7 @@ from .errors import (
     MeshValidationError,
     ParseError,
 )
-from .reports import NUMBER, write_report
+from .reports import NUMBER, WRITE_ROWS, write_chunks, write_report
 
 # plane-incidence tolerance per unit of bounding-box diameter
 PLANE_TOL_FACTOR = 1e-9
@@ -756,17 +756,21 @@ def refine(mesh: LabeledTriMesh, projector=None, walls: WallSet | None = None) -
 #   nb lines: v w             (boundary vertex v supported by wall w, one line per v)
 
 
+def _capmesh_text(mesh):
+    """The CAPMESH file of ``mesh``, made ``WRITE_ROWS`` vertex or face lines at a time."""
+    labels = sorted(mesh.boundary_labels.items())
+    yield f"{CAPMESH_MAGIC} {CAPMESH_VERSION}\n{mesh.nv} {mesh.nf} {len(labels)}\n"
+    blocks = ((f"{NUMBER} {NUMBER} {NUMBER}\n", mesh.positions), ("%d %d %d\n", mesh.triangles))
+    for template, array in blocks:
+        for lo in range(0, len(array), WRITE_ROWS):
+            block = array[lo : lo + WRITE_ROWS]
+            yield template * len(block) % tuple(block.ravel().tolist())
+    yield "%d %d\n" * len(labels) % tuple(x for row in labels for x in row)
+
+
 def save(mesh: LabeledTriMesh, walls: WallSet | None, path):
     """Write mesh to ``path`` and, if given, walls to the sibling document."""
-    path = Path(path)
-    labels = sorted(mesh.boundary_labels.items())
-    text = (
-        f"{CAPMESH_MAGIC} {CAPMESH_VERSION}\n{mesh.nv} {mesh.nf} {len(labels)}\n"
-        + f"{NUMBER} {NUMBER} {NUMBER}\n" * mesh.nv % tuple(mesh.positions.ravel().tolist())
-        + "%d %d %d\n" * mesh.nf % tuple(mesh.triangles.ravel().tolist())
-        + "%d %d\n" * len(labels) % tuple(x for row in labels for x in row)
-    )
-    path.write_text(text)
+    path = write_chunks(path, _capmesh_text(mesh))
     if walls is not None:
         save_walls(walls, default_walls_path(path))
     return path

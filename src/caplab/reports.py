@@ -7,18 +7,24 @@ NaN or infinite is written as ``null``, and the JSON pointers of those values
 are listed under a top-level ``nonfinite`` key, which a report of finite
 numbers does not have. A table cell is a number as ``%.17g`` (bit-exact on
 reading back), None as an empty field, a vector as its numbers joined by
-``;``, or a string as is; lines end in LF.
+``;``, or a string as is; lines end in LF. Tables and CAPMESH files are written
+``WRITE_ROWS`` rows at a time, as they are formatted, and a row refused on
+the way leaves no file.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 NUMBER = "%.17g"
+
+# rows formatted and written at a time: bounds what a table holds as text
+WRITE_ROWS = 256
 
 
 def _plain(v, path, nonfinite):
@@ -64,22 +70,41 @@ def _cell(v):
     return NUMBER % v
 
 
+def write_chunks(path, chunks):
+    """Write the strings ``chunks`` to ``path`` in turn, LF line ends as given. If
+    making or writing a chunk raises, the partial file is removed first."""
+    path = Path(path)
+    try:
+        with path.open("w", newline="\n") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def write_table(path, header, rows, comment=None):
     """CSV table of ``rows``, sequences of cells, under the column names ``header``; a
-    short row ends in empty fields. A ``comment`` dict is a first line ``# key=value ...``."""
-    path = Path(path)
+    short row ends in empty fields. A ``comment`` dict is a first line ``# key=value ...``.
+    ``rows`` is read and formatted ``WRITE_ROWS`` at a time."""
     width = len(header)
-    lines = [] if comment is None else ["# " + " ".join(f"{k}={v}" for k, v in comment.items())]
-    lines.append(",".join(header))
     # a tuple of numbers takes one template of its length, far faster than
     # formatting it cell by cell
     templates = [",".join([NUMBER] * n) + "," * (width - n) for n in range(width + 1)]
-    for row in rows:
-        try:
-            lines.append(templates[len(row)] % row)
-        except TypeError:
-            lines.append(",".join(map(_cell, row)) + "," * (width - len(row)))
-        except IndexError:
-            raise ValueError(f"table row of {len(row)} cells under {width} columns") from None
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-    return path
+
+    def lines():
+        if comment is not None:
+            yield "# " + " ".join(f"{k}={v}" for k, v in comment.items())
+        yield ",".join(header)
+        for row in rows:
+            try:
+                yield templates[len(row)] % row
+            except TypeError:
+                yield ",".join(map(_cell, row)) + "," * (width - len(row))
+            except IndexError:
+                raise ValueError(f"table row of {len(row)} cells under {width} columns") from None
+
+    text = lines()
+    blocks = iter(lambda: list(islice(text, WRITE_ROWS)), [])
+    return write_chunks(path, ("\n".join(block) + "\n" for block in blocks))

@@ -253,6 +253,26 @@ class TestIdentities:
                 tracemalloc.stop()
         assert peak <= 8.0e6
 
+    def test_mesh_stability_peaks_under_4_5_mib(self, tmp_path):
+        # fits and fields table held one block at a time: 4.07 MiB traced,
+        # 6.80 MiB with the whole-mesh 2-ring product, fit designs and table text
+        assert main(["gen", "cap", "--radius", "1", "--angle-deg", "60", "--res", "128", "--out", str(tmp_path)]) == 0
+        argv = ["stability", "--mesh", str(tmp_path / "cap_r1_a60_res128.capmesh")]
+        # imports and one-time caches stay out of the count
+        assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 4.5 * 2**20
+
     def test_mesh_file_mode(self, tmp_path):
         assert main(["gen", "cap", "--res", "24", "--out", str(tmp_path)]) == 0
         rc = main(

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import types
 
 import numpy as np
 import pytest
@@ -395,3 +396,33 @@ class TestExport:
         lines = path.read_text().splitlines()
         assert len(lines) == mesh.nv + 1
         assert lines[0].startswith("vertex,x,y,z,normal_x")
+
+    @pytest.mark.parametrize(
+        "nv", [0, 1, reports.WRITE_ROWS - 1, reports.WRITE_ROWS, reports.WRITE_ROWS + 1, 3 * reports.WRITE_ROWS + 5]
+    )
+    def test_field_rows_match_whole_table(self, nv):
+        # field_rows converts a block of vertices at a time; the reference
+        # converts the whole table at once, as it did before
+        rng = np.random.default_rng(nv)
+        boundary = np.flatnonzero(rng.random(nv) < 0.3)
+        mesh = types.SimpleNamespace(nv=nv, positions=rng.standard_normal((nv, 3)), boundary_vertices=boundary)
+
+        def field(*shape):
+            values = np.full((nv, *shape), np.nan)
+            values[boundary] = rng.standard_normal((len(boundary), *shape))
+            return values
+
+        fields = discops.GeometryFields(
+            normal=rng.standard_normal((nv, 3)), mean_curv=rng.standard_normal(nv),
+            sigma_sq=rng.random(nv), conormal=field(3), wall_conormal=field(3),
+            sigma_nn=field(), bdry_curv=field(), angle=field(),
+        )
+        columns = (
+            mesh.positions, fields.normal, fields.mean_curv, fields.sigma_sq, fields.conormal,
+            fields.wall_conormal, fields.sigma_nn, fields.bdry_curv, fields.angle,
+        )
+        table = np.column_stack(columns).tolist()
+        on = set(boundary.tolist())
+        want = [(v, *row) if v in on else (v, *row[:8]) for v, row in enumerate(table)]
+        # repr tells 1 from 1.0 and reads NaN as equal to NaN
+        assert repr(list(discops.field_rows(mesh, fields))) == repr(want)

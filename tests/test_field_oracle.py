@@ -6,7 +6,7 @@ the plane regressed by the first), the curvature pencil, and a walk along
 every boundary loop vertex by vertex. ``estimate_fields`` solves the same
 least-squares problems another way: from the normal equations of the design
 whose quadratic columns are divided by the stencil's RMS distance h, by a
-Cholesky factor taken over all vertices at once, so the sums and their
+Cholesky factor taken over a block of stencils at once, so the sums and their
 rounding differ. The normal equations lose cond^2 times the unit roundoff,
 where cond is the ratio of the largest to the smallest |R_ii| of that
 scaled design; any stencil with cond past 300 is fitted by QR instead, so
@@ -75,6 +75,12 @@ def _pencil_curvatures(M1, M2):
     return ((-a1 - r) / (2 * a2), (-a1 + r) / (2 * a2))
 
 
+def _two_rings(adj):
+    """The 2-ring of each vertex, itself included, as the float product adj + adj @ adj:
+    the former construction of the fit stencils, whose order they keep."""
+    return adj + adj @ adj
+
+
 def _stencil(rings, v):
     idx = rings.indices[rings.indptr[v] : rings.indptr[v + 1]]
     return idx[idx != v]
@@ -87,7 +93,7 @@ def reference_fields(mesh, walls=None):
     scale = mesh.bbox_diameter()
     normals = discops._vertex_normals(mesh)
     adj = edge_adjacency(mesh)
-    rings = discops._two_rings(adj)
+    rings = _two_rings(adj)
     H = np.zeros(nv)
     sigma_sq = np.zeros(nv)
     fits = {}
@@ -287,16 +293,49 @@ def test_projected_refinement_matches_reference():
     walls = spec.walls()
     for _ in range(2):
         mesh = meshkit.refine(mesh, families.surface_projector(spec), walls=walls)
-    sizes = np.diff(discops._two_rings(edge_adjacency(mesh)).indptr) - 1
+    sizes = discops._two_rings(edge_adjacency(mesh))[1]
     assert len(np.unique(sizes)) >= 6 and np.bincount(sizes)[sizes].min() == 1
     got = assert_fields_match(mesh, walls)
     assert got.info["fallback_fits"] == 0
 
 
-def test_block_boundary_is_crossed():
-    mesh, _ = families.generate_mesh(_family("cylinder", 64))
-    counts = np.diff(discops._two_rings(edge_adjacency(mesh)).indptr) - 1
-    assert np.bincount(counts).max() > discops.FIT_BLOCK
+@pytest.mark.parametrize("kind, res, points", [("cylinder", 64, 18), ("cap60", 128, 135)])
+def test_block_boundary_is_crossed(kind, res, points):
+    # the regular stencils of the tube, and the ring next to the cap's apex
+    # (whose fields test_fine_caps_match_reference checks), each hold more
+    # stencil points than one fitting block
+    mesh, _ = families.generate_mesh(_family(kind, res))
+    counts = discops._two_rings(edge_adjacency(mesh))[1]
+    assert np.bincount(counts)[points] * points > discops.FIT_POINTS
+
+
+def _renumbered(mesh):
+    perm = np.random.default_rng(5).permutation(mesh.nv)
+    new = np.argsort(perm)
+    labels = {int(new[v]): w for v, w in mesh.boundary_labels.items()}
+    return meshkit.LabeledTriMesh(mesh.positions[perm], new[mesh.triangles], labels)
+
+
+@pytest.mark.parametrize("case", ["cap", "refined", "renumbered", "strip"])
+def test_stencils_keep_the_order_of_the_float_product(case):
+    # the order of a stencil's points sets the rounding of its fit sums, so
+    # the boolean pattern without its diagonal lists every 2-ring as the
+    # float product did
+    if case == "strip":
+        mesh = _strip()
+    else:
+        spec = _family("cap60", 32)
+        mesh, _ = families.generate_mesh(spec)
+        if case == "refined":
+            mesh = meshkit.refine(mesh, families.surface_projector(spec), walls=spec.walls())
+        if case == "renumbered":
+            mesh = _renumbered(mesh)
+    adj = discops._one_ring(mesh)
+    cols, counts = discops._two_rings(adj)
+    rings = _two_rings(adj.astype(float))
+    want = [_stencil(rings, v) for v in range(mesh.nv)]
+    assert np.array_equal(counts, [len(idx) for idx in want])
+    assert np.array_equal(cols, np.concatenate(want))
 
 
 def test_unprojected_refinement_matches_reference():

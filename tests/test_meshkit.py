@@ -1,6 +1,7 @@
 """Mesh structure, validation, refinement and CAPMESH round trips."""
 
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from caplab import families, meshkit
 from caplab.errors import InvalidMeshError, MeshValidationError, ParseError
+from caplab.reports import WRITE_ROWS
 from conftest import TOPOLOGY, gen_and_load, ring_breakers, rotation_matrix
 
 
@@ -472,6 +474,23 @@ class TestCapmeshWriter:
     def test_bytes_match_reference_writer(self, family, tmp_path):
         spec = FAMILY_SPECS[family]
         mesh, _ = families.generate_mesh(spec)
+        meshkit.save(mesh, None, tmp_path / "new.capmesh")
+        reference_save(mesh, tmp_path / "old.capmesh")
+        assert (tmp_path / "new.capmesh").read_bytes() == (tmp_path / "old.capmesh").read_bytes()
+
+    @pytest.mark.parametrize("n", [0, 1, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, 3 * WRITE_ROWS + 5])
+    def test_blocks_match_reference_writer(self, n, tmp_path):
+        # save formats WRITE_ROWS vertex or face lines at a time; n vertices
+        # and n + 1 faces put the two blocks' ends at different rows
+        rng = np.random.default_rng(n)
+        positions = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+        if n >= 2:
+            positions[:2, 0] = -0.0, 1e-320
+        mesh = types.SimpleNamespace(
+            nv=n, nf=n + 1, positions=positions,
+            triangles=rng.integers(0, max(n, 1), (n + 1, 3)),
+            boundary_labels={int(v): int(v) % 3 for v in rng.permutation(n)[: min(n, 7)]},
+        )
         meshkit.save(mesh, None, tmp_path / "new.capmesh")
         reference_save(mesh, tmp_path / "old.capmesh")
         assert (tmp_path / "new.capmesh").read_bytes() == (tmp_path / "old.capmesh").read_bytes()

@@ -6,7 +6,35 @@ import math
 import numpy as np
 import pytest
 
+from caplab import reports
 from caplab.reports import document, write_report, write_table
+
+BLOCK = reports.WRITE_ROWS
+SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+
+def reference_table(header, rows, comment=None):
+    """The one-string table writer that write_table replaced: every line formatted,
+    then joined, then written at once."""
+    width = len(header)
+    lines = [] if comment is None else ["# " + " ".join(f"{k}={v}" for k, v in comment.items())]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(map(reports._cell, row)) + "," * (width - len(row)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def every_cell_kind(n):
+    """``n`` rows that cycle through every kind of cell and row: numbers alone,
+    None and strings, numpy scalars and vectors, short rows and lists."""
+    kinds = [
+        lambda i: (i, 0.1 * i, -1e300, math.nan),
+        lambda i: (i, None, f"nv={i}", ""),
+        lambda i: (np.float64(i) / 3, np.array([i, -2.5]), (1.0, math.inf)),
+        lambda i: (i,),
+        lambda i: [i, 2.5, 3, -0.0],
+    ]
+    return [kinds[i % len(kinds)](i) for i in range(n)]
 
 
 class TestWriteTable:
@@ -38,6 +66,24 @@ class TestWriteTable:
     def test_refuses_what_would_not_read_back(self, tmp_path, row, message):
         with pytest.raises(ValueError, match=message):
             write_table(tmp_path / "t.csv", ("a", "b"), [row])
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("comment", [None, {"tol": 0.02, "levels": 3}])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_blocks_match_one_string(self, tmp_path, n, comment):
+        rows = every_cell_kind(n)
+        header = ("a", "b", "c", "d")
+        path = write_table(tmp_path / "t.csv", header, (row for row in rows), comment)
+        assert path.read_bytes() == reference_table(header, rows, comment)
+
+    @pytest.mark.parametrize("at", [0, BLOCK - 2, 3 * BLOCK + 4])
+    @pytest.mark.parametrize("bad", [(1, 2, 3, 4, 5), ("a,b",)])
+    def test_refused_row_after_written_blocks_leaves_no_file(self, tmp_path, at, bad):
+        rows = every_cell_kind(3 * BLOCK + 5)
+        rows[at] = bad
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", ("a", "b", "c", "d"), iter(rows), {"tol": 0.02})
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_document_is_plain_python():

@@ -17,8 +17,10 @@ opposite sign tied in size (the sign rule), the ``--mesh`` commands on the
 README's res-128 cap, and ``stability``, ``identities``, ``testfn`` and
 ``wedge`` on a gen'd 120-degree, radius-1.3, res-48 cap and a length-3,
 res-48 tube. ``gen`` of the 42-degree res-64 cap writes a rim where
-theta * m / m is not theta. The README's ``sweep cylinder`` line is the
-default sweep.
+theta * m / m is not theta. ``stability --mesh`` on a gen'd 60-degree
+res-256 cap (nv 12,545) fits the largest stencil groups, which the fit's
+block bound splits: the 256 vertices next to the apex have 263-point
+stencils. The README's ``sweep cylinder`` line is the default sweep.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ COMMANDS = [
     ("testfn-mesh", ["testfn", "--mesh", f"{CAP}.capmesh"]),
     ("wedge-mesh", ["wedge", "--walls", f"{CAP}.walls.json", "--mesh", f"{CAP}.capmesh"]),
     ("gen-cap42", ["gen", "cap", "--angle-deg", "42", "--res", "64"]),
+    ("gen-cap256", ["gen", "cap", "--radius", "1", "--angle-deg", "60", "--res", "256"]),
+    ("stability-mesh-cap256", ["stability", "--mesh", "gen-cap256/cap_r1_a60_res256.capmesh"]),
     *_mesh_commands("cap120", ["gen", "cap", "--radius", "1.3", "--angle-deg", "120", "--res", "48"],
                     "cap_r1.3_a120_res48"),
     *_mesh_commands("tube", ["gen", "cylinder", "--length", "3", "--res", "48"], "cylinder_r1_l3_res48"),
