@@ -8,12 +8,12 @@ negative, so that H >= 0 on constant-mean-curvature input; a mean H at
 rounding level leaves the orientation of the mesh winding.
 
 The mass, stiffness and weighted-mass matrices are summed from 3x3 element
-matrices with ``np.bincount`` into the mesh's cached ``pair_pattern``: no
-per-matrix COO build or index sort, one shared set of index arrays, and
-exact symmetry. The triangle areas and cotangents come from the corner
-edges gathered one coordinate plane at a time; the weighted mass reuses the
-areas of the mesh's ``operators``. The boundary measures are diagonal CSR
-matrices built directly.
+matrices, one block of triangles at a time, into the mesh's cached
+``pair_pattern``: no per-matrix COO build or index sort, one shared set of
+index arrays, and exact symmetry. The triangle areas and cotangents come
+from the corner edges gathered one coordinate plane at a time; the weighted
+mass reuses the areas of the mesh's ``operators``. The boundary measures
+are diagonal CSR matrices built directly.
 ``OperatorSet.mean`` is the one mean of a vertex field, and so the one H-bar.
 Field estimation takes its 1-ring, the mesh's one adjacency, from the same
 pattern without its diagonal, its normals from the same corner edges, and
@@ -214,7 +214,7 @@ def _element_geometry(mesh):
 
 
 def _symmetric(local, diagonal, pairs):
-    """``local`` (nf, 3, 3) filled with symmetric element matrices.
+    """Fill the (block, 3, 3) buffer ``local`` with symmetric element matrices.
 
     ``diagonal[:, k]`` goes to (k, k) and ``pairs[:, k]`` to (k, k + 1) and
     (k + 1, k), the pair of corners opposite corner k + 2.
@@ -222,7 +222,6 @@ def _symmetric(local, diagonal, pairs):
     local[:, _CORNER, _CORNER] = diagonal
     local[:, _CORNER, _NEXT] = pairs
     local[:, _NEXT, _CORNER] = pairs
-    return local
 
 
 _CORNER = np.arange(3)
@@ -252,31 +251,32 @@ def assemble_operators(mesh: LabeledTriMesh) -> OperatorSet:
     ``M`` and ``K`` are summed from 3x3 element matrices on the mesh's
     ``pair_pattern``, so they share its index arrays and are exactly
     symmetric. Both come from the same corner gathers and are formed in
-    turn in one (nf, 3, 3) buffer. Callers read ``mesh.operators``, which
-    calls this once per mesh.
+    turn, one block of triangles at a time, in one
+    (meshkit.ASSEMBLY_BLOCK, 3, 3) buffer. Callers read ``mesh.operators``,
+    which calls this once per mesh.
     """
     if mesh.nv == 0 or mesh.nf == 0:
         raise InvalidMeshError("cannot assemble operators on an empty mesh")
     p = mesh.positions
     areas, half_cot = _element_geometry(mesh)
     nv = mesh.nv
-    pattern = mesh.pair_pattern
-    # freed before the boundary measures are built
-    local = np.empty((mesh.nf, 3, 3))
 
-    # cotangent stiffness: a triangle puts -cot/2 of its third corner on each
-    # pair of corners and the cot/2 of the other two corners on each
-    # corner's diagonal. The half-cotangents go once they are in the buffer
-    for c, (a, b) in enumerate(zip(_NEXT, _PREV)):
-        np.add(half_cot[:, a], half_cot[:, b], out=local[:, c, c])
-        np.negative(half_cot[:, c], out=local[:, a, b])
-        local[:, b, a] = local[:, a, b]
+    def stiffness(local, block):
+        # a triangle puts -cot/2 of its third corner on each pair of corners
+        # and the cot/2 of the other two corners on each corner's diagonal
+        h = half_cot[block]
+        for c, (a, b) in enumerate(zip(_NEXT, _PREV)):
+            np.add(h[:, a], h[:, b], out=local[:, c, c])
+            np.negative(h[:, c], out=local[:, a, b])
+            local[:, b, a] = local[:, a, b]
+
+    def mass(local, block):
+        # consistent mass: A/6 on the diagonal, A/12 off-diagonal per triangle
+        a = areas[block, None]
+        _symmetric(local, a / 6.0, a / 12.0)
+
+    K, M = (_frozen(x) for x in mesh.pair_pattern.assemble(stiffness, mass))
     del half_cot
-    K = _frozen(pattern.assemble(local))
-
-    # consistent mass: A/6 on the diagonal, A/12 off-diagonal per triangle
-    M = _frozen(pattern.assemble(_symmetric(local, (areas / 6.0)[:, None], (areas / 12.0)[:, None])))
-    del local
 
     # half of each boundary edge onto both ends, summed in edge order
     be = mesh.boundary_edges
@@ -303,18 +303,24 @@ def weighted_mass(mesh: LabeledTriMesh, weights) -> sparse.csr_matrix:
     w = np.asarray(weights, float)
     if w.shape != (mesh.nv,):
         raise ValueError("need one weight per vertex")
-    wt = w[mesh.triangles]
-    areas = mesh.operators.areas[:, None]
-    # w_k / 10 + (the other two) / 30 at (k, k); (w_k + w_k+1) / 30 + w_k+2 / 60 at (k, k + 1)
-    diagonal = wt.sum(axis=1)[:, None] - wt
-    diagonal /= 30.0
-    diagonal += wt / 10.0
-    diagonal *= areas
-    pairs = wt + wt[:, _NEXT]
-    pairs /= 30.0
-    pairs += wt[:, _PREV] / 60.0
-    pairs *= areas
-    return mesh.pair_pattern.assemble(_symmetric(np.empty((mesh.nf, 3, 3)), diagonal, pairs))
+    triangles, areas = mesh.triangles, mesh.operators.areas
+
+    def fill(local, block):
+        wt = w[triangles[block]]
+        a = areas[block, None]
+        # w_k / 10 + (the other two) / 30 at (k, k); (w_k + w_k+1) / 30 + w_k+2 / 60 at (k, k + 1)
+        diagonal = wt.sum(axis=1)[:, None] - wt
+        diagonal /= 30.0
+        diagonal += wt / 10.0
+        diagonal *= a
+        pairs = wt + wt[:, _NEXT]
+        pairs /= 30.0
+        pairs += wt[:, _PREV] / 60.0
+        pairs *= a
+        _symmetric(local, diagonal, pairs)
+
+    (matrix,) = mesh.pair_pattern.assemble(fill)
+    return matrix
 
 
 def integrate_scalar(matrix, values) -> float:

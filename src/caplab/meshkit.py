@@ -17,6 +17,7 @@ entries.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -42,6 +43,10 @@ PLANE_TOL_FACTOR = 1e-9
 # how far a vertex may sit from its place in a ring layout, per unit of
 # bounding-box diameter
 RING_TOL_FACTOR = 1e-12
+
+# triangles whose element matrices are summed at once: bounds the
+# (block, 3, 3) element buffer and the block's slots at 288 KiB each
+ASSEMBLY_BLOCK = 4096
 
 CAPMESH_MAGIC = "CAPMESH"
 CAPMESH_VERSION = 1
@@ -219,9 +224,9 @@ class PairPattern(NamedTuple):
     Row v lists v and its edge neighbours, sorted, in
     ``indices[indptr[v]:indptr[v + 1]]``. ``slots[f, a, b]`` is the position
     in ``indices`` of the pair (triangles[f, a], triangles[f, b]) and
-    ``diagonal[v]`` that of (v, v), -1 for a vertex on no triangle.
-    ``slots`` holds np.intp, the index type ``np.bincount`` reads; the other
-    three arrays hold int32.
+    ``diagonal[v]`` that of (v, v), -1 for a vertex on no triangle. All four
+    arrays hold int32; ``assemble`` casts the slots of one block of
+    triangles at a time to the index type ``np.add.at`` reads.
     """
 
     indptr: np.ndarray
@@ -234,18 +239,29 @@ class PairPattern(NamedTuple):
         n = len(self.indptr) - 1
         return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
-    def assemble(self, local):
-        """Sum per-triangle (nf, 3, 3) entries into their slots, triangle by triangle.
+    def assemble(self, *fills):
+        """One matrix on this pattern per element filler, summed a block of triangles at a time.
 
-        Entry (i, j) and entry (j, i) add the same terms in the same order, so
-        symmetric element matrices give an exactly symmetric result.
+        ``fill(local, block)`` writes the 3x3 element matrices of the
+        triangles in the slice ``block`` into ``local``, an (ASSEMBLY_BLOCK,
+        3, 3) buffer or its head. Every filler shares that buffer and each
+        block's cast of the slots. Each block is added onto zeroed data in
+        triangle order, the order one ``np.bincount`` over every slot adds
+        in, and entry (i, j) and entry (j, i) add the same terms in the same
+        order, so symmetric element matrices give an exactly symmetric result.
         """
-        # np.bincount copies an index array it may not write to. The slots
-        # are a read-only view of an array that only this pattern refers to,
-        # so a writable view of that array goes in, and bincount reads it as is
-        slots = self.slots.reshape(-1)
-        slots.flags.writeable = True
-        return self.csr(np.bincount(slots, np.ravel(local), minlength=len(self.indices)))
+        nf = len(self.slots)
+        data = [np.zeros(len(self.indices)) for _ in fills]
+        buffer = np.empty((min(nf, ASSEMBLY_BLOCK), 3, 3))
+        for start in range(0, nf, ASSEMBLY_BLOCK):
+            block = slice(start, start + ASSEMBLY_BLOCK)
+            # np.add.at runs slower on int32 indices than on the intp it reads as is
+            slots = self.slots[block].astype(np.intp)
+            local = buffer[: len(slots)]
+            for out, fill in zip(data, fills):
+                fill(local, block)
+                np.add.at(out, slots.ravel(), local.ravel())
+        return [self.csr(x) for x in data]
 
 
 def _pair_layout(lo, hi, nv):
@@ -432,8 +448,7 @@ class LabeledTriMesh:
         # ends[2 e] where t[k] is the lo, else in ends[2 e + 1]
         along = np.multiply(side, 2, dtype=np.intp)
         along += t > t[:, _NEXT]
-        # in the index type np.bincount reads, so assembly converts nothing
-        slots = np.empty((self.nf, 9), dtype=np.intp)
+        slots = np.empty((self.nf, 9), dtype=np.int32)
         slots[:, _DIAGONAL] = diagonal[t]
         slots[:, _ALONG] = ends[along]
         along ^= 1
@@ -789,26 +804,28 @@ def _tokens(lines, lineno, expect, what):
     return toks
 
 
-def _read_blocks(lines, nv, nf, nb):
-    """The vertex, face and label blocks through numpy's C reader.
+def _read_blocks(fh, nv, nf, nb):
+    """The vertex, face and label blocks through numpy's C reader, read on from ``fh``.
 
     Returns None when numpy refuses a block or a range rule fails. numpy's
     DeprecationWarning for an integer written as a float (``1.0``) is made
-    an error, so that line is refused rather than truncated.
+    an error, so that line is refused rather than truncated, and so is its
+    UserWarning for a block past the end of the file. Each block is handed
+    exactly its own lines: numpy skips a blank line, which would pull in a
+    line of the next block.
     """
-    if len(lines) < 2 + nv + nf + nb:
-        return None
-    spans = ((2, nv, 3, float), (2 + nv, nf, 3, np.int64), (2 + nv + nf, nb, 2, np.int64))
+    spans = ((nv, 3, float), (nf, 3, np.int64), (nb, 2, np.int64))
     blocks = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        for first, count, width, dtype in spans:
+        warnings.simplefilter("error", UserWarning)
+        for count, width, dtype in spans:
             if count == 0:
                 blocks.append(np.empty((0, width), dtype=dtype))
                 continue
             try:
-                rows = np.loadtxt(lines[first : first + count], dtype=dtype, comments=None, ndmin=2)
-            except (ValueError, OverflowError):
+                rows = np.loadtxt(itertools.islice(fh, count), dtype=dtype, comments=None, ndmin=2)
+            except (ValueError, OverflowError, UserWarning):
                 return None
             if rows.shape != (count, width):
                 return None
@@ -871,28 +888,39 @@ def _read_lines(lines, nv, nf, nb):
 
 
 def load(path, walls_path=None):
-    """Read a CAPMESH file; returns (mesh, walls), walls None if no document."""
+    """Read a CAPMESH file; returns (mesh, walls), walls None if no document.
+
+    Lines end at "\n", "\r" or "\r\n". The file is read in one pass, a
+    block at a time, and read again as a list of lines only when numpy
+    refuses a block.
+    """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    with path.open() as fh:
+        lines = [line.rstrip("\n") for line in itertools.islice(fh, 2)]
+        head = _tokens(lines, 1, 2, "header")
+        if head[0] != CAPMESH_MAGIC or head[1] != str(CAPMESH_VERSION):
+            raise ParseError(f"bad header {lines[0]!r}, expected '{CAPMESH_MAGIC} {CAPMESH_VERSION}'", 1)
+        counts = _tokens(lines, 2, 3, "counts")
+        try:
+            nv, nf, nb = (int(c) for c in counts)
+        except ValueError as exc:
+            raise ParseError(f"counts must be integers: {exc}", 2) from None
+        if nv < 0 or nf < 0 or nb < 0:
+            raise ParseError("counts must be nonnegative", 2)
 
-    head = _tokens(lines, 1, 2, "header")
-    if head[0] != CAPMESH_MAGIC or head[1] != str(CAPMESH_VERSION):
-        raise ParseError(f"bad header {lines[0]!r}, expected '{CAPMESH_MAGIC} {CAPMESH_VERSION}'", 1)
-    counts = _tokens(lines, 2, 3, "counts")
-    try:
-        nv, nf, nb = (int(c) for c in counts)
-    except ValueError as exc:
-        raise ParseError(f"counts must be integers: {exc}", 2) from None
-    if nv < 0 or nf < 0 or nb < 0:
-        raise ParseError("counts must be nonnegative", 2)
-
-    # the per-line read names the bad line, or reads what numpy refused
-    positions, triangles, labels = _read_blocks(lines, nv, nf, nb) or _read_lines(lines, nv, nf, nb)
-
-    extra = 2 + nv + nf + nb
-    for lineno in range(extra + 1, len(lines) + 1):
-        if lines[lineno - 1].strip():
-            raise ParseError("unexpected trailing content", lineno)
+        extra = 2 + nv + nf + nb
+        blocks = _read_blocks(fh, nv, nf, nb)
+        rest = fh
+        if blocks is None:
+            # the per-line read names the bad line, or reads what numpy refused
+            fh.seek(0)
+            lines = [line.rstrip("\n") for line in fh]
+            blocks = _read_lines(lines, nv, nf, nb)
+            rest = lines[extra:]
+        for lineno, line in enumerate(rest, extra + 1):
+            if line.strip():
+                raise ParseError("unexpected trailing content", lineno)
+    positions, triangles, labels = blocks
 
     mesh = LabeledTriMesh(positions, triangles, labels, copy=False)
     labeled = np.fromiter(labels, np.int64, len(labels))

@@ -1,5 +1,6 @@
 """Integral identities against closed forms and dense-quadrature oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -190,6 +191,36 @@ class TestBoundarySigmaRelation:
         # 1 = 2 + sin(pi/3) * (-1/sin(pi/3))
         assert r.lhs == pytest.approx(1.0, abs=1e-12)
         assert r.abs_residual <= 1e-12
+
+    @staticmethod
+    def estimated(spec):
+        mesh = meshkit.LabeledTriMesh(*spec.build())
+        return mesh, discops.estimate_fields(mesh, spec.walls())
+
+    def test_estimated_tube_residual_is_second_order(self):
+        # both sides cancel to zero on a tube: scaled by the larger side, the
+        # residual read 0.906, 0.8955 and 0.8948, one discretization error over another
+        expected = {24: 0.0568, 48: 0.0146, 96: 0.00368}
+        for res, value in expected.items():
+            spec = families.Cylinder(r=1.0, L=3.0, resolution=res)
+            mesh, fields = self.estimated(spec)
+            for wall in (0, 1):
+                r = identities.check_boundary_sigma_relation(mesh, fields, spec.walls(), wall)
+                assert r.rel_residual == pytest.approx(value, rel=0.01)
+
+    def test_sigma_too_large_fails_on_the_cap(self):
+        spec = families.Cap(R=1.0, theta=math.pi / 3, resolution=48)
+        mesh, fields = self.estimated(spec)
+        assert identities.check_boundary_sigma_relation(mesh, fields, spec.walls(), 0).rel_residual <= 0.02
+        wrong = dataclasses.replace(fields, sigma_nn=1.2 * fields.sigma_nn)
+        assert identities.check_boundary_sigma_relation(mesh, wrong, spec.walls(), 0).rel_residual > 0.02
+
+    def test_flipped_mean_curvature_fails_on_the_tube(self):
+        spec = families.Cylinder(r=1.0, L=3.0, resolution=48)
+        mesh, fields = self.estimated(spec)
+        wrong = dataclasses.replace(fields, mean_curv=-fields.mean_curv)
+        for wall in (0, 1):
+            assert identities.check_boundary_sigma_relation(mesh, wrong, spec.walls(), wall).rel_residual > 0.02
 
     @pytest.mark.parametrize(
         "name", [name for name in GRID_MESHES if isinstance(BUILD_SPECS.get(name), families.RingFamily)]

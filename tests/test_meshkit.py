@@ -1,6 +1,7 @@
 """Mesh structure, validation, refinement and CAPMESH round trips."""
 
 import math
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -467,6 +468,44 @@ class TestCapmeshReaderParity:
         with pytest.raises(ParseError, match="vertex 2 is labeled twice") as err:
             meshkit.load(path)
         assert err.value.line == 20
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1e"])
+    def test_other_line_breaks_separate_fields_on_both_paths(self, separator, tmp_path):
+        # lines end at "\n", "\r" and "\r\n" for numpy's reader and the
+        # per-line one alike; the other breaks str.splitlines knows are
+        # whitespace to both, so no line number moves
+        lines = edit(fan_lines(), 4, fan_lines()[3].replace(" ", separator))
+        path = tmp_path / "m.capmesh"
+        path.write_text("\n".join(lines) + "\n")
+        mesh, _ = meshkit.load(path)
+        assert np.array_equal(mesh.positions, hexagon_fan().positions)
+        # an underscore that numpy refuses sends the file to the per-line reader
+        path.write_text("\n".join(edit(lines, 16, "1 0_0")) + "\n")
+        again, _ = meshkit.load(path)
+        assert np.array_equal(again.positions, mesh.positions)
+        assert again.boundary_labels == mesh.boundary_labels
+        path.write_text("\n".join(edit(lines, 12, "0 3 x")) + "\n")
+        with pytest.raises(ParseError, match="bad index in '0 3 x'") as err:
+            meshkit.load(path)
+        assert err.value.line == 12
+
+    def test_load_peaks_under_5_mib(self, tmp_path):
+        # a block at a time from the open file: 4.55 MiB traced on the
+        # res-256 cap (nv 12,545), 7.66 MiB with the file text and a list of its lines
+        gen_and_load(tmp_path, ["cap", "--radius", "1", "--angle-deg", "60", "--res", "256"])
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            mesh, _ = meshkit.load(tmp_path / "ring.capmesh")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert mesh.nv == 12545
+        assert peak <= 5 * 2**20
 
 
 class TestCapmeshWriter:

@@ -7,9 +7,10 @@ refinement numbered through the upper triangle of the adjacency, the family
 meshes built one ring and one ring pair at a time, and the element matrices
 formed corner by corner with the B matrices as ``sparse.diags(...).tocsr()``.
 The mesh now sorts its vertex pairs once (``LabeledTriMesh.edges``) and reads
-everything else off that sort, assembly gathers the corners once, and one
-ring builder lays out every family mesh; the arithmetic is the same, so every
-array must be equal, dtypes included.
+everything else off that sort, assembly gathers the corners once and sums
+them one block of triangles at a time, and one ring builder lays out every
+family mesh; the arithmetic is the same, so every array must be equal,
+dtypes included.
 
 The exact fields of the surfaces of revolution were closed forms per family;
 they now follow from each family's meridian. Products and quotients are
@@ -341,8 +342,7 @@ def assert_same_csr(new, old):
 
 def check_topology(mesh):
     indptr, indices, slots, diagonal = reference_pair_pattern(mesh)
-    # the slots are held in the index type np.bincount reads
-    for new, old in zip(mesh.pair_pattern, (indptr, indices, slots.astype(np.intp), diagonal)):
+    for new, old in zip(mesh.pair_pattern, (indptr, indices, slots, diagonal)):
         assert_identical(new, old)
     adj_dir, adj_sym = reference_adjacency(mesh)
     assert_identical(mesh.boundary_edges, reference_boundary_edges(mesh))
@@ -417,6 +417,36 @@ def test_corner_planes_match_corner_array(name):
     assert_identical(discops._vertex_normals(mesh), normals)
 
 
+def reference_operators(mesh, w):
+    """M, K and the mass weighted by ``w``, from element matrices formed corner by corner.
+
+    Each is summed by one np.bincount over every slot, in triangle order.
+    """
+    pattern = mesh.pair_pattern
+    ref_areas, ref_half_cot = reference_geometry(mesh)
+    M = np.repeat(ref_areas / 12.0, 9).reshape(-1, 3, 3)
+    M[:, [0, 1, 2], [0, 1, 2]] = (ref_areas / 6.0)[:, None]
+    K = -ref_half_cot[:, THIRD]
+    K[:, [0, 1, 2], [0, 1, 2]] = ref_half_cot[:, [1, 2, 0]] + ref_half_cot[:, [2, 0, 1]]
+    wt = w[mesh.triangles]
+    local = (wt[:, :, None] + wt[:, None, :]) / 30.0 + wt[:, THIRD] / 60.0
+    local[:, [0, 1, 2], [0, 1, 2]] = wt / 10.0 + (wt.sum(axis=1)[:, None] - wt) / 30.0
+    return tuple(
+        pattern.csr(np.bincount(pattern.slots.ravel(), np.ravel(x), minlength=len(pattern.indices)))
+        for x in (M, K, ref_areas[:, None, None] * local)
+    )
+
+
+def check_assembly(mesh):
+    w = np.random.default_rng(11).uniform(-1.0, 2.0, mesh.nv)
+    M, K, weighted = reference_operators(mesh, w)
+    ops = discops.assemble_operators(mesh)
+    assert_same_csr(ops.M, M)
+    assert_same_csr(ops.K, K)
+    assert_same_csr(discops.weighted_mass(mesh, w), weighted)
+    return ops
+
+
 @pytest.mark.parametrize("name", list(MESHES))
 def test_assembly_matches_corner_by_corner(name):
     mesh = MESHES[name]
@@ -425,26 +455,37 @@ def test_assembly_matches_corner_by_corner(name):
     assert_identical(areas, ref_areas)
     assert_identical(half_cot, ref_half_cot)
 
-    ops = discops.assemble_operators(mesh)
-    pattern = mesh.pair_pattern
-    M = np.repeat(ref_areas / 12.0, 9).reshape(-1, 3, 3)
-    M[:, [0, 1, 2], [0, 1, 2]] = (ref_areas / 6.0)[:, None]
-    K = -ref_half_cot[:, THIRD]
-    K[:, [0, 1, 2], [0, 1, 2]] = ref_half_cot[:, [1, 2, 0]] + ref_half_cot[:, [2, 0, 1]]
-    assert_same_csr(ops.M, pattern.assemble(M))
-    assert_same_csr(ops.K, pattern.assemble(K))
-
+    ops = check_assembly(mesh)
     B_wall, B_all = reference_boundary_measures(mesh)
     assert_same_csr(ops.B_all, B_all)
     assert sorted(ops.B_wall) == sorted(B_wall)
     for w, B in B_wall.items():
         assert_same_csr(ops.B_wall[w], B)
 
-    w = np.random.default_rng(11).uniform(-1.0, 2.0, mesh.nv)
-    wt = w[mesh.triangles]
-    local = (wt[:, :, None] + wt[:, None, :]) / 30.0 + wt[:, THIRD] / 60.0
-    local[:, [0, 1, 2], [0, 1, 2]] = wt / 10.0 + (wt.sum(axis=1)[:, None] - wt) / 30.0
-    assert_same_csr(discops.weighted_mass(mesh, w), pattern.assemble(ref_areas[:, None, None] * local))
+
+def zigzag_strip(nf):
+    """A strip of ``nf`` consistently wound triangles over uneven heights."""
+    k = np.arange(nf + 2)
+    z = np.random.default_rng(nf).uniform(-0.5, 0.5, nf + 2)
+    positions = np.column_stack([0.5 * k + 0.1 * (k % 3), k % 2, z])
+    t = np.arange(nf)
+    triangles = np.column_stack([t, t + 1 + t % 2, t + 2 - t % 2])
+    return meshkit.LabeledTriMesh(positions, triangles)
+
+
+@pytest.mark.parametrize("nf", [1, 7, 8, 9, 29])
+def test_block_assembly_matches_one_bincount(nf, monkeypatch):
+    # blocks of 8: one triangle, one short of a block, one block, one past, 3 blocks + 5
+    monkeypatch.setattr(meshkit, "ASSEMBLY_BLOCK", 8)
+    mesh = zigzag_strip(nf)
+    assert mesh.nf == nf and mesh.is_oriented()
+    check_assembly(mesh)
+
+
+@pytest.mark.parametrize("name", ["cap120-40", "cap60-16-refined-twice", "sphere-24"])
+def test_block_assembly_of_family_meshes(name, monkeypatch):
+    monkeypatch.setattr(meshkit, "ASSEMBLY_BLOCK", 8)
+    check_assembly(MESHES[name])
 
 
 # the Monge patch keeps its own closed forms; every other family is a surface of revolution
